@@ -7,25 +7,24 @@ three things on a loopback server over the full seed list:
 
 * serial round-trip throughput (one in-flight request — the RTT
   floor);
-* pipelined throughput (bursts inside the server's window — what the
-  ordered-outbox design is for), which must beat serial by a real
+* pipelined throughput (bursts inside the server's window, answered
+  in order one read at a time), which must beat serial by a real
   margin, since pipelining is the whole point of framing over raw
   request/response;
 * tail latency of the server's dispatch stage (decode → dispatch →
   encode) from its own pow2 histogram, gated absolutely but
   generously: loopback dispatch is tens of microseconds, so the gate
-  only trips on a real pathology (executor convoy, drain-gate
-  starvation), not CI scheduling noise.
+  only trips on a real pathology (a request stalling the event loop),
+  not CI scheduling noise.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 from repro.api import QueryRequest, StatsRequest
 from repro.data import build_rws_list
-from repro.net import AsyncTcpApiClient, RwsTcpServer, ServerThread, TcpApiClient
+from repro.net import RwsTcpServer, ServerThread, TcpApiClient
 from repro.serve import RwsService
 from repro.workload.metrics import LatencyHistogram
 
@@ -67,14 +66,12 @@ def _serial_rps(client: TcpApiClient, requests) -> float:
 
 
 def _pipelined_rps(host: str, port: int, requests) -> float:
-    async def run() -> float:
-        async with AsyncTcpApiClient(host, port) as client:
-            started = time.perf_counter()
-            for at in range(0, len(requests), _BURST):
-                await client.pipeline(requests[at:at + _BURST])
-            return len(requests) / (time.perf_counter() - started)
-
-    return asyncio.run(run())
+    with TcpApiClient(host, port, pool_size=1) as client:
+        client.dispatch(StatsRequest())  # connect outside the timing
+        started = time.perf_counter()
+        for at in range(0, len(requests), _BURST):
+            client.pipeline(requests[at:at + _BURST])
+        return len(requests) / (time.perf_counter() - started)
 
 
 def measure_net_throughput() -> dict:

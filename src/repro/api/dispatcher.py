@@ -389,12 +389,10 @@ class Dispatcher:
 
     @staticmethod
     def _make_batch_handler(service: RwsService | Router) -> Handler:
-        # All three service batch methods ride the bulk resolution
-        # path end to end: one _LruResolver.resolve_many cache pass
-        # whose cold keys resolve through the PSL's own batch engine
-        # (PublicSuffixList.etld_plus_one_many — lock-free probes, one
-        # write-lock promotion), so a BatchQueryRequest never loops
-        # single host resolutions at any layer.
+        # The two host-level batch methods resolve all their hosts in
+        # one bulk pass (the service's resolve_many: one
+        # PublicSuffixList.etld_plus_one_many call); resolved pairs
+        # skip host resolution entirely.
         query_batch = service.query_batch
         related_batch = service.related_batch
         related_sites_batch = service.related_sites_batch

@@ -10,15 +10,16 @@ documents on a socket:
   a hard frame-size ceiling shared with the codec's
   :data:`~repro.api.codec.MAX_WIRE_BYTES`;
 * :mod:`repro.net.server` — the asyncio :class:`RwsTcpServer`:
-  hello-based version negotiation, per-connection pipelining with
-  strictly ordered responses, a bounded in-flight window with
-  ``RATE_LIMITED`` pushback, idle timeouts, a connection cap, and
-  graceful drain-on-publish mirroring epoch-swap semantics on the
-  wire; plus :class:`ServerThread` for synchronous callers;
+  hello-based version negotiation, then every request decoded,
+  dispatched, encoded and written inline on the event loop in arrival
+  order — so pipelined responses come back in request order and a
+  publish never overlaps a read, by construction — with a per-read
+  window and ``RATE_LIMITED`` pushback, idle timeouts, and a
+  connection cap; plus :class:`ServerThread` for synchronous callers;
 * :mod:`repro.net.client` — :class:`TcpApiClient` (sync, pooled,
   dispatcher-compatible ``dispatch()``, retry-with-backoff on
-  idempotent reads) and :class:`AsyncTcpApiClient` (explicit
-  pipelining for tests and benchmarks).
+  idempotent reads, and ``pipeline()`` bursts for tests and
+  benchmarks).
 
 **Decision record — repro.netsim stays.**  When this package landed,
 the question was whether :mod:`repro.netsim` (the deterministic
@@ -36,7 +37,6 @@ other.
 
 from repro.net.client import (
     IDEMPOTENT_OPS,
-    AsyncTcpApiClient,
     NetClientError,
     TcpApiClient,
 )
@@ -57,7 +57,6 @@ from repro.net.server import (
 )
 
 __all__ = [
-    "AsyncTcpApiClient",
     "DEFAULT_IDLE_TIMEOUT",
     "DEFAULT_MAX_CONNECTIONS",
     "DEFAULT_WINDOW",

@@ -1,8 +1,8 @@
-"""TCP clients for the API wire: sync with pooling, async for pipelining.
+"""The TCP client for the API wire: synchronous, pooled, pipelining.
 
-:class:`TcpApiClient` is the workhorse: a synchronous, connection-
-pooling client whose :meth:`~TcpApiClient.dispatch` is call-compatible
-with :meth:`repro.api.dispatcher.Dispatcher.dispatch` — take a typed
+:class:`TcpApiClient` pools connections, and its
+:meth:`~TcpApiClient.dispatch` is call-compatible with
+:meth:`repro.api.dispatcher.Dispatcher.dispatch` — take a typed
 request envelope, get a typed response envelope — so anything written
 against the dispatcher (the workload driver's shard state, the CLI)
 can swap in a socket without knowing.  Transport failures on
@@ -13,14 +13,14 @@ lost response does not mean a lost write.  ``RATE_LIMITED`` pushback
 from the server's pipelining window is a *response*, not a transport
 failure — it comes back to the caller untouched.
 
-:class:`AsyncTcpApiClient` is the asyncio twin for callers that want
-deliberate pipelining (send a burst of frames, then collect ordered
-responses): the backpressure tests and the ``net_throughput`` bench.
+:meth:`~TcpApiClient.pipeline` is the one pipelining path: it sends a
+burst of frames down one connection, then collects the responses in
+request order (the backpressure tests and the ``net_throughput``
+bench use it).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import queue
 import socket
@@ -35,7 +35,7 @@ from repro.api.codec import (
     encode_request,
 )
 from repro.api.envelopes import Request, Response
-from repro.net.frame import PREFIX_BYTES, FrameDecoder, FrameError, encode_frame
+from repro.net.frame import FrameDecoder, FrameError, encode_frame
 from repro.net.server import hello_message
 
 #: Ops safe to retry on a transport error: reads with no server-side
@@ -68,6 +68,26 @@ class _Conn:
             self.sock.close()
         except OSError:
             pass
+
+    def send(self, requests: list[Request]) -> None:
+        """Frame ``requests`` and send them in one write."""
+        try:
+            self.sock.sendall(b"".join(
+                encode_frame(encode_request(r, version=self.version),
+                             self.max_frame_bytes)
+                for r in requests))
+        except OSError as exc:
+            raise NetClientError(f"send failed: {exc}") from exc
+
+    def receive(self) -> Response:
+        """Block for the next response frame and decode it."""
+        payload = _read_frame(self.sock, self.decoder)
+        try:
+            response, _version = decode_response(
+                payload.decode("utf-8"), max_bytes=self.max_frame_bytes)
+        except WireError as exc:
+            raise NetClientError(f"undecodable response: {exc}") from exc
+        return response
 
 
 def _read_frame(sock: socket.socket, decoder: FrameDecoder) -> bytes:
@@ -247,12 +267,7 @@ class TcpApiClient:
                 self._counters["faults_injected"] += 1
             raise NetClientError(
                 f"injected fault before send ({request.op})")
-        try:
-            conn.sock.sendall(encode_frame(
-                encode_request(request, version=conn.version),
-                conn.max_frame_bytes))
-        except OSError as exc:
-            raise NetClientError(f"send failed: {exc}") from exc
+        conn.send([request])
         if fault == "after":
             # The request frame is on the wire — the server will (or
             # already did) process it.  Losing the response here is the
@@ -261,14 +276,7 @@ class TcpApiClient:
                 self._counters["faults_injected"] += 1
             raise NetClientError(
                 f"injected fault after send ({request.op}): response lost")
-        payload = _read_frame(conn.sock, conn.decoder)
-        try:
-            response, _version = decode_response(
-                payload.decode("utf-8"), max_bytes=conn.max_frame_bytes)
-        except WireError as exc:
-            raise NetClientError(
-                f"undecodable response: {exc}") from exc
-        return response
+        return conn.receive()
 
     def pipeline(self, requests: list[Request]) -> list[Response]:
         """Send every request before reading any response.
@@ -276,37 +284,27 @@ class TcpApiClient:
         All frames go down one connection back to back; responses come
         back in request order (the server guarantees ordering).  No
         retry — a mid-pipeline transport failure raises, because the
-        burst may straddle non-idempotent ops.
+        burst may straddle non-idempotent ops.  Like :meth:`dispatch`,
+        it counts every request up front and a failure as one transport
+        error.
         """
         if not requests:
             return []
-        conn = self._checkout()
+        with self._lock:
+            self._counters["requests"] += len(requests)
+        conn = None
         try:
-            blob = b"".join(
-                encode_frame(encode_request(r, version=conn.version),
-                             conn.max_frame_bytes)
-                for r in requests)
-            try:
-                conn.sock.sendall(blob)
-            except OSError as exc:
-                raise NetClientError(f"send failed: {exc}") from exc
-            responses = []
-            for _ in requests:
-                payload = _read_frame(conn.sock, conn.decoder)
-                try:
-                    response, _version = decode_response(
-                        payload.decode("utf-8"),
-                        max_bytes=conn.max_frame_bytes)
-                except WireError as exc:
-                    raise NetClientError(
-                        f"undecodable response: {exc}") from exc
-                responses.append(response)
+            conn = self._checkout()
+            conn.send(requests)
+            responses = [conn.receive() for _ in requests]
         except NetClientError:
-            conn.close()
+            if conn is not None:
+                conn.close()
+            with self._lock:
+                self._counters["transport_errors"] += 1
             raise
         self._checkin(conn)
         with self._lock:
-            self._counters["requests"] += len(requests)
             self._counters["responses"] += len(requests)
         return responses
 
@@ -334,115 +332,3 @@ class TcpApiClient:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-
-class AsyncTcpApiClient:
-    """The asyncio client: explicit connect, calls, and pipelining.
-
-    One connection per client instance — asyncio callers that want
-    parallel connections make parallel clients.
-    """
-
-    def __init__(self, host: str, port: int, *,
-                 api_version: int = API_VERSION, timeout: float = 10.0,
-                 max_frame_bytes: int = MAX_WIRE_BYTES):
-        self.host = host
-        self.port = port
-        self.api_version = api_version
-        self.timeout = timeout
-        self.max_frame_bytes = max_frame_bytes
-        self.negotiated_version: int | None = None
-        self.server_window: int | None = None
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._decoder = FrameDecoder(max_frame_bytes)
-
-    async def connect(self) -> "AsyncTcpApiClient":
-        """Open the connection and run the hello exchange."""
-        try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=self.timeout)
-        except OSError as exc:
-            raise NetClientError(
-                f"connect to {self.host}:{self.port} failed: {exc}"
-            ) from exc
-        self._writer.write(encode_frame(
-            hello_message(self.api_version), self.max_frame_bytes))
-        await self._writer.drain()
-        hello = json.loads(await self._read_frame())
-        if not hello.get("ok"):
-            await self.close()
-            error = hello.get("error", {})
-            raise NetClientError(
-                f"server refused hello: "
-                f"{error.get('code', '?')}: {error.get('message', '?')}")
-        self.negotiated_version = int(hello["api_version"])
-        self.server_window = int(hello.get("window", 0)) or None
-        return self
-
-    async def _read_frame(self) -> bytes:
-        assert self._reader is not None
-        while True:
-            payload = self._decoder.next_frame()
-            if payload is not None:
-                return payload
-            chunk = await asyncio.wait_for(self._reader.read(65536),
-                                           timeout=self.timeout)
-            if not chunk:
-                raise NetClientError("connection closed mid-frame")
-            try:
-                self._decoder.feed(chunk)
-            except FrameError as exc:
-                raise NetClientError(
-                    f"peer broke framing: {exc}") from exc
-
-    async def send(self, request: Request) -> None:
-        """Fire one request frame without awaiting its response."""
-        assert self._writer is not None
-        version = self.negotiated_version or self.api_version
-        self._writer.write(encode_frame(
-            encode_request(request, version=version),
-            self.max_frame_bytes))
-        await self._writer.drain()
-
-    async def receive(self) -> Response:
-        """Collect the next in-order response."""
-        payload = await self._read_frame()
-        try:
-            response, _version = decode_response(
-                payload.decode("utf-8"), max_bytes=self.max_frame_bytes)
-        except WireError as exc:
-            raise NetClientError(f"undecodable response: {exc}") from exc
-        return response
-
-    async def call(self, request: Request) -> Response:
-        """One request, one response."""
-        await self.send(request)
-        return await self.receive()
-
-    async def pipeline(self, requests: list[Request]) -> list[Response]:
-        """Send the whole burst, then collect ordered responses."""
-        assert self._writer is not None
-        version = self.negotiated_version or self.api_version
-        self._writer.write(b"".join(
-            encode_frame(encode_request(r, version=version),
-                         self.max_frame_bytes)
-            for r in requests))
-        await self._writer.drain()
-        return [await self.receive() for _ in requests]
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-            self._reader = None
-
-    async def __aenter__(self) -> "AsyncTcpApiClient":
-        return await self.connect()
-
-    async def __aexit__(self, *_exc) -> None:
-        await self.close()

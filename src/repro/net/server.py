@@ -7,35 +7,33 @@ backend (an :class:`~repro.serve.service.RwsService` or a
 :class:`~repro.cluster.Router`, duck-typed exactly as the dispatcher
 takes them) is unchanged behind the socket.
 
-Connection lifecycle and flow control:
+Every request is served inline on the event loop: each socket read's
+complete frames are decoded, dispatched, encoded and written in
+arrival order before the connection reads again.  Dispatch is pure
+Python under the GIL, so threads would buy no parallelism; serial
+dispatch instead gives the two wire guarantees by construction.
 
 * **hello** — the first frame each way is a hello message negotiating
   ``api_version`` with the codec's ``min(requested, API_VERSION)``
   rule; versions below ``MIN_VERSION`` are refused.  The server's
   hello also advertises its frame ceiling and pipelining window.
 * **pipelining, ordered** — a client may send any number of request
-  frames without waiting; responses are written strictly in request
-  order (per connection) no matter how dispatches interleave.
-* **backpressure** — at most ``window`` requests may be awaiting a
-  response per connection; excess requests are answered immediately
-  (in order) with ``RATE_LIMITED`` pushback instead of growing an
-  unbounded queue, and the kernel's TCP window does the rest via
-  ``drain()``.
-* **drain on publish** — a ``publish`` envelope waits until every
-  in-flight read has completed (against the epoch it captured), swaps
-  the epoch, and only then admits the reads queued behind it: the
-  socket-level mirror of :class:`~repro.serve.service.EpochShell`
-  semantics, so a pipelined ``query`` after a ``publish`` always sees
-  the published epoch.
-* **idle timeout / connection cap** — quiet connections (nothing
-  buffered, nothing in flight) close after ``idle_timeout`` seconds;
-  connects past ``max_connections`` are refused at hello.
+  frames without waiting; responses leave in request order because
+  requests are answered one at a time, in order.
+* **backpressure** — the frames one read completes are in flight
+  together; past ``window`` of them, the rest are answered at once,
+  in order, with ``RATE_LIMITED`` pushback instead of being served,
+  and the kernel's TCP window does the rest via ``drain()``.
+* **publish ordering** — a ``publish`` runs alone on the loop, so it
+  never overlaps a read, and any request answered after it (on any
+  connection) sees the published epoch.  ``net.drain_waits`` stays in
+  the snapshot and always reads 0.
+* **idle timeout / connection cap** — connections with no partial
+  frame buffered close after ``idle_timeout`` quiet seconds; connects
+  past ``max_connections`` are refused at hello.
 
-Dispatches run on a small thread pool (epoch reads are lock-free, so
-loopback pipelining overlaps codec work with serving work); all
-counters are touched only on the event-loop thread.  ``net.*``
-observability: :meth:`RwsTcpServer.net_snapshot` is the portable
-counter/gauge/histogram form that
+``net.*`` observability: :meth:`RwsTcpServer.net_snapshot` is the
+portable counter/gauge/histogram form that
 :func:`repro.obs.registry.fold_net_snapshot` folds into the unified
 registry, and a live :class:`~repro.obs.trace.Tracer` records
 ``net.accept`` / ``net.frame.decode`` / ``net.dispatch`` /
@@ -53,7 +51,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from typing import TYPE_CHECKING
 
 from repro.api.codec import (
@@ -82,8 +80,8 @@ if TYPE_CHECKING:
 #: The server identity string echoed in every hello response.
 SERVER_NAME = "repro.net/1"
 
-#: Default per-connection pipelining window (requests awaiting a
-#: response before ``RATE_LIMITED`` pushback).
+#: Default per-connection pipelining window (request frames served
+#: from one read before ``RATE_LIMITED`` pushback).
 DEFAULT_WINDOW = 32
 
 #: Default idle timeout in seconds before a quiet connection closes.
@@ -99,76 +97,13 @@ def hello_message(api_version: int = API_VERSION) -> str:
                       sort_keys=True)
 
 
-class _DrainGate:
-    """Read/publish gate mirroring epoch-swap semantics on the wire.
-
-    Reads run concurrently; a publish waits for every in-flight read
-    to finish, runs exclusively, and reads that arrived behind it wait
-    until the swap lands.  Threading (not asyncio) primitives on
-    purpose: acquisition happens on dispatch worker threads, where
-    blocking is free.
-    """
-
-    __slots__ = ("_cond", "_readers", "_publishers_waiting",
-                 "_publisher_active", "waits", "publishes")
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._publishers_waiting = 0
-        self._publisher_active = False
-        #: Publishes that actually had to wait for in-flight reads.
-        self.waits = 0
-        #: Every publish gated through the wire.
-        self.publishes = 0
-
-    def begin_read(self) -> None:
-        with self._cond:
-            while self._publisher_active or self._publishers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def end_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def begin_publish(self) -> None:
-        with self._cond:
-            self._publishers_waiting += 1
-            self.publishes += 1
-            if self._readers:
-                self.waits += 1
-            while self._publisher_active or self._readers:
-                self._cond.wait()
-            self._publishers_waiting -= 1
-            self._publisher_active = True
-
-    def end_publish(self) -> None:
-        with self._cond:
-            self._publisher_active = False
-            self._cond.notify_all()
-
-
-class _Connection:
-    """Per-connection state: ordered outbox and pipelining depth."""
-
-    __slots__ = ("reader", "writer", "outbox", "pending", "depth_peak",
-                 "requests", "version")
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-        #: Futures resolving to (encoded response, dispatch ns), in
-        #: request order — the writer task drains them in sequence.
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        #: Requests awaiting a response (the pipelining window meter).
-        self.pending = 0
-        self.depth_peak = 0
-        self.requests = 0
-        self.version = API_VERSION
+def _hello_refusal(error: ApiError) -> str:
+    """The server's hello document refusing a connection."""
+    return json.dumps({
+        "kind": "hello", "ok": False,
+        "error": {"code": error.code.value, "message": error.message,
+                  "detail": dict(error.detail)},
+    }, sort_keys=True)
 
 
 class RwsTcpServer:
@@ -185,12 +120,11 @@ class RwsTcpServer:
             :attr:`address` after :meth:`start`).
         max_connections: Concurrent-connection cap; connects beyond it
             are refused at hello with ``RATE_LIMITED``.
-        window: Per-connection pipelining window; requests past it get
-            ``RATE_LIMITED`` pushback, in order.
-        idle_timeout: Seconds of quiet (no partial frame, nothing in
-            flight) before the server closes a connection.
+        window: Per-connection pipelining window; request frames from
+            one read past it get ``RATE_LIMITED`` pushback, in order.
+        idle_timeout: Seconds of quiet (no partial frame buffered)
+            before the server closes a connection.
         max_frame_bytes: Frame payload ceiling, advertised at hello.
-        workers: Dispatch thread-pool size.
         tracer: A :class:`~repro.obs.trace.Tracer` for ``net.*`` spans
             (default: the no-op tracer).
     """
@@ -202,14 +136,14 @@ class RwsTcpServer:
                  window: int = DEFAULT_WINDOW,
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  max_frame_bytes: int = MAX_WIRE_BYTES,
-                 workers: int = 4, tracer=NULL_TRACER):
+                 tracer=NULL_TRACER):
         if dispatcher is None:
             if backend is None:
                 raise ValueError("need a backend or a dispatcher")
             dispatcher = Dispatcher(backend)
-        if max_connections < 1 or window < 1 or workers < 1:
-            raise ValueError("max_connections, window, and workers "
-                             "must all be >= 1")
+        if max_connections < 1 or window < 1:
+            raise ValueError("max_connections and window must both "
+                             "be >= 1")
         self.dispatcher = dispatcher
         self.host = host
         self.port = port
@@ -218,18 +152,20 @@ class RwsTcpServer:
         self.idle_timeout = idle_timeout
         self.max_frame_bytes = max_frame_bytes
         self._tracer = tracer
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-net")
-        self._gate = _DrainGate()
+        self._pushback = ErrorResponse(error=ApiError(
+            code=ErrorCode.RATE_LIMITED,
+            message=f"pipelining window ({window}) exceeded",
+            detail={"window": str(window)},
+        ))
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[_Connection] = set()
+        self._writers: set[asyncio.StreamWriter] = set()
         self._request_seq = 0
         # Touched only on the event-loop thread.
         self._counters: dict[str, int] = {
             "connections_opened": 0, "connections_closed": 0,
             "connections_rejected": 0, "frames_in": 0, "frames_out": 0,
             "requests": 0, "responses": 0, "malformed": 0,
-            "backpressure_stalls": 0, "idle_timeouts": 0,
+            "backpressure_stalls": 0, "idle_timeouts": 0, "publishes": 0,
         }
         self._gauges: dict[str, float] = {
             "window": float(window),
@@ -248,14 +184,13 @@ class RwsTcpServer:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop accepting, close live connections, drain the pool."""
+        """Stop accepting and close live connections."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
-        for connection in list(self._connections):
-            connection.writer.close()
-        self._executor.shutdown(wait=True)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -266,48 +201,39 @@ class RwsTcpServer:
 
     async def _on_connect(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
-        if len(self._connections) >= self.max_connections:
+        if len(self._writers) >= self.max_connections:
             self._counters["connections_rejected"] += 1
-            await self._send_raw(writer, json.dumps({
-                "kind": "hello", "ok": False,
-                "error": {"code": ErrorCode.RATE_LIMITED.value,
-                          "message": f"connection limit "
-                                     f"({self.max_connections}) reached",
-                          "detail": {}},
-            }, sort_keys=True))
-            writer.close()
+            self._send(writer, _hello_refusal(ApiError(
+                code=ErrorCode.RATE_LIMITED,
+                message=f"connection limit ({self.max_connections}) "
+                        f"reached")))
+            writer.close()  # flushes the refusal first
             return
-        connection = _Connection(reader, writer)
-        self._connections.add(connection)
+        self._writers.add(writer)
         self._counters["connections_opened"] += 1
         self._gauges["connections_peak"] = max(
-            self._gauges["connections_peak"],
-            float(len(self._connections)))
-        writer_task = asyncio.ensure_future(self._write_loop(connection))
+            self._gauges["connections_peak"], float(len(self._writers)))
         try:
-            await self._serve_connection(connection)
-        except (ConnectionError, asyncio.IncompleteReadError):
+            await self._serve(reader, writer)
+        except ConnectionError:
             pass
         finally:
-            await connection.outbox.put(None)  # writer EOF sentinel
-            try:
-                await writer_task
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-            writer.close()
-            self._connections.discard(connection)
+            writer.close()  # flushes any answers still buffered
+            self._writers.discard(writer)
             self._counters["connections_closed"] += 1
 
-    async def _serve_connection(self, connection: _Connection) -> None:
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        """Answer one connection's frames, one socket read at a time."""
         decoder = FrameDecoder(self.max_frame_bytes)
-        hello_done = False
+        version = None  # set by the hello frame
+        first = True
         while True:
             try:
-                chunk = await asyncio.wait_for(
-                    connection.reader.read(65536),
-                    timeout=self.idle_timeout)
+                chunk = await asyncio.wait_for(reader.read(65536),
+                                               timeout=self.idle_timeout)
             except asyncio.TimeoutError:
-                if connection.pending == 0 and decoder.idle:
+                if decoder.idle:
                     self._counters["idle_timeouts"] += 1
                     return
                 continue
@@ -315,117 +241,69 @@ class RwsTcpServer:
                 return  # peer closed
             framing_error = None
             try:
-                self._counters["frames_in"] += decoder.feed(chunk)
+                decoder.feed(chunk)
             except FrameError as exc:
                 framing_error = exc
             frames = decoder.frames()
-            if framing_error is not None:
-                # feed() raised before reporting its completed count;
-                # the drained list is exactly those frames.
-                self._counters["frames_in"] += len(frames)
-            for payload in frames:
-                if not hello_done:
-                    if not await self._handle_hello(connection, payload):
-                        return
-                    hello_done = True
-                    continue
-                self._admit(connection, payload)
+            self._counters["frames_in"] += len(frames)
+            if version is None and frames:
+                version = self._hello(writer, frames.pop(0))
+                if version is None:
+                    return
+            if frames:
+                self._counters["requests"] += len(frames)
+                self._gauges["pipeline_depth_peak"] = max(
+                    self._gauges["pipeline_depth_peak"], float(len(frames)))
+            for position, payload in enumerate(frames):
+                if position < self.window:
+                    text = self._respond(payload, version, first)
+                    first = False
+                else:
+                    self._counters["backpressure_stalls"] += 1
+                    text = encode_response(self._pushback, version=version)
+                self._counters["responses"] += 1
+                self._send(writer, text, version)
             if framing_error is not None:
                 # Framing is unrecoverable: frames that completed ahead
-                # of the poison pill were handled above; answer the
-                # error once (in order, after their responses) and
-                # close.
+                # of the poison pill were answered above; answer the
+                # error once, after them, and close.
                 self._counters["malformed"] += 1
-                await self._enqueue_ready(connection, encode_response(
+                self._send(writer, encode_response(
                     ErrorResponse(error=framing_error.error),
                     version=API_VERSION))
                 return
+            await writer.drain()
 
-    async def _handle_hello(self, connection: _Connection,
-                            payload: bytes) -> bool:
-        """Negotiate the version; False closes the connection."""
+    def _hello(self, writer: asyncio.StreamWriter,
+               payload: bytes) -> int | None:
+        """Answer the hello; the negotiated version, or None to close."""
         try:
             document = json.loads(payload)
             if (not isinstance(document, dict)
                     or document.get("kind") != "hello"):
                 raise WireError("expected a hello frame first")
             version = negotiate_version(document.get("api_version"))
-        except (json.JSONDecodeError, WireError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or a WireError
             self._counters["malformed"] += 1
-            error = (exc.error if isinstance(exc, WireError)
-                     else ApiError(code=ErrorCode.MALFORMED,
-                                   message=f"invalid hello JSON: {exc}"))
-            await self._enqueue_ready(connection, json.dumps({
-                "kind": "hello", "ok": False,
-                "error": {"code": error.code.value,
-                          "message": error.message,
-                          "detail": dict(error.detail)},
-            }, sort_keys=True))
-            return False
-        connection.version = version
-        await self._enqueue_ready(connection, json.dumps({
+            self._send(writer, _hello_refusal(
+                exc.error if isinstance(exc, WireError)
+                else ApiError(code=ErrorCode.MALFORMED,
+                              message=f"invalid hello JSON: {exc}")))
+            return None
+        self._send(writer, json.dumps({
             "kind": "hello", "ok": True, "api_version": version,
             "max_frame_bytes": self.max_frame_bytes,
             "window": self.window, "server": SERVER_NAME,
         }, sort_keys=True))
-        return True
+        return version
 
-    def _admit(self, connection: _Connection, payload: bytes) -> None:
-        """Window admission: dispatch, or push back ``RATE_LIMITED``."""
-        self._counters["requests"] += 1
-        connection.requests += 1
-        if connection.pending >= self.window:
-            self._counters["backpressure_stalls"] += 1
-            stalled = asyncio.get_running_loop().create_future()
-            stalled.set_result((encode_response(
-                ErrorResponse(error=ApiError(
-                    code=ErrorCode.RATE_LIMITED,
-                    message=f"pipelining window ({self.window}) "
-                            f"exceeded",
-                    detail={"window": str(self.window)},
-                )), version=connection.version), 0))
-            self._push(connection, stalled)
-            return
+    def _respond(self, payload: bytes, version: int, first: bool) -> str:
+        """Decode → dispatch → encode one request frame.
+
+        The elapsed nanoseconds go into the ``request_ns`` histogram.
+        """
         seq = self._request_seq
         self._request_seq += 1
-        first = connection.requests == 1
-        job = asyncio.get_running_loop().run_in_executor(
-            self._executor, self._process, payload, connection.version,
-            seq, first)
-        self._push(connection, job)
-
-    def _push(self, connection: _Connection,
-              response: asyncio.Future) -> None:
-        connection.pending += 1
-        connection.depth_peak = max(connection.depth_peak,
-                                    connection.pending)
-        self._gauges["pipeline_depth_peak"] = max(
-            self._gauges["pipeline_depth_peak"],
-            float(connection.pending))
-        connection.outbox.put_nowait(response)
-
-    async def _enqueue_ready(self, connection: _Connection,
-                             text: str) -> None:
-        """Queue a control frame (hello / framing error), in order.
-
-        Control frames carry ``dispatch_ns = -1`` so the writer skips
-        the request-response accounting for them.
-        """
-        ready = asyncio.get_running_loop().create_future()
-        ready.set_result((text, -1))
-        self._push(connection, ready)
-        await connection.outbox.join()
-
-    def _process(self, payload: bytes, version: int, seq: int,
-                 first: bool) -> tuple[str, int]:
-        """Decode → gate → dispatch → encode, on a worker thread.
-
-        Returns the encoded response and the dispatch-stage
-        nanoseconds (recorded into the ``net.request`` histogram back
-        on the loop thread, where counter access is single-threaded).
-        """
-        import time
-
         tracer = self._tracer
         started = time.perf_counter_ns()
         if tracer.live:
@@ -435,21 +313,21 @@ class RwsTcpServer:
                 with tracer.span("net.frame.decode"):
                     request, error = self._decode(payload)
                 if error is not None:
-                    encoded = encode_response(error, version=API_VERSION)
+                    text = encode_response(error, version=API_VERSION)
                 else:
                     with tracer.span("net.dispatch", op=request.op):
-                        response = self._dispatch_gated(request)
+                        response = self._dispatch(request)
                     with tracer.span("net.frame.encode"):
-                        encoded = encode_response(response,
-                                                  version=version)
-                return encoded, time.perf_counter_ns() - started
-        request, error = self._decode(payload)
-        if error is not None:
-            return (encode_response(error, version=API_VERSION),
-                    time.perf_counter_ns() - started)
-        response = self._dispatch_gated(request)
-        return (encode_response(response, version=version),
-                time.perf_counter_ns() - started)
+                        text = encode_response(response, version=version)
+        else:
+            request, error = self._decode(payload)
+            if error is not None:
+                text = encode_response(error, version=API_VERSION)
+            else:
+                text = encode_response(self._dispatch(request),
+                                       version=version)
+        self._request_hist.record(time.perf_counter_ns() - started)
+        return text
 
     def _decode(self, payload: bytes):
         try:
@@ -460,62 +338,25 @@ class RwsTcpServer:
             return None, ErrorResponse(error=exc.error)
         return request, None
 
-    def _dispatch_gated(self, request):
-        gate = self._gate
+    def _dispatch(self, request):
         if type(request) is PublishRequest:
-            gate.begin_publish()
-            try:
-                return self.dispatcher.dispatch(request)
-            finally:
-                gate.end_publish()
-        gate.begin_read()
+            self._counters["publishes"] += 1
+        return self.dispatcher.dispatch(request)
+
+    def _send(self, writer: asyncio.StreamWriter, text: str,
+              version: int = API_VERSION) -> None:
+        """Write one frame; a response over the frame limit is answered
+        with the ``MALFORMED`` error its :class:`FrameError` carries."""
         try:
-            return self.dispatcher.dispatch(request)
-        finally:
-            gate.end_read()
-
-    async def _write_loop(self, connection: _Connection) -> None:
-        """Emit responses strictly in request order."""
-        while True:
-            job = await connection.outbox.get()
-            try:
-                if job is None:
-                    return
-                try:
-                    text, dispatch_ns = await job
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    text, dispatch_ns = encode_response(
-                        ErrorResponse(error=ApiError(
-                            code=ErrorCode.INTERNAL,
-                            message=f"{type(exc).__name__}: {exc}",
-                        )), version=API_VERSION), 0
-                connection.pending -= 1
-                if dispatch_ns >= 0:
-                    self._counters["responses"] += 1
-                    if dispatch_ns:
-                        self._request_hist.record(dispatch_ns)
-                connection.writer.write(
-                    encode_frame(text, self.max_frame_bytes))
-                self._counters["frames_out"] += 1
-                await connection.writer.drain()
-            finally:
-                connection.outbox.task_done()
-
-    async def _send_raw(self, writer: asyncio.StreamWriter,
-                        text: str) -> None:
-        writer.write(encode_frame(text, self.max_frame_bytes))
+            frame = encode_frame(text, self.max_frame_bytes)
+        except FrameError as exc:
+            frame = encode_frame(encode_response(
+                ErrorResponse(error=exc.error), version=version),
+                self.max_frame_bytes)
+        writer.write(frame)
         self._counters["frames_out"] += 1
-        try:
-            await writer.drain()
-        except ConnectionError:
-            pass
 
     # -- observability --------------------------------------------------------
-
-    @property
-    def publishes_drained(self) -> int:
-        """Publishes that waited for in-flight reads before swapping."""
-        return self._gate.waits
 
     def net_snapshot(self) -> dict:
         """The portable ``net.*`` stats form.
@@ -525,8 +366,8 @@ class RwsTcpServer:
         travel pattern every other mergeable structure here uses.
         """
         counters = dict(self._counters)
-        counters["publishes"] = self._gate.publishes
-        counters["drain_waits"] = self._gate.waits
+        # Publishes never overlap a read, so none waits for one.
+        counters["drain_waits"] = 0
         return {
             "counters": counters,
             "gauges": dict(self._gauges),

@@ -124,14 +124,14 @@ class ShardTask:
             ``tcp`` (dispatch through a shard-private loopback
             :class:`~repro.net.server.RwsTcpServer` and a pooled
             :class:`~repro.net.client.TcpApiClient`).  The TCP hop is
-            invisible to outcomes — the server runs a single dispatch
-            worker over the same backend and the same request-counter
-            middleware, so the outcome digest is bit-identical to
-            in-process execution.  Mid-flight publishes still go
-            straight to the service/router (the component-updater
-            side, not client traffic).  ``transport="tcp"`` with
-            ``trace=True`` is refused: socket scheduling would make
-            span streams non-deterministic.
+            invisible to outcomes — the server answers requests one at
+            a time, in order, over the same backend and the same
+            request-counter middleware, so the outcome digest is
+            bit-identical to in-process execution.  Mid-flight
+            publishes still go straight to the service/router (the
+            component-updater side, not client traffic).
+            ``transport="tcp"`` with ``trace=True`` is refused: socket
+            scheduling would make span streams non-deterministic.
         encoded: The profile's initial list as a binary-encoded epoch
             (:mod:`repro.serve.epochfmt`).  When set, the shard's
             service adopts the buffer in O(size) instead of building
@@ -573,9 +573,9 @@ def _shard_tcp_front(state: _ShardState):
     """A shard-private loopback TCP hop in front of the backend.
 
     Builds an :class:`~repro.net.server.RwsTcpServer` over the shard's
-    backend — single dispatch worker, so request handling serialises
-    exactly like in-process dispatch — sharing the shard's
-    :class:`RequestCounter` middleware, then swaps a pooled
+    backend — it dispatches serially on its event loop, so request
+    handling serialises exactly like in-process dispatch — sharing the
+    shard's :class:`RequestCounter` middleware, then swaps a pooled
     :class:`~repro.net.client.TcpApiClient` in as
     ``state.dispatcher``.  Returns the (server harness, client) pair
     the shard must close when done.
@@ -588,9 +588,7 @@ def _shard_tcp_front(state: _ShardState):
 
     harness = ServerThread(RwsTcpServer(
         dispatcher=Dispatcher(state.backend,
-                              middlewares=(state.api_counter,)),
-        workers=1,
-    ))
+                              middlewares=(state.api_counter,))))
     host, port = harness.start()
     client = TcpApiClient(host, port, pool_size=2)
     state.dispatcher = client

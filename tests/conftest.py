@@ -22,6 +22,12 @@ from repro.survey import conduct_study
 from repro.webgen import build_web_for_catalog
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that runs a full simulation (tens of "
+                   "seconds)")
+
+
 @pytest.fixture(scope="session")
 def psl():
     return default_psl()

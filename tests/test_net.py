@@ -1,11 +1,12 @@
-"""Tests for the TCP transport (repro.net server + clients).
+"""Tests for the TCP transport (repro.net server + client).
 
 Covers the connection lifecycle (hello negotiation, idle timeout, the
-connection cap), pipelining with ordered responses, backpressure
-pushback, malformed traffic, retry semantics, drain-on-publish (the
-torn-response storm, extending the ``tests/test_serve.py`` epoch-storm
-pattern onto real sockets), and transport-equivalence of workload
-digests.
+connection cap), pipelining with ordered responses, both sides of the
+backpressure window, malformed traffic (including a response over the
+frame limit), retry semantics, drain-on-publish (the torn-response
+storm, extending the ``tests/test_serve.py`` epoch-storm pattern onto
+real sockets), the serial event-loop dispatch model, and
+transport-equivalence of workload digests.
 """
 
 import json
@@ -29,7 +30,6 @@ from repro.api import (
     StatsResponse,
 )
 from repro.net import (
-    AsyncTcpApiClient,
     NetClientError,
     RwsTcpServer,
     ServerThread,
@@ -175,8 +175,6 @@ class TestLifecycle:
 class TestPipelining:
     def test_ordered_responses(self, harness):
         """A pipelined burst answers strictly in request order."""
-        import asyncio
-
         host, port = harness.server.address
         requests = [
             QueryRequest(host_a="alpha-news.com", host_b="alpha.com"),
@@ -187,11 +185,8 @@ class TestPipelining:
             StatsRequest(),
         ]
 
-        async def run():
-            async with AsyncTcpApiClient(host, port) as client:
-                return await client.pipeline(requests)
-
-        responses = asyncio.run(run())
+        with TcpApiClient(host, port) as client:
+            responses = client.pipeline(requests)
         assert [type(r) for r in responses] == [
             QueryResponse, StatsResponse, QueryResponse,
             BatchQueryResponse, StatsResponse]
@@ -208,20 +203,13 @@ class TestPipelining:
     def test_backpressure_rate_limited_past_window(self, service):
         """Requests beyond the in-flight window get RATE_LIMITED, in
         order, and the connection keeps working."""
-        import asyncio
-
-        with ServerThread(RwsTcpServer(service, window=2,
-                                       workers=1)) as harness:
+        with ServerThread(RwsTcpServer(service, window=2)) as harness:
             host, port = harness.server.address
             burst = [StatsRequest() for _ in range(24)]
 
-            async def run():
-                async with AsyncTcpApiClient(host, port) as client:
-                    responses = await client.pipeline(burst)
-                    follow_up = await client.call(StatsRequest())
-                    return responses, follow_up
-
-            responses, follow_up = asyncio.run(run())
+            with TcpApiClient(host, port) as client:
+                responses = client.pipeline(burst)
+                follow_up = client.dispatch(StatsRequest())
             limited = [r for r in responses
                        if isinstance(r, ErrorResponse)]
             assert limited, "expected RATE_LIMITED pushback"
@@ -284,6 +272,33 @@ class TestMalformedTraffic:
             counters = harness.server.net_snapshot()["counters"]
             assert counters["malformed"] == 1
 
+    def test_response_over_frame_limit_answers_malformed(self, service):
+        """A request that fits the frame limit but whose response does
+        not is answered in order with MALFORMED (carrying the sizes),
+        and the connection keeps serving."""
+        from repro.api import encode_request
+
+        limit = 4096
+        request = BatchQueryRequest(
+            pairs=[("alpha-news.com", "alpha.com")] * 40, detail=True)
+        assert len(encode_request(request)) < limit
+        with ServerThread(RwsTcpServer(service,
+                                       max_frame_bytes=limit)) as harness:
+            host, port = harness.server.address
+            with TcpApiClient(host, port, timeout=5, retries=0) as client:
+                before, oversized, after = client.pipeline(
+                    [StatsRequest(), request, StatsRequest()])
+                follow_up = client.dispatch(StatsRequest())
+            assert type(before) is StatsResponse
+            assert type(oversized) is ErrorResponse
+            assert oversized.error.code is ErrorCode.MALFORMED
+            assert oversized.error.detail["max_bytes"] == str(limit)
+            assert int(oversized.error.detail["bytes"]) > limit
+            assert type(after) is StatsResponse
+            assert type(follow_up) is StatsResponse
+            counters = harness.server.net_snapshot()["counters"]
+            assert counters["responses"] == counters["requests"] == 4
+
 
 class TestRetry:
     def _kill_pooled_socket(self, client: TcpApiClient) -> None:
@@ -310,6 +325,23 @@ class TestRetry:
         with pytest.raises(NetClientError):
             client.dispatch(PublishRequest(rws_list=list_b()))
         assert client.net_snapshot()["counters"]["retries"] == 0
+        client.close()
+
+    def test_failed_pipeline_counts_requests_and_error(self, harness):
+        """A burst that dies on the wire is counted like failed
+        dispatches: every request up front, the failure as one
+        transport error, and no retry."""
+        host, port = harness.server.address
+        client = TcpApiClient(host, port, retries=2, backoff=0.01)
+        client.dispatch(StatsRequest())
+        self._kill_pooled_socket(client)
+        with pytest.raises(NetClientError):
+            client.pipeline([StatsRequest() for _ in range(5)])
+        counters = client.net_snapshot()["counters"]
+        assert counters["requests"] == 6
+        assert counters["responses"] == 1
+        assert counters["transport_errors"] == 1
+        assert counters["retries"] == 0
         client.close()
 
 
@@ -416,22 +448,15 @@ class TestDrainOnPublish:
     def test_pipelined_read_after_publish_sees_new_epoch(self, harness):
         """The drain contract on one connection: a query pipelined
         behind a publish answers against the published epoch."""
-        import asyncio
-
         host, port = harness.server.address
 
-        async def run():
-            async with AsyncTcpApiClient(host, port) as client:
-                return await client.pipeline([
-                    QueryRequest(host_a="beta-shop.com",
-                                 host_b="beta.com"),
-                    PublishRequest(rws_list=list_b()),
-                    QueryRequest(host_a="beta-shop.com",
-                                 host_b="beta.com"),
-                    StatsRequest(),
-                ])
-
-        before, published, after, stats = asyncio.run(run())
+        with TcpApiClient(host, port) as client:
+            before, published, after, stats = client.pipeline([
+                QueryRequest(host_a="beta-shop.com", host_b="beta.com"),
+                PublishRequest(rws_list=list_b()),
+                QueryRequest(host_a="beta-shop.com", host_b="beta.com"),
+                StatsRequest(),
+            ])
         assert type(before) is QueryResponse
         assert before.verdict.related is False
         assert type(published) is PublishResponse
@@ -444,7 +469,7 @@ class TestDrainOnPublish:
         sockets: while one connection storms alternating publishes, a
         batch query spanning both lists' sets must answer against
         exactly one epoch — one related pair, never both or neither."""
-        with ServerThread(RwsTcpServer(service, workers=4)) as harness:
+        with ServerThread(RwsTcpServer(service)) as harness:
             host, port = harness.server.address
             publishes = 60
             readers = 3
@@ -495,16 +520,65 @@ class TestDrainOnPublish:
             assert snapshot["counters"]["publishes"] == publishes
             # The storm must actually have exercised the drain path.
             assert snapshot["counters"]["requests"] > publishes
+            assert snapshot["counters"]["drain_waits"] == 0
 
     def test_drain_counts_publish_waits(self, harness):
-        """drain_waits only counts publishes that found reads in
-        flight; a quiet publish drains for free."""
+        """Every wire publish is counted; drain_waits stays in the
+        snapshot and reads 0, because a publish never overlaps a
+        read."""
         host, port = harness.server.address
         with TcpApiClient(host, port) as client:
             client.dispatch(PublishRequest(rws_list=list_b()))
         snapshot = harness.server.net_snapshot()
         assert snapshot["counters"]["publishes"] == 1
         assert snapshot["counters"]["drain_waits"] == 0
+
+
+class TestSerialDispatch:
+    """The server answers every request inline on its event loop, so
+    ordering and drain-on-publish need no threads of their own."""
+
+    def test_server_owns_only_its_loop_thread(self, service):
+        """Serving a pipelined burst, a publish and a query starts no
+        thread besides the harness's event-loop thread."""
+        before = set(threading.enumerate())
+        with ServerThread(RwsTcpServer(service)) as harness:
+            host, port = harness.server.address
+            with TcpApiClient(host, port) as client:
+                burst = client.pipeline(
+                    [QueryRequest(host_a="alpha-news.com",
+                                  host_b="alpha.com")] * 8
+                    + [StatsRequest()] * 8)
+                published = client.dispatch(
+                    PublishRequest(rws_list=list_b()))
+                after = client.dispatch(
+                    QueryRequest(host_a="beta-shop.com", host_b="beta.com"))
+                owned = sorted(thread.name for thread in threading.enumerate()
+                               if thread not in before)
+        assert all(type(r) in (QueryResponse, StatsResponse) for r in burst)
+        assert type(published) is PublishResponse
+        assert after.verdict.related is True
+        assert owned == ["repro-net-server"]
+
+    def test_bursts_within_window_are_never_pushed_back(self, service):
+        """The compliant side of the window: bursts of ``window``
+        requests, each awaited before the next, are all served."""
+        with ServerThread(RwsTcpServer(service, window=2)) as harness:
+            host, port = harness.server.address
+            with TcpApiClient(host, port) as client:
+                responses = [
+                    response
+                    for _ in range(50)
+                    for response in client.pipeline(
+                        [QueryRequest(host_a="alpha-news.com",
+                                      host_b="alpha.com"),
+                         StatsRequest()])]
+            assert not [r for r in responses
+                        if isinstance(r, ErrorResponse)]
+            assert len(responses) == 100
+            snapshot = harness.server.net_snapshot()
+            assert snapshot["counters"]["backpressure_stalls"] == 0
+            assert snapshot["gauges"]["pipeline_depth_peak"] <= 2
 
 
 class TestObservability:
@@ -536,7 +610,7 @@ class TestObservability:
         from repro.obs import Tracer
 
         tracer = Tracer(seed=0)
-        with ServerThread(RwsTcpServer(service, workers=1,
+        with ServerThread(RwsTcpServer(service,
                                        tracer=tracer)) as harness:
             host, port = harness.server.address
             with TcpApiClient(host, port) as client:
