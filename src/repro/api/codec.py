@@ -425,13 +425,13 @@ def encode_request(request: Request, version: int = API_VERSION) -> str:
     }, sort_keys=True)
 
 
-def decode_request(text: str, *,
+def decode_request(text: str | bytes, *,
                    max_bytes: int | None = MAX_WIRE_BYTES
                    ) -> tuple[Request, int]:
     """Parse wire JSON back to a request envelope.
 
     Args:
-        text: The wire document.
+        text: The wire document, as text or as UTF-8 bytes.
         max_bytes: Size ceiling in UTF-8 bytes (None disables the
             check).  Oversized documents are refused as ``MALFORMED``
             before any JSON parsing happens.
@@ -441,9 +441,10 @@ def decode_request(text: str, *,
         the response).
 
     Raises:
-        WireError: On oversized documents, JSON syntax errors (which
-            includes truncated payloads), unknown operations,
-            unsupported versions, or invalid payload shapes.
+        WireError: On oversized documents, invalid UTF-8, JSON syntax
+            errors (which includes truncated payloads), unknown
+            operations, unsupported versions, or invalid payload
+            shapes.
     """
     envelope = _decode_envelope(text, expected_kind="request",
                                 max_bytes=max_bytes)
@@ -581,16 +582,16 @@ def encode_response(response: Response, version: int = API_VERSION) -> str:
     }, sort_keys=True)
 
 
-def decode_response(text: str, *,
+def decode_response(text: str | bytes, *,
                     max_bytes: int | None = MAX_WIRE_BYTES
                     ) -> tuple[Response, int]:
     """Parse wire JSON back to a response envelope (plus its version).
 
     Raises:
-        WireError: On oversized documents (past ``max_bytes``), JSON
-            syntax errors (truncated payloads included), unknown
-            operations or error codes, unsupported versions, or
-            invalid payload shapes.
+        WireError: On oversized documents (past ``max_bytes``),
+            invalid UTF-8, JSON syntax errors (truncated payloads
+            included), unknown operations or error codes, unsupported
+            versions, or invalid payload shapes.
     """
     envelope = _decode_envelope(text, expected_kind="response",
                                 max_bytes=max_bytes)
@@ -608,7 +609,7 @@ def decode_response(text: str, *,
     return _decode_response_payload(op, payload), version
 
 
-def _decode_envelope(text: str, expected_kind: str,
+def _decode_envelope(text: str | bytes, expected_kind: str,
                      max_bytes: int | None = MAX_WIRE_BYTES
                      ) -> dict[str, Any]:
     if max_bytes is not None:
@@ -624,6 +625,8 @@ def _decode_envelope(text: str, expected_kind: str,
         envelope = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WireError(f"invalid wire JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise WireError(f"wire document is not valid UTF-8: {exc}") from None
     envelope = _require_object(envelope, "wire envelope")
     kind = envelope.get("kind", expected_kind)
     if kind != expected_kind:

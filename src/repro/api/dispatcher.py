@@ -330,13 +330,13 @@ class Dispatcher:
                 message=f"{type(exc).__name__}: {exc}",
             ))
 
-    def dispatch_wire(self, text: str, *,
+    def dispatch_wire(self, text: str | bytes, *,
                       max_bytes: int | None = None) -> str:
         """Decode a wire request, dispatch it, encode the response.
 
-        Never raises for bad input: undecodable requests — bad JSON,
-        truncated payloads, or documents larger than ``max_bytes``
-        (defaulting to the wire spec's
+        Never raises for bad input: undecodable requests — invalid
+        UTF-8, bad JSON, truncated payloads, or documents larger than
+        ``max_bytes`` (defaulting to the wire spec's
         :data:`~repro.api.codec.MAX_WIRE_BYTES`) — come back as
         encoded ``MALFORMED`` error envelopes, so a transport can pipe
         bytes through without its own error handling.

@@ -11,8 +11,8 @@ documents on a socket:
   :data:`~repro.api.codec.MAX_WIRE_BYTES`;
 * :mod:`repro.net.server` — the asyncio :class:`RwsTcpServer`:
   hello-based version negotiation, then every request decoded,
-  dispatched, encoded and written inline on the event loop in arrival
-  order — so pipelined responses come back in request order and a
+  dispatched, encoded and written inline on the event loop, one
+  protocol callback per socket read, in arrival order — so pipelined responses come back in request order and a
   publish never overlaps a read, by construction — with a per-read
   window and ``RATE_LIMITED`` pushback, idle timeouts, and a
   connection cap; plus :class:`ServerThread` for synchronous callers;

@@ -7,11 +7,14 @@ backend (an :class:`~repro.serve.service.RwsService` or a
 :class:`~repro.cluster.Router`, duck-typed exactly as the dispatcher
 takes them) is unchanged behind the socket.
 
-Every request is served inline on the event loop: each socket read's
-complete frames are decoded, dispatched, encoded and written in
-arrival order before the connection reads again.  Dispatch is pure
-Python under the GIL, so threads would buy no parallelism; serial
-dispatch instead gives the two wire guarantees by construction.
+Every request is served inline on the event loop.  Each connection is
+an :class:`asyncio.Protocol` whose ``data_received`` callback decodes,
+dispatches, encodes and writes the complete frames of one socket read,
+in arrival order, before the loop reads that connection again; a
+request costs that one callback and creates no Task or timer.
+Dispatch is pure Python under the GIL, so threads would buy no
+parallelism; serial dispatch instead gives the two wire guarantees by
+construction.
 
 * **hello** — the first frame each way is a hello message negotiating
   ``api_version`` with the codec's ``min(requested, API_VERSION)``
@@ -22,15 +25,18 @@ dispatch instead gives the two wire guarantees by construction.
   requests are answered one at a time, in order.
 * **backpressure** — the frames one read completes are in flight
   together; past ``window`` of them, the rest are answered at once,
-  in order, with ``RATE_LIMITED`` pushback instead of being served,
-  and the kernel's TCP window does the rest via ``drain()``.
+  in order, with ``RATE_LIMITED`` pushback instead of being served.
+  While a connection's unsent answers are over the transport's
+  high-water mark the server stops reading it, so the kernel's TCP
+  window holds back a peer that does not read its answers.
 * **publish ordering** — a ``publish`` runs alone on the loop, so it
   never overlaps a read, and any request answered after it (on any
   connection) sees the published epoch.  ``net.drain_waits`` stays in
   the snapshot and always reads 0.
 * **idle timeout / connection cap** — connections with no partial
-  frame buffered close after ``idle_timeout`` quiet seconds; connects
-  past ``max_connections`` are refused at hello.
+  frame buffered close after ``idle_timeout`` quiet seconds, timed by
+  one timer per connection that re-arms itself from the last read;
+  connects past ``max_connections`` are refused at hello.
 
 ``net.*`` observability: :meth:`RwsTcpServer.net_snapshot` is the
 portable counter/gauge/histogram form that
@@ -158,7 +164,7 @@ class RwsTcpServer:
             detail={"window": str(window)},
         ))
         self._server: asyncio.base_events.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
         self._request_seq = 0
         # Touched only on the event-loop thread.
         self._counters: dict[str, int] = {
@@ -178,8 +184,8 @@ class RwsTcpServer:
 
     async def start(self) -> tuple[str, int]:
         """Bind and begin accepting; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._on_connect, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
 
@@ -187,8 +193,8 @@ class RwsTcpServer:
         """Stop accepting and close live connections."""
         if self._server is not None:
             self._server.close()
-            for writer in list(self._writers):
-                writer.close()
+            for connection in list(self._connections):
+                connection.transport.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -197,84 +203,9 @@ class RwsTcpServer:
         """The bound (host, port) — meaningful after :meth:`start`."""
         return self.host, self.port
 
-    # -- connection handling --------------------------------------------------
+    # -- request handling -----------------------------------------------------
 
-    async def _on_connect(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        if len(self._writers) >= self.max_connections:
-            self._counters["connections_rejected"] += 1
-            self._send(writer, _hello_refusal(ApiError(
-                code=ErrorCode.RATE_LIMITED,
-                message=f"connection limit ({self.max_connections}) "
-                        f"reached")))
-            writer.close()  # flushes the refusal first
-            return
-        self._writers.add(writer)
-        self._counters["connections_opened"] += 1
-        self._gauges["connections_peak"] = max(
-            self._gauges["connections_peak"], float(len(self._writers)))
-        try:
-            await self._serve(reader, writer)
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()  # flushes any answers still buffered
-            self._writers.discard(writer)
-            self._counters["connections_closed"] += 1
-
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Answer one connection's frames, one socket read at a time."""
-        decoder = FrameDecoder(self.max_frame_bytes)
-        version = None  # set by the hello frame
-        first = True
-        while True:
-            try:
-                chunk = await asyncio.wait_for(reader.read(65536),
-                                               timeout=self.idle_timeout)
-            except asyncio.TimeoutError:
-                if decoder.idle:
-                    self._counters["idle_timeouts"] += 1
-                    return
-                continue
-            if not chunk:
-                return  # peer closed
-            framing_error = None
-            try:
-                decoder.feed(chunk)
-            except FrameError as exc:
-                framing_error = exc
-            frames = decoder.frames()
-            self._counters["frames_in"] += len(frames)
-            if version is None and frames:
-                version = self._hello(writer, frames.pop(0))
-                if version is None:
-                    return
-            if frames:
-                self._counters["requests"] += len(frames)
-                self._gauges["pipeline_depth_peak"] = max(
-                    self._gauges["pipeline_depth_peak"], float(len(frames)))
-            for position, payload in enumerate(frames):
-                if position < self.window:
-                    text = self._respond(payload, version, first)
-                    first = False
-                else:
-                    self._counters["backpressure_stalls"] += 1
-                    text = encode_response(self._pushback, version=version)
-                self._counters["responses"] += 1
-                self._send(writer, text, version)
-            if framing_error is not None:
-                # Framing is unrecoverable: frames that completed ahead
-                # of the poison pill were answered above; answer the
-                # error once, after them, and close.
-                self._counters["malformed"] += 1
-                self._send(writer, encode_response(
-                    ErrorResponse(error=framing_error.error),
-                    version=API_VERSION))
-                return
-            await writer.drain()
-
-    def _hello(self, writer: asyncio.StreamWriter,
+    def _hello(self, transport: asyncio.Transport,
                payload: bytes) -> int | None:
         """Answer the hello; the negotiated version, or None to close."""
         try:
@@ -285,12 +216,12 @@ class RwsTcpServer:
             version = negotiate_version(document.get("api_version"))
         except ValueError as exc:  # bad JSON or UTF-8, or a WireError
             self._counters["malformed"] += 1
-            self._send(writer, _hello_refusal(
+            self._send(transport, _hello_refusal(
                 exc.error if isinstance(exc, WireError)
                 else ApiError(code=ErrorCode.MALFORMED,
                               message=f"invalid hello JSON: {exc}")))
             return None
-        self._send(writer, json.dumps({
+        self._send(transport, json.dumps({
             "kind": "hello", "ok": True, "api_version": version,
             "max_frame_bytes": self.max_frame_bytes,
             "window": self.window, "server": SERVER_NAME,
@@ -332,8 +263,7 @@ class RwsTcpServer:
     def _decode(self, payload: bytes):
         try:
             request, _version = decode_request(
-                payload.decode("utf-8", errors="replace"),
-                max_bytes=self.max_frame_bytes)
+                payload, max_bytes=self.max_frame_bytes)
         except WireError as exc:
             return None, ErrorResponse(error=exc.error)
         return request, None
@@ -343,7 +273,7 @@ class RwsTcpServer:
             self._counters["publishes"] += 1
         return self.dispatcher.dispatch(request)
 
-    def _send(self, writer: asyncio.StreamWriter, text: str,
+    def _send(self, transport: asyncio.Transport, text: str,
               version: int = API_VERSION) -> None:
         """Write one frame; a response over the frame limit is answered
         with the ``MALFORMED`` error its :class:`FrameError` carries."""
@@ -353,7 +283,7 @@ class RwsTcpServer:
             frame = encode_frame(encode_response(
                 ErrorResponse(error=exc.error), version=version),
                 self.max_frame_bytes)
-        writer.write(frame)
+        transport.write(frame)
         self._counters["frames_out"] += 1
 
     # -- observability --------------------------------------------------------
@@ -386,6 +316,121 @@ class RwsTcpServer:
         fold_net_snapshot(registry, self.net_snapshot())
         fold_stats_report(registry, self.dispatcher.service.stats_report())
         return registry
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, answered one socket read per callback.
+
+    :meth:`data_received` writes the answers to every frame a read
+    completed before it returns, so the loop reads the connection
+    again only after all of them are written.  Reading pauses while
+    the transport's write buffer is over its high-water mark
+    (:meth:`pause_writing`), and one timer per connection enforces the
+    idle timeout, re-arming itself from the time of the last read.
+    """
+
+    def __init__(self, server: RwsTcpServer):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.decoder = FrameDecoder(server.max_frame_bytes)
+        self.version: int | None = None  # set by the hello frame
+        self.first = True
+        self.loop = asyncio.get_running_loop()
+        self.last_read = 0.0
+        #: Armed only for accepted connections, never for refused ones.
+        self.idle_timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        server = self.server
+        if len(server._connections) >= server.max_connections:
+            server._counters["connections_rejected"] += 1
+            server._send(transport, _hello_refusal(ApiError(
+                code=ErrorCode.RATE_LIMITED,
+                message=f"connection limit ({server.max_connections}) "
+                        f"reached")))
+            transport.close()  # flushes the refusal first
+            return
+        server._connections.add(self)
+        server._counters["connections_opened"] += 1
+        server._gauges["connections_peak"] = max(
+            server._gauges["connections_peak"],
+            float(len(server._connections)))
+        self.last_read = self.loop.time()
+        self.idle_timer = self.loop.call_later(server.idle_timeout,
+                                               self._idle_check)
+
+    def data_received(self, data: bytes) -> None:
+        """Answer the frames one socket read completed, in order."""
+        self.last_read = self.loop.time()
+        server = self.server
+        transport = self.transport
+        counters = server._counters
+        framing_error = None
+        try:
+            self.decoder.feed(data)
+        except FrameError as exc:
+            framing_error = exc
+        frames = self.decoder.frames()
+        counters["frames_in"] += len(frames)
+        if self.version is None and frames:
+            self.version = server._hello(transport, frames.pop(0))
+            if self.version is None:
+                transport.close()
+                return
+        version = self.version
+        if frames:
+            counters["requests"] += len(frames)
+            server._gauges["pipeline_depth_peak"] = max(
+                server._gauges["pipeline_depth_peak"], float(len(frames)))
+        for position, payload in enumerate(frames):
+            if position < server.window:
+                text = server._respond(payload, version, self.first)
+                self.first = False
+            else:
+                counters["backpressure_stalls"] += 1
+                text = encode_response(server._pushback, version=version)
+            counters["responses"] += 1
+            server._send(transport, text, version)
+        if framing_error is not None:
+            # Framing is unrecoverable: frames that completed ahead of
+            # the poison pill were answered above; answer the error
+            # once, after them, and close.
+            counters["malformed"] += 1
+            server._send(transport, encode_response(
+                ErrorResponse(error=framing_error.error),
+                version=API_VERSION))
+            transport.close()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+        self.last_read = self.loop.time()  # the quiet period restarts
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.idle_timer is not None:
+            self.idle_timer.cancel()
+            self.server._connections.discard(self)
+            self.server._counters["connections_closed"] += 1
+
+    def _idle_check(self) -> None:
+        """Close the connection once ``idle_timeout`` passes quietly.
+
+        A connection holding a partial frame, or not reading because
+        its answers are backed up, is not idle: it gets another full
+        period.
+        """
+        timeout = self.server.idle_timeout
+        remaining = self.last_read + timeout - self.loop.time()
+        if remaining <= 0:
+            if self.decoder.idle and self.transport.is_reading():
+                self.server._counters["idle_timeouts"] += 1
+                self.transport.close()
+                return
+            remaining = timeout
+        self.idle_timer = self.loop.call_later(remaining, self._idle_check)
 
 
 class ServerThread:

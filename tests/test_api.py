@@ -608,9 +608,11 @@ class TestWireCodecErrors:
             negotiate_version(True)
 
     def test_invalid_json_is_malformed(self):
-        with pytest.raises(WireError) as excinfo:
-            decode_request("{nope")
-        assert excinfo.value.error.code is ErrorCode.MALFORMED
+        for bad in ["{nope", b'{"op": "stats", "payload": {}, "x": "\xff"}']:
+            for decode in (decode_request, decode_response):
+                with pytest.raises(WireError) as excinfo:
+                    decode(bad)
+                assert excinfo.value.error.code is ErrorCode.MALFORMED
 
     def test_unknown_op(self):
         with pytest.raises(WireError, match="unknown operation"):
@@ -644,7 +646,9 @@ class TestWireCodecErrors:
 
     def test_dispatch_wire_never_raises(self, dispatcher):
         for bad in ["{nope", '{"op": "frobnicate"}',
-                    '{"api_version": 0, "op": "stats"}', '[]']:
+                    '{"api_version": 0, "op": "stats"}', '[]',
+                    b'{"op": "query", "payload": {"host_a": "a\xffb.com",'
+                    b' "host_b": "b.com"}}']:
             envelope = json.loads(dispatcher.dispatch_wire(bad))
             assert envelope["ok"] is False
             assert envelope["error"]["code"] == "MALFORMED"

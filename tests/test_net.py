@@ -9,6 +9,7 @@ real sockets), the serial event-loop dispatch model, and
 transport-equivalence of workload digests.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -28,6 +29,7 @@ from repro.api import (
     QueryResponse,
     StatsRequest,
     StatsResponse,
+    encode_request,
 )
 from repro.net import (
     NetClientError,
@@ -70,18 +72,22 @@ def harness(service):
         yield harness
 
 
+def read_frame(sock: socket.socket, decoder: FrameDecoder) -> bytes:
+    """Block until ``decoder`` holds a whole frame from ``sock``; pop it."""
+    while True:
+        payload = decoder.next_frame()
+        if payload is not None:
+            return payload
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection"
+        decoder.feed(chunk)
+
+
 def raw_hello(host, port, document: str) -> dict:
     """One raw hello exchange, bypassing the client's own hello."""
     with socket.create_connection((host, port), timeout=5) as sock:
         sock.sendall(encode_frame(document))
-        decoder = FrameDecoder()
-        while True:
-            payload = decoder.next_frame()
-            if payload is not None:
-                return json.loads(payload)
-            chunk = sock.recv(65536)
-            assert chunk, "server closed before answering hello"
-            decoder.feed(chunk)
+        return json.loads(read_frame(sock, FrameDecoder()))
 
 
 class TestHello:
@@ -149,6 +155,42 @@ class TestLifecycle:
                 time.sleep(0.05)
             assert counters["idle_timeouts"] >= 1
             client.close()
+
+    def test_idle_timeout_spares_a_partial_frame(self, service):
+        """A connection holding part of a frame is not idle: it outlives
+        several timeouts and is answered once the frame completes."""
+        timeout = 0.2
+        with ServerThread(RwsTcpServer(service,
+                                       idle_timeout=timeout)) as harness:
+            host, port = harness.server.address
+            with socket.create_connection((host, port), timeout=5) as sock:
+                decoder = FrameDecoder()
+                sock.sendall(encode_frame(hello_message()))
+                assert json.loads(read_frame(sock, decoder))["ok"] is True
+                frame = encode_frame(encode_request(StatsRequest()))
+                sock.sendall(frame[:7])
+                time.sleep(4 * timeout)
+                counters = harness.server.net_snapshot()["counters"]
+                assert counters["idle_timeouts"] == 0
+                sock.sendall(frame[7:])
+                assert json.loads(read_frame(sock, decoder))["ok"] is True
+
+    def test_idle_timeout_spares_a_steady_trickle(self, service):
+        """Requests every third of the timeout keep one connection open
+        for three timeouts."""
+        timeout = 0.6
+        with ServerThread(RwsTcpServer(service,
+                                       idle_timeout=timeout)) as harness:
+            host, port = harness.server.address
+            with TcpApiClient(host, port, retries=0) as client:
+                for sent in range(10):
+                    if sent:
+                        time.sleep(timeout / 3)
+                    assert type(client.dispatch(StatsRequest())) \
+                        is StatsResponse
+                counters = harness.server.net_snapshot()["counters"]
+            assert counters["idle_timeouts"] == 0
+            assert counters["connections_opened"] == 1
 
     def test_max_connections_cap_refuses_at_hello(self, service):
         with ServerThread(RwsTcpServer(service,
@@ -221,6 +263,45 @@ class TestPipelining:
             counters = harness.server.net_snapshot()["counters"]
             assert counters["backpressure_stalls"] == len(limited)
 
+    def test_peer_that_stops_reading_stops_the_server_reading(self,
+                                                              harness):
+        """Write backpressure: once a peer's unread responses fill the
+        socket buffers, the server reads none of its later requests
+        until the peer reads, then answers every one, in order."""
+        sent = 64
+        frames = [encode_frame(encode_request(BatchQueryRequest(
+            pairs=[("alpha-news.com", "alpha.com")] * 400
+            + [("alpha.com", f"h{index}.example.com")], detail=True)))
+            for index in range(sent)]  # ~13 KB each, ~105 KB answers
+        host, port = harness.server.address
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect((host, port))
+            decoder = FrameDecoder()
+            sock.sendall(encode_frame(hello_message()))
+            assert json.loads(read_frame(sock, decoder))["ok"] is True
+            writer = threading.Thread(
+                target=sock.sendall, args=(b"".join(frames),))
+            writer.start()
+            # Wait, unread, until the server stops decoding requests.
+            decoded, deadline = -1, time.monotonic() + 10
+            while time.monotonic() < deadline:
+                time.sleep(0.2)
+                counters = harness.server.net_snapshot()["counters"]
+                if counters["frames_in"] == decoded:
+                    break
+                decoded = counters["frames_in"]
+            assert decoded - 1 < sent  # the hello is frame one
+            answers = [json.loads(read_frame(sock, decoder))
+                       for _ in range(sent)]
+            writer.join(timeout=10)
+        assert [answer["payload"]["verdicts"][-1]["host_b"]
+                for answer in answers] == [
+            f"h{index}.example.com" for index in range(sent)]
+        counters = harness.server.net_snapshot()["counters"]
+        assert counters["responses"] == counters["requests"] == sent
+
 
 class TestMalformedTraffic:
     def test_bad_request_json_answers_malformed(self, harness):
@@ -229,26 +310,19 @@ class TestMalformedTraffic:
         host, port = harness.server.address
         with socket.create_connection((host, port), timeout=5) as sock:
             decoder = FrameDecoder()
-
-            def read_one():
-                while True:
-                    payload = decoder.next_frame()
-                    if payload is not None:
-                        return payload
-                    chunk = sock.recv(65536)
-                    assert chunk
-                    decoder.feed(chunk)
-
             sock.sendall(encode_frame(hello_message()))
-            assert json.loads(read_one())["ok"] is True
-            sock.sendall(encode_frame("{definitely not a request"))
-            envelope = json.loads(read_one())
-            assert envelope["ok"] is False
-            assert envelope["error"]["code"] == "MALFORMED"
+            assert json.loads(read_frame(sock, decoder))["ok"] is True
+            # Bad JSON, then well-formed JSON in invalid UTF-8 (never
+            # rewritten into a valid request).
+            for bad in ["{definitely not a request",
+                        b'{"op": "stats", "payload": {}, "note": "\xff"}']:
+                sock.sendall(encode_frame(bad))
+                envelope = json.loads(read_frame(sock, decoder))
+                assert envelope["ok"] is False
+                assert envelope["error"]["code"] == "MALFORMED"
             # Still alive: a well-formed request answers normally.
-            from repro.api import encode_request
             sock.sendall(encode_frame(encode_request(StatsRequest())))
-            assert json.loads(read_one())["ok"] is True
+            assert json.loads(read_frame(sock, decoder))["ok"] is True
 
     def test_oversized_frame_prefix_errors_and_closes(self, service):
         with ServerThread(RwsTcpServer(service,
@@ -276,8 +350,6 @@ class TestMalformedTraffic:
         """A request that fits the frame limit but whose response does
         not is answered in order with MALFORMED (carrying the sizes),
         and the connection keeps serving."""
-        from repro.api import encode_request
-
         limit = 4096
         request = BatchQueryRequest(
             pairs=[("alpha-news.com", "alpha.com")] * 40, detail=True)
@@ -559,6 +631,34 @@ class TestSerialDispatch:
         assert type(published) is PublishResponse
         assert after.verdict.related is True
         assert owned == ["repro-net-server"]
+
+    def test_serial_requests_create_no_tasks(self, service):
+        """A request costs the server no asyncio Task: after the
+        connection's first request, 100 more serial round trips on it
+        create none (counted by a task factory on the server's loop)."""
+        created: list[str] = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(getattr(coro, "__qualname__", repr(coro)))
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def on_loop(loop, call, *args):
+            done = threading.Event()
+            loop.call_soon_threadsafe(lambda: (call(*args), done.set()))
+            assert done.wait(5)
+
+        with ServerThread(RwsTcpServer(service)) as harness:
+            loop = harness._loop
+            host, port = harness.server.address
+            with TcpApiClient(host, port) as client:
+                client.dispatch(StatsRequest())
+                on_loop(loop, loop.set_task_factory, counting_factory)
+                responses = [client.dispatch(QueryRequest(
+                    host_a="alpha-news.com", host_b="alpha.com"))
+                    for _ in range(100)]
+                on_loop(loop, loop.set_task_factory, None)
+        assert all(r.verdict.related for r in responses)
+        assert created == []
 
     def test_bursts_within_window_are_never_pushed_back(self, service):
         """The compliant side of the window: bursts of ``window``
