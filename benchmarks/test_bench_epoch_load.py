@@ -7,16 +7,18 @@ construction, so shard fan-out and replica cold-start stop paying the
 full index+trie compile on every worker.  This harness pins that:
 
 * **load vs compile** — ``Epoch.from_buffer`` must be at least 5x
-  faster than ``Epoch.compile`` on a synthetic list (the gate runs on
-  a CI-small list; set ``EPOCH_BENCH_DOMAINS=1000000`` for the
-  million-domain figure — the ratio is scale-invariant because load
-  cost is dominated by the CRC sweep, not entry count);
+  faster than ``Epoch.compile`` (an encode plus a load) on a synthetic
+  list (the gate runs on a CI-small list; set
+  ``EPOCH_BENCH_DOMAINS=1000000`` for the million-domain figure — the
+  ratio is scale-invariant because load cost is dominated by the CRC
+  sweep, not entry count);
 * **shard startup** — a fresh :class:`RwsService` adopting an encoded
   buffer vs publishing the raw list (hash + compile), the exact
   hand-off the workload driver's sharded executor performs;
 * **replica catch-up** — :meth:`Replica.resync` against a primary
-  serving encoded epochs vs one without the surface (the recompile
-  fallback), the ``ReplicationGapError`` recovery path.
+  serving encoded epochs vs one without the surface (the
+  ``Epoch.compile`` fallback), the ``ReplicationGapError`` recovery
+  path.
 
 Correctness rides along: every timed path must land on the same
 content hash as the compiled reference.
@@ -34,7 +36,7 @@ from repro.cluster import Replica
 from repro.data import build_synthetic_list
 from repro.psl import default_psl
 from repro.rws import RelatedWebsiteSet
-from repro.serve import Epoch, RwsService, SnapshotStore
+from repro.serve import Epoch, RwsService, SnapshotStore, encode_epoch
 
 #: CI-small default — the tier-1 suite collects this file, so the
 #: in-suite run must stay a few seconds.  The acceptance figure at
@@ -53,7 +55,7 @@ def _best_of(repeats: int, run) -> float:
 
 class _NoEncoder:
     """A primary facade without the encoded-epoch surface — the
-    recompile fallback an older peer forces on a resyncing replica."""
+    compile fallback an older peer forces on a resyncing replica."""
 
     def __init__(self, primary: RwsService) -> None:
         self._primary = primary
@@ -78,7 +80,7 @@ def measure_epoch_load(domains: int | None = None,
     compile_time = _best_of(rounds, lambda: Epoch.compile(snapshot, psl))
     epoch = Epoch.compile(snapshot, psl)
     encode_time = _best_of(rounds,
-                           lambda: epoch.to_buffer(include_psl=False))
+                           lambda: encode_epoch(epoch, include_psl=False))
     buf = epoch.to_buffer(include_psl=False)
     load_time = _best_of(rounds, lambda: Epoch.from_buffer(buf, psl=psl))
     loaded = Epoch.from_buffer(buf, psl=psl)
@@ -98,7 +100,7 @@ def measure_epoch_load(domains: int | None = None,
         adopter.queue.shutdown()
 
     # Replica catch-up: boot replicas at v1, publish v2, then time the
-    # full-snapshot resync — once against the encoded cache, once
+    # full-snapshot resync — once against the encoded buffer, once
     # against a primary that cannot serve buffers.
     primary = RwsService(psl=psl)
     try:
@@ -111,8 +113,7 @@ def measure_epoch_load(domains: int | None = None,
             primary="bench-update.com",
             associated=["bench-update-blog.com"],
             rationales={"bench-update-blog.com": "Same publisher."}))
-        primary.publish(grown)
-        primary.encoded_epoch()  # encode once, outside the timed loop
+        primary.publish(grown)  # the one encode, outside the timed loop
         resync_encoded = min(_best_of(1, replica.resync)
                              for replica in encoded_fleet)
         resync_compiled = min(_best_of(1, replica.resync)
@@ -185,7 +186,7 @@ def test_encoded_shard_startup_beats_publish():
 
 
 def test_replica_catchup_prefers_the_encoded_epoch():
-    """Resync from the primary's cache beats the recompile fallback."""
+    """Resync from the primary's buffer beats the compile fallback."""
     result = _cached_result()
     print(f"\nreplica resync: compiled "
           f"{result['replica_resync_compiled_ms']:.1f} ms vs encoded "

@@ -132,10 +132,8 @@ def measure_tracer_overhead(rounds: int = 9) -> dict[str, float]:
 
 def measure_profile_hotspots(count: int = 50_000) -> dict[str, float]:
     """Construction/routing rates for the profiler's allocation spots,
-    plus the zero-copy buffer index's batch rate next to the compiled
-    index it mirrors."""
-    from repro.psl import default_psl
-    from repro.serve import Epoch, SnapshotStore
+    plus the membership index's batch rate."""
+    from repro.serve import MembershipIndex
 
     rws_list = build_rws_list()
 
@@ -162,26 +160,16 @@ def measure_profile_hotspots(count: int = 50_000) -> dict[str, float]:
     finally:
         primary.queue.shutdown()
 
-    # Buffer-index figures: the encoded epoch's array-backed view
-    # answering the same batch the compiled dict-backed index does.
-    snapshot = SnapshotStore().publish(rws_list)
-    epoch = Epoch.compile(snapshot, default_psl())
-    loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
-                               psl=epoch.psl)
+    index = MembershipIndex.from_list(rws_list)
     batch = _bulk_pairs(rws_list)[:2000]
-    assert loaded.index.related_batch(batch) \
-        == epoch.index.related_batch(batch)
-    compiled_time = _best_of(3, lambda: epoch.index.related_batch(batch))
-    buffer_time = _best_of(3, lambda: loaded.index.related_batch(batch))
+    related_time = _best_of(3, lambda: index.related_batch(batch))
 
     return {
         "query_result_per_sec": count / construct_time,
         "query_result_ns_per_op": construct_time / count * 1e9,
         "router_pair_per_sec": len(pairs) / routed_time,
         "router_pair_ns_per_op": routed_time / len(pairs) * 1e9,
-        "compiled_related_per_sec": len(batch) / compiled_time,
-        "buffer_related_per_sec": len(batch) / buffer_time,
-        "buffer_vs_compiled_ratio": compiled_time / buffer_time,
+        "related_per_sec": len(batch) / related_time,
     }
 
 

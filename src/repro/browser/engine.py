@@ -54,7 +54,7 @@ class Browser:
     def rws_index(self) -> MembershipIndex:
         """The compiled membership index over ``rws_list``."""
         if self._rws_index is None:
-            self._rws_index = MembershipIndex(self.rws_list)
+            self._rws_index = MembershipIndex.from_list(self.rws_list)
         return self._rws_index
 
     def refresh_rws_index(self) -> None:

@@ -478,8 +478,8 @@ class ChaosRouter(Router):
                           | set(_member_sites(candidate.rws_list)))
         if len(universe) < 2:
             return 0.0
-        old_index = MembershipIndex(serving.rws_list)
-        new_index = MembershipIndex(candidate.rws_list)
+        old_index = MembershipIndex.from_list(serving.rws_list)
+        new_index = MembershipIndex.from_list(candidate.rws_list)
         rng = random.Random(
             f"{self.plan.seed}|{serving.version}|{candidate.version}")
         diverging = 0

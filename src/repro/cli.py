@@ -643,7 +643,7 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
     import time
 
     from repro.serve import EpochFormatError
-    from repro.serve.epochfmt import epoch_stat
+    from repro.serve.epochfmt import encode_epoch, epoch_stat
 
     if args.action == "encode":
         try:
@@ -652,7 +652,7 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             print(error.args[0], file=sys.stderr)
             return 2
         started = time.perf_counter_ns()
-        buf = epoch.to_buffer(include_psl=not args.no_psl)
+        buf = encode_epoch(epoch, include_psl=not args.no_psl)
         encode_ms = (time.perf_counter_ns() - started) / 1e6
         with open(args.out, "wb") as handle:
             handle.write(buf)

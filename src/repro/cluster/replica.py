@@ -12,7 +12,7 @@ accumulated several hops applies **one squashed delta**
 (:func:`~repro.serve.snapshot.squash_deltas`) rather than replaying
 the chain.  This is the paper's real deployment shape: millions of
 browser instances converge on a list update at different times, each
-patching its local copy and recompiling its own index.
+patching its local copy and encoding and loading its own index.
 
 Lag is measured on a deterministic logical clock (the workload driver
 advances it with the global user index), never wall time, so staleness
@@ -111,7 +111,7 @@ class Replica(EpochShell):
         self.resyncs = 0
         self.duplicates_ignored = 0
         #: Binary-epoch bookkeeping: full-snapshot adoptions served
-        #: from the primary's encoded cache instead of a recompile.
+        #: from the primary's encoded buffer instead of an encode.
         self.epoch_loads = 0
         self.epoch_load_ns = 0
         # Guards _pending and the catch-up sequence only; the query
@@ -282,12 +282,13 @@ class Replica(EpochShell):
     def _adopt(self, snapshot: ListSnapshot) -> None:
         """Adopt a full snapshot (the no-delta-base bootstrap hop).
 
-        Prefers the primary's cached binary-encoded epoch
+        Prefers the primary's binary-encoded epoch
         (:meth:`~repro.serve.service.RwsService.encoded_epoch`) — an
-        O(size) buffer load instead of a per-entry recompile, so N
-        replicas bootstrapping or resyncing after a
-        :class:`ReplicationGapError` cost one encode on the primary,
-        not N compiles.  Falls back to compiling when the primary has
+        O(size) buffer load instead of an encode, so N replicas
+        bootstrapping or resyncing after a
+        :class:`ReplicationGapError` reuse the buffer the primary
+        encoded when it published.  Falls back to
+        :meth:`~repro.serve.epoch.Epoch.compile` when the primary has
         no encoder (a bare shell), no longer resolves the version, or
         the buffer's content hash does not match the snapshot it was
         asked to stand in for.
@@ -344,8 +345,8 @@ class Replica(EpochShell):
         snapshot = ListSnapshot(version=delta.to_version,
                                 content_hash=delta.to_hash,
                                 rws_list=patched)
-        # The replica compiles its *own* index from the patched copy —
-        # the client-side recompilation every browser instance pays.
+        # The replica encodes and loads its *own* epoch from the
+        # patched copy — the client-side rebuild every browser pays.
         self._epoch = Epoch.compile(snapshot, epoch.psl)
         self.catch_ups += 1
         self.deltas_applied += len(fresh)

@@ -107,7 +107,7 @@ def simulate_governance(plan: GovernancePlan | None = None,
     """
     plan = plan or build_plan()
     published = published or RwsList()
-    published_index = MembershipIndex(published)
+    published_index = MembershipIndex.from_list(published)
     dataset = PrDataset()
 
     # One service, one worker: submissions validate strictly in

@@ -186,7 +186,7 @@ class Validator:
             # this module, so a top-level import would be circular.
             from repro.serve.index import MembershipIndex
 
-            self._published_index = MembershipIndex(self.published)
+            self._published_index = MembershipIndex.from_list(self.published)
         return self._published_index
 
     def set_published(

@@ -8,9 +8,10 @@ accepts submissions asynchronously.  The seed reproduction modelled the
 artefacts (the list, the bot, the browser) but only offered linear
 scans and synchronous validation; this package is the serving layer:
 
-* :mod:`repro.serve.index` — :class:`MembershipIndex`, a compiled
-  eTLD+1 → (set, role) hash index with interned domains and
-  single/batch/streaming query APIs;
+* :mod:`repro.serve.index` — :class:`MembershipIndex`, the
+  eTLD+1 → (set, role) index with single/batch/streaming query APIs,
+  always a view over a binary epoch buffer (built from a list by
+  encoding it and loading the result);
 * :mod:`repro.serve.snapshot` — versioned, content-hashed list
   snapshots with component-updater-style deltas
   (:class:`SnapshotStore`, :func:`apply_delta`);
@@ -18,13 +19,14 @@ scans and synchronous validation; this package is the serving layer:
   submit → poll → report governance front-end over
   :class:`~repro.rws.validation.Validator` with a worker pool;
 * :mod:`repro.serve.epoch` — :class:`Epoch`, the immutable
-  (index, snapshot, PSL) unit of serving truth a publish compiles
+  (index, snapshot, PSL) unit of serving truth a publish encodes
   once and swaps atomically;
-* :mod:`repro.serve.epochfmt` — the zero-copy binary epoch format:
-  :func:`encode_epoch` serializes an epoch once at publish time,
-  :func:`load_epoch` stands it back up in O(size) behind array-backed
-  index/trie views (:class:`BufferIndex`), and
-  :class:`EpochDiskCache` persists encoded epochs on disk;
+* :mod:`repro.serve.epochfmt` — the zero-copy binary epoch format
+  every index serves from: :func:`encode_epoch` serializes an epoch,
+  :func:`load_epoch` stands one up in O(size) behind the
+  array-backed index and trie views (:class:`MembershipIndex`,
+  :class:`BufferSuffixTrie`), and :class:`EpochDiskCache` persists
+  encoded epochs on disk;
 * :mod:`repro.serve.service` — :class:`RwsService`, the thin stateful
   shell over the epoch model: lock-free queries (per-thread counter
   cells, a counting resolver shim over the PSL's own cache) with the
@@ -34,7 +36,6 @@ scans and synchronous validation; this package is the serving layer:
 
 from repro.serve.epoch import Epoch
 from repro.serve.epochfmt import (
-    BufferIndex,
     BufferSuffixTrie,
     EpochDiskCache,
     EpochFormatError,
@@ -65,7 +66,6 @@ from repro.serve.snapshot import (
 )
 
 __all__ = [
-    "BufferIndex",
     "BufferSuffixTrie",
     "Epoch",
     "EpochDiskCache",

@@ -1,22 +1,29 @@
-"""Immutable serving epochs: one compiled, versioned unit of truth.
+"""Immutable serving epochs: one encoded, versioned unit of truth.
 
 An :class:`Epoch` bundles everything a reader needs to answer
-membership questions — the compiled :class:`MembershipIndex`, the
-:class:`ListSnapshot` it was compiled from, and the PSL handle the
-snapshot's domains were resolved against — into one value that is
-**constructed once and never mutated**.  Publication does not update
-an epoch; it builds a new one and swaps a single reference, so a
-reader that captured an epoch keeps a consistent
+membership questions — the :class:`MembershipIndex` over the epoch's
+binary buffer, the :class:`ListSnapshot` it was encoded from, and the
+PSL handle the snapshot's domains were resolved against — into one
+value that is **constructed once and never mutated**.  Publication
+does not update an epoch; it builds a new one and swaps a single
+reference, so a reader that captured an epoch keeps a consistent
 (index, snapshot, version) triple for as long as it holds the
 reference, no matter how many publishes land mid-request.
+
+Every epoch serves from an encoded buffer
+(:mod:`repro.serve.epochfmt`): :meth:`Epoch.compile` encodes the
+snapshot once and loads the result, and :meth:`Epoch.from_buffer`
+loads a buffer encoded elsewhere, so one index representation answers
+however a list version arrived.
 
 This is the unit the whole serving stack moves:
 
 * :class:`~repro.serve.service.RwsService` holds the *current* epoch
   and swaps it atomically on publish (the thin stateful shell);
 * :class:`~repro.cluster.Replica` catches up to the primary's epochs
-  by applying :class:`~repro.serve.snapshot.SnapshotDelta` chains and
-  compiling its own;
+  by loading the primary's buffer or applying
+  :class:`~repro.serve.snapshot.SnapshotDelta` chains and encoding
+  its own;
 * :class:`~repro.browser.engine.Browser` adopts an epoch the way
   Chrome consumes a component-updater payload
   (:meth:`~repro.browser.engine.Browser.adopt_epoch`).
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.psl import PublicSuffixList
 from repro.rws.model import RwsList
+from repro.serve.epochfmt import encode_epoch, encode_list, load_epoch
 from repro.serve.index import MembershipIndex
 from repro.serve.snapshot import ListSnapshot, StaleSnapshotError
 
@@ -41,16 +49,21 @@ class Epoch:
     """One immutable, queryable generation of the served list.
 
     Attributes:
-        index: The compiled membership index over the snapshot's list.
+        index: The membership index over the epoch's encoded buffer.
         snapshot: The published snapshot this epoch serves (None only
             for the bootstrap epoch, before any publish).
         psl: The public suffix list the serving stack resolves hosts
             against; carried so an adopted epoch is self-contained.
+        buffer: The PSL-free encoded bytes the index was loaded from —
+            what :meth:`to_buffer` hands out without encoding again.
+            None when the epoch was loaded from another buffer object
+            (a mapped file) or from a buffer carrying a PSL trie.
     """
 
     index: MembershipIndex
     snapshot: ListSnapshot | None
     psl: PublicSuffixList
+    buffer: bytes | None = None
 
     @property
     def version(self) -> int:
@@ -86,14 +99,21 @@ class Epoch:
 
     @classmethod
     def bootstrap(cls, psl: PublicSuffixList) -> Epoch:
-        """The pre-publish epoch: an empty index, no snapshot."""
-        return cls(index=MembershipIndex(RwsList()), snapshot=None, psl=psl)
+        """The pre-publish epoch: an empty list's index, no snapshot."""
+        return cls(index=MembershipIndex.from_list(RwsList()),
+                   snapshot=None, psl=psl)
 
     @classmethod
     def compile(cls, snapshot: ListSnapshot, psl: PublicSuffixList) -> Epoch:
-        """Compile a fresh epoch from a published snapshot."""
-        return cls(index=MembershipIndex(snapshot.rws_list),
-                   snapshot=snapshot, psl=psl)
+        """Encode a published snapshot once and serve the loaded buffer.
+
+        The epoch keeps ``snapshot`` itself (and the index hands back
+        its list's own sets), so nothing is rebuilt from the buffer.
+        """
+        buf = encode_list(snapshot.rws_list, snapshot=snapshot)
+        index = MembershipIndex(buf, sets=tuple(snapshot.rws_list.sets),
+                                verify=False)
+        return cls(index=index, snapshot=snapshot, psl=psl, buffer=buf)
 
     def to_buffer(self, *, include_psl: bool = True) -> bytes:
         """Serialize this epoch to the zero-copy binary wire format.
@@ -102,9 +122,11 @@ class Epoch:
         no per-entry object construction — see
         :mod:`repro.serve.epochfmt` for the layout.  ``include_psl``
         controls whether the compiled PSL trie is carried (drop it
-        when every consumer shares the same in-process PSL).
+        when every consumer shares the same in-process PSL); without
+        it, the epoch's own :attr:`buffer` is returned when it has one.
         """
-        from repro.serve.epochfmt import encode_epoch
+        if not include_psl and self.buffer is not None:
+            return self.buffer
         return encode_epoch(self, include_psl=include_psl)
 
     @classmethod
@@ -121,5 +143,4 @@ class Epoch:
             repro.serve.epochfmt.EpochFormatError: On a corrupt,
                 truncated, or incompatible buffer.
         """
-        from repro.serve.epochfmt import load_epoch
         return load_epoch(buf, psl=psl, verify=verify)

@@ -1,12 +1,14 @@
-"""Zero-copy binary epoch format: O(size) load for instant spin-up.
+"""Zero-copy binary epoch format: the one form every index serves from.
 
-Every sharded workload worker and every cluster :class:`Replica` used
-to recompile its own :class:`~repro.serve.index.MembershipIndex` (and,
-transitively, re-intern every domain string) from the snapshot.  This
-module defines a compact binary *epoch* format that is encoded once at
-publish time and loads in O(size) with **no per-entry Python object
-construction**: the loaded views answer ``query`` / ``related`` /
-batch probes directly off the buffer through ``memoryview`` casts.
+A list version is encoded once into a compact binary *epoch*, and
+every :class:`~repro.serve.index.MembershipIndex` is a read-only view
+over such a buffer: :meth:`~repro.serve.epoch.Epoch.compile` encodes a
+published snapshot and loads the result, while shard workers, cluster
+:class:`~repro.cluster.Replica` nodes, and the disk cache load buffers
+encoded elsewhere in O(size) with **no per-entry Python object
+construction**.  Either way the views answer ``query`` / ``related`` /
+batch probes directly off the buffer through ``memoryview`` casts, so
+no verdict depends on how a list version arrived.
 
 Wire layout (all integers little-endian; the loader refuses to run on
 big-endian hosts rather than silently mis-read)::
@@ -72,6 +74,10 @@ Design notes:
   rules are encoded in :class:`~repro.psl.rules.RuleIndex` iteration
   order, a single u32 identifies a rule and preserves the trie's
   first-wins / lowest-seq tie-breaks exactly.
+* Encoding runs on every publish, so its transient heap is kept near
+  twice the buffer: columns grow as ``array("I")`` / ``bytearray``
+  (per-string columns alongside the string table, no id-keyed dicts),
+  and the output is assembled by one join under a running CRC.
 """
 
 from __future__ import annotations
@@ -87,7 +93,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.psl.rules import Rule, RuleKind
 from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
-from repro.serve.index import IndexEntry, QueryResult
 from repro.serve.snapshot import ListSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,11 +101,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "EPOCH_MAGIC",
     "EPOCH_FORMAT_VERSION",
-    "BufferIndex",
     "BufferSuffixTrie",
     "EpochDiskCache",
     "EpochFormatError",
     "encode_epoch",
+    "encode_list",
     "epoch_stat",
     "load_epoch",
 ]
@@ -164,8 +169,10 @@ _RULE_KINDS: tuple[RuleKind, ...] = (RuleKind.NORMAL, RuleKind.WILDCARD,
                                      RuleKind.EXCEPTION)
 _RULE_KIND_CODES = {kind: code for code, kind in enumerate(_RULE_KINDS)}
 
-#: Bound on the per-index memo dicts before they are dropped wholesale.
-_MEMO_LIMIT = 1 << 20
+#: Bound on the memos keyed by client input (probed sites, PSL labels)
+#: before they are dropped wholesale: the PSL resolution cache's size.
+#: Memos keyed by string id need no bound — the buffer bounds them.
+_PROBE_MEMO_LIMIT = 4096
 
 if array("I").itemsize != 4:  # pragma: no cover - exotic platforms only
     raise ImportError("repro.serve.epochfmt requires 4-byte unsigned ints")
@@ -203,131 +210,124 @@ def _require_little_endian() -> None:
 
 
 class _StringTable:
-    """Assigns dense first-encounter ids to interned strings."""
+    """Dense first-encounter string ids, grown with their wire columns.
 
-    __slots__ = ("_ids", "strings")
+    Adding a string appends its UTF-8 bytes to ``blob``, its end offset,
+    its CRC (the hash-table probe start), and zeroed ``entry`` /
+    ``primary_set`` slots that the list encoder fills in place.
+    """
+
+    __slots__ = ("_ids", "blob", "offsets", "crcs", "entry", "primary_set")
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
-        self.strings: list[str] = []
+        self.blob = bytearray()
+        self.offsets = array("I", [0])
+        self.crcs = array("I")
+        self.entry = array("I")
+        self.primary_set = array("I")
 
     def add(self, text: str) -> int:
         sid = self._ids.get(text)
         if sid is None:
-            sid = len(self.strings)
+            sid = len(self.crcs)
+            raw = text.encode("utf-8")
             self._ids[text] = sid
-            self.strings.append(text)
+            self.blob += raw
+            self.offsets.append(len(self.blob))
+            self.crcs.append(zlib.crc32(raw))
+            self.entry.append(0)
+            self.primary_set.append(0)
         return sid
 
     def __len__(self) -> int:
-        return len(self.strings)
+        return len(self.crcs)
+
+    def hash_table(self) -> tuple[array, int]:
+        """The open-addressed id table and its power-of-two capacity."""
+        cap = 8
+        while cap < 2 * len(self.crcs):
+            cap <<= 1
+        mask = cap - 1
+        table = array("I", bytes(4 * cap))
+        for sid, crc in enumerate(self.crcs):
+            slot = crc & mask
+            while table[slot]:
+                slot = (slot + 1) & mask
+            table[slot] = sid + 1
+        return table, cap
 
 
-def _hash_capacity(count: int) -> int:
-    cap = 8
-    while cap < 2 * count:
-        cap <<= 1
-    return cap
+def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
+                psl=None) -> bytes:
+    """Serialize a list to the binary wire format.
 
+    ``snapshot``, when given, is the published snapshot of
+    ``rws_list``: its version and content hash go in the header and
+    the buffer loads back as that snapshot's epoch.  ``psl``, when
+    given, has its compiled trie ride along (leave it out when every
+    consumer already holds the same PSL, as in-process serving does).
 
-def _build_string_sections(strings: Sequence[str]) -> tuple[bytes, bytes,
-                                                            bytes, int]:
-    """Return (offsets, blob, hash_table, hash_cap) for the string table."""
-    offsets = array("I", [0])
-    parts: list[bytes] = []
-    total = 0
-    encoded: list[bytes] = []
-    for text in strings:
-        raw = text.encode("utf-8")
-        encoded.append(raw)
-        parts.append(raw)
-        total += len(raw)
-        offsets.append(total)
-    cap = _hash_capacity(len(strings))
-    mask = cap - 1
-    table = array("I", bytes(4 * cap))
-    for sid, raw in enumerate(encoded):
-        slot = zlib.crc32(raw) & mask
-        while table[slot]:
-            slot = (slot + 1) & mask
-        table[slot] = sid + 1
-    return offsets.tobytes(), b"".join(parts), table.tobytes(), cap
-
-
-def _pad4(raw: bytes) -> bytes:
-    return raw + b"\x00" * (-len(raw) % 4)
-
-
-def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
-    """Serialize an epoch to the binary wire format.
-
-    Encoding is O(list size) Python work — it runs once per publish;
-    only the *load* side needs to be allocation-free.  ``include_psl``
-    controls whether the compiled PSL trie rides along (drop it when
-    every consumer already holds the same PSL, e.g. intra-process
-    shard fan-out).
+    Encoding is O(list size) Python work and runs once per publish;
+    only the *load* side needs to be allocation-free.
     """
     _require_little_endian()
-    snapshot = epoch.snapshot
-    if snapshot is None and len(epoch.index) > 0:
-        raise ValueError("cannot encode an epoch with entries but no "
-                         "snapshot: the wire format is list-derived")
-    rws_list = snapshot.rws_list if snapshot is not None else RwsList()
-
     strings = _StringTable()
-    set_primary: list[int] = []
+    add = strings.add
+    str_entry = strings.entry
+    str_set = strings.primary_set
+    set_primary = array("I")
     set_rec_start = array("I", [0])
-    rec_site: list[int] = []
+    rec_site = array("I")
     rec_role = bytearray()
-    rec_variant: list[int] = []
-    entry_site: list[int] = []
-    entry_primary: list[int] = []
-    entry_variant: list[int] = []
+    rec_variant = array("I")
+    entry_site = array("I")
+    entry_primary = array("I")
+    entry_variant = array("I")
     entry_role = bytearray()
-    entry_set: list[int] = []
-    entry_of: dict[int, int] = {}
-    primary_set: dict[int, int] = {}
+    entry_set = array("I")
 
-    # Replays the MembershipIndex construction loop: first-wins entries,
-    # setdefault primary->set, records in member_records() order.
+    # First-wins entries and primary->set slots, records in
+    # member_records() order: the first set in list order claims a
+    # site, as RwsList.find_set_for does.
     for set_idx, rws_set in enumerate(rws_list.sets):
-        pid = strings.add(rws_set.primary)
+        pid = add(rws_set.primary)
         set_primary.append(pid)
-        primary_set.setdefault(pid, set_idx)
+        if not str_set[pid]:
+            str_set[pid] = set_idx + 1
         for record in rws_set.member_records():
-            sid = strings.add(record.site)
-            vid = strings.add(record.variant_of) + 1 if record.variant_of \
-                else 0
+            sid = add(record.site)
+            vid = add(record.variant_of) + 1 if record.variant_of else 0
             code = _ROLE_CODES[record.role]
             rec_site.append(sid)
             rec_role.append(code)
             rec_variant.append(vid)
-            if sid not in entry_of:
-                entry_of[sid] = len(entry_site)
+            if not str_entry[sid]:
                 entry_site.append(sid)
+                str_entry[sid] = len(entry_site)
                 entry_primary.append(pid)
                 entry_variant.append(vid)
                 entry_role.append(code)
                 entry_set.append(set_idx)
         set_rec_start.append(len(rec_site))
 
-    list_version_id = strings.add(rws_list.version) + 1
-    as_of_id = strings.add(rws_list.as_of) + 1 if rws_list.as_of else 0
+    list_version_id = add(rws_list.version) + 1
+    as_of_id = add(rws_list.as_of) + 1 if rws_list.as_of else 0
 
     rule_flags = bytearray()
     rule_label_start = array("I", [0])
-    rule_labels: list[int] = []
+    rule_labels = array("I")
     node_child_start = array("I", [0])
-    child_labels: list[int] = []
-    child_nodes: list[int] = []
-    node_star: list[int] = []
-    node_normal: list[int] = []
-    node_exc: list[int] = []
+    child_labels = array("I")
+    child_nodes = array("I")
+    node_star = array("I")
+    node_normal = array("I")
+    node_exc = array("I")
     n_rules = n_nodes = 0
-    if include_psl:
-        psl_index = getattr(epoch.psl, "_index", None)
+    if psl is not None:
+        psl_index = getattr(psl, "_index", None)
         rules = list(psl_index) if psl_index is not None \
-            else list(epoch.psl._trie.rules())
+            else list(psl._trie.rules())
         n_rules = len(rules)
         # Replay SuffixTrie.__init__ insertion over temp list-nodes
         # [children: sid -> node_idx, normal_seq+1, exc_seq+1, star_idx].
@@ -337,7 +337,7 @@ def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
                               | (int(rule.is_private) << 2))
             node_idx = 0
             for position, label in enumerate(rule.labels):
-                sid = strings.add(label)
+                sid = add(label)
                 rule_labels.append(sid)
                 node = nodes[node_idx]
                 if label == "*" and position > 0:
@@ -367,70 +367,59 @@ def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
             node_exc.append(node[2])
             node_star.append(node[3])
 
-    str_offsets, str_blob, str_hash, hash_cap = \
-        _build_string_sections(strings.strings)
-    n_strings = len(strings)
-    str_entry = array("I", bytes(4 * n_strings))
-    for sid, eidx in entry_of.items():
-        str_entry[sid] = eidx + 1
-    str_set = array("I", bytes(4 * n_strings))
-    for sid, set_idx in primary_set.items():
-        str_set[sid] = set_idx + 1
-
-    def u32(values: Iterable[int]) -> bytes:
-        return array("I", values).tobytes()
-
-    sections: list[bytes] = [b""] * _N_SECTIONS
-    sections[_S_STR_OFFSETS] = str_offsets
-    sections[_S_STR_BLOB] = bytes(str_blob)
-    sections[_S_STR_HASH] = str_hash
-    sections[_S_STR_ENTRY] = str_entry.tobytes()
-    sections[_S_STR_SET] = str_set.tobytes()
-    sections[_S_ENTRY_SITE] = u32(entry_site)
-    sections[_S_ENTRY_PRIMARY] = u32(entry_primary)
-    sections[_S_ENTRY_VARIANT] = u32(entry_variant)
-    sections[_S_ENTRY_ROLE] = bytes(entry_role)
-    sections[_S_ENTRY_SET] = u32(entry_set)
-    sections[_S_SET_PRIMARY] = u32(set_primary)
-    sections[_S_SET_REC_START] = set_rec_start.tobytes()
-    sections[_S_REC_SITE] = u32(rec_site)
-    sections[_S_REC_ROLE] = bytes(rec_role)
-    sections[_S_REC_VARIANT] = u32(rec_variant)
-    sections[_S_RULE_FLAGS] = bytes(rule_flags)
-    sections[_S_RULE_LABEL_START] = rule_label_start.tobytes()
-    sections[_S_RULE_LABELS] = u32(rule_labels)
-    sections[_S_NODE_CHILD_START] = node_child_start.tobytes()
-    sections[_S_CHILD_LABELS] = u32(child_labels)
-    sections[_S_CHILD_NODES] = u32(child_nodes)
-    sections[_S_NODE_STAR] = u32(node_star)
-    sections[_S_NODE_NORMAL] = u32(node_normal)
-    sections[_S_NODE_EXC] = u32(node_exc)
-
+    str_hash, hash_cap = strings.hash_table()
+    sections = (  # in section-index order (see the module docstring)
+        strings.offsets, strings.blob, str_hash, str_entry, str_set,
+        entry_site, entry_primary, entry_variant, entry_role, entry_set,
+        set_primary, set_rec_start, rec_site, rec_role, rec_variant,
+        rule_flags, rule_label_start, rule_labels, node_child_start,
+        child_labels, child_nodes, node_star, node_normal, node_exc,
+    )
     table: list[int] = []
+    parts: list = []
     offset = _DATA_START
-    padded: list[bytes] = []
-    for raw in sections:
-        table.extend((offset, len(raw)))
-        chunk = _pad4(raw)
-        padded.append(chunk)
-        offset += len(chunk)
+    for section in sections:
+        size = memoryview(section).nbytes
+        table.extend((offset, size))
+        parts.append(section)
+        pad = -size % 4
+        if pad:
+            parts.append(bytes(pad))
+        offset += size + pad
     total_len = offset + _TRAILER.size
 
-    flags = 0
-    if include_psl:
-        flags |= _FLAG_PSL
+    flags = _FLAG_PSL if psl is not None else 0
     if snapshot is not None:
         flags |= _FLAG_SNAPSHOT
-    content_hash = bytes.fromhex(snapshot.content_hash) if snapshot \
-        else b"\x00" * 32
     header = _HEADER.pack(
         EPOCH_MAGIC, EPOCH_FORMAT_VERSION, flags,
         snapshot.version if snapshot is not None else 0,
-        content_hash, list_version_id, as_of_id,
-        n_strings, hash_cap, len(entry_site), len(set_primary),
-        len(rec_site), n_rules, n_nodes, total_len)
-    body = header + _SECTION_TABLE.pack(*table) + b"".join(padded)
-    return body + _TRAILER.pack(zlib.crc32(body))
+        bytes.fromhex(snapshot.content_hash) if snapshot is not None
+        else bytes(32),
+        list_version_id, as_of_id, len(strings), hash_cap,
+        len(entry_site), len(set_primary), len(rec_site), n_rules,
+        n_nodes, total_len)
+    parts[:0] = (header, _SECTION_TABLE.pack(*table))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_TRAILER.pack(crc))
+    return b"".join(parts)
+
+
+def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
+    """Serialize an epoch to the binary wire format.
+
+    ``include_psl`` controls whether the compiled PSL trie rides along
+    (drop it when every consumer already holds the same PSL, e.g.
+    intra-process shard fan-out).
+    """
+    snapshot = epoch.snapshot
+    if snapshot is None and len(epoch.index) > 0:
+        raise ValueError("cannot encode an epoch with entries but no "
+                         "snapshot: the wire format is list-derived")
+    return encode_list(epoch.rws_list, snapshot=snapshot,
+                       psl=epoch.psl if include_psl else None)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +574,15 @@ class _BufferData:
             start = self.str_offsets[sid]
             end = self.str_offsets[sid + 1]
             text = str(bytes(self.str_blob[start:end]), "utf-8")
-            if len(self._strings) >= _MEMO_LIMIT:
-                self._strings.clear()
             self._strings[sid] = text
         return text
 
     def string_id(self, text: str) -> int:
         """Return the id of ``text`` in the table, or -1 if absent."""
-        raw = text.encode("utf-8")
+        try:
+            raw = text.encode("utf-8")
+        except UnicodeEncodeError:
+            return -1  # a lone surrogate: no UTF-8 form, so not listed
         mask = self.hash_mask
         table = self.str_hash
         offsets = self.str_offsets
@@ -612,207 +602,33 @@ class _BufferData:
 # Buffer-backed views
 
 
-class BufferIndex:
-    """Array-backed :class:`MembershipIndex` view over an epoch buffer.
+def _rebuild_set(data: _BufferData, set_idx: int) -> RelatedWebsiteSet:
+    """Reconstruct set ``set_idx`` from its member records.
 
-    Implements the full ``MembershipIndex`` query surface —
-    ``query`` / ``related`` / ``related_batch`` /
-    ``related_batch_normalized`` / ``lookup`` / ``set_for`` /
-    ``members_of`` / ``entries`` — with identical semantics, answering
-    membership probes via the buffer's string hash + u32 arrays.
-    Rich objects (:class:`IndexEntry`, :class:`RelatedWebsiteSet`) are
-    materialized lazily and memoized only where callers actually ask
-    for them.
+    Rationales and contacts are not carried by the wire format (they
+    are outside membership identity), so the reconstructed set has
+    empty ``rationales`` and ``contact=None``.
     """
-
-    __slots__ = ("_data", "_site_eidx", "_entry_objs", "_set_objs",
-                 "_set_count")
-
-    def __init__(self, data: _BufferData) -> None:
-        self._data = data
-        self._site_eidx: dict[str, int] = {}
-        self._entry_objs: dict[int, IndexEntry] = {}
-        self._set_objs: dict[int, RelatedWebsiteSet] = {}
-        self._set_count: int | None = None
-
-    # -- probing helpers
-
-    def _entry_index(self, site: str) -> int:
-        """Entry index for an already-lowercased site, -1 if absent."""
-        eidx = self._site_eidx.get(site)
-        if eidx is None:
-            data = self._data
-            sid = data.string_id(site)
-            eidx = data.str_entry[sid] - 1 if sid >= 0 else -1
-            if len(self._site_eidx) >= _MEMO_LIMIT:
-                self._site_eidx.clear()
-            self._site_eidx[site] = eidx
-        return eidx
-
-    def _entry(self, eidx: int) -> IndexEntry:
-        entry = self._entry_objs.get(eidx)
-        if entry is None:
-            data = self._data
-            vid = data.entry_variant[eidx]
-            entry = IndexEntry(
-                site=data.string(data.entry_site[eidx]),
-                role=_ROLES[data.entry_role[eidx]],
-                set_primary=data.string(data.entry_primary[eidx]),
-                variant_of=data.string(vid - 1) if vid else None)
-            self._entry_objs[eidx] = entry
-        return entry
-
-    def _set(self, set_idx: int) -> RelatedWebsiteSet:
-        """Reconstruct set ``set_idx`` from its member records.
-
-        Rationales and contacts are not carried by the wire format
-        (they are outside membership identity), so the reconstructed
-        set has empty ``rationales`` and ``contact=None``.
-        """
-        rws_set = self._set_objs.get(set_idx)
-        if rws_set is None:
-            data = self._data
-            primary = data.string(data.set_primary[set_idx])
-            associated: list[str] = []
-            service: list[str] = []
-            cctlds: dict[str, list[str]] = {}
-            start = data.set_rec_start[set_idx]
-            end = data.set_rec_start[set_idx + 1]
-            for ridx in range(start, end):
-                code = data.rec_role[ridx]
-                if code == 0:  # the set's own primary record
-                    continue
-                site = data.string(data.rec_site[ridx])
-                if code == 1:
-                    associated.append(site)
-                elif code == 2:
-                    service.append(site)
-                else:
-                    vid = data.rec_variant[ridx]
-                    variant = data.string(vid - 1) if vid else primary
-                    cctlds.setdefault(variant, []).append(site)
-            rws_set = RelatedWebsiteSet(primary=primary,
-                                        associated=associated,
-                                        service=service, cctlds=cctlds)
-            self._set_objs[set_idx] = rws_set
-        return rws_set
-
-    # -- MembershipIndex API
-
-    def __len__(self) -> int:
-        return self._data.n_entries
-
-    def __contains__(self, site: str) -> bool:
-        return self._entry_index(site.lower()) >= 0
-
-    @property
-    def set_count(self) -> int:
-        # Number of *distinct* primaries, matching
-        # len(MembershipIndex._sets_by_primary) even on degenerate
-        # lists where two sets share a primary.
-        count = self._set_count
-        if count is None:
-            str_set = self._data.str_set
-            count = sum(1 for sid in range(self._data.n_strings)
-                        if str_set[sid])
-            self._set_count = count
-        return count
-
-    @property
-    def site_count(self) -> int:
-        return self._data.n_entries
-
-    def lookup(self, site: str) -> IndexEntry | None:
-        eidx = self._entry_index(site.lower())
-        return self._entry(eidx) if eidx >= 0 else None
-
-    def role_of(self, site: str) -> SiteRole | None:
-        eidx = self._entry_index(site.lower())
-        return _ROLES[self._data.entry_role[eidx]] if eidx >= 0 else None
-
-    def set_for(self, site: str) -> RelatedWebsiteSet | None:
-        eidx = self._entry_index(site.lower())
-        return self._set(self._data.entry_set[eidx]) if eidx >= 0 else None
-
-    def primary_of(self, site: str) -> str | None:
-        eidx = self._entry_index(site.lower())
-        if eidx < 0:
-            return None
-        return self._data.string(self._data.entry_primary[eidx])
-
-    def members_of(self, primary: str) -> list[str] | None:
-        data = self._data
-        sid = data.string_id(primary.lower())
-        if sid < 0:
-            return None
-        set_plus = data.str_set[sid]
-        if set_plus == 0:
-            return None
-        return self._set(set_plus - 1).members()
-
-    def related(self, site_a: str, site_b: str) -> bool:
-        a = site_a.lower()
-        b = site_b.lower()
-        if a == b:
-            return True
-        ea = self._entry_index(a)
-        if ea < 0:
-            return False
-        eb = self._entry_index(b)
-        primary = self._data.entry_primary
-        return eb >= 0 and primary[ea] == primary[eb]
-
-    def query(self, site_a: str, site_b: str) -> QueryResult:
-        a = site_a.lower()
-        b = site_b.lower()
-        ea = self._entry_index(a)
-        eb = self._entry_index(b)
-        data = self._data
-        shared = None
-        if ea >= 0 and eb >= 0:
-            pa = data.entry_primary[ea]
-            if pa == data.entry_primary[eb]:
-                shared = data.string(pa)
-        return QueryResult(
-            site_a=a, site_b=b,
-            related=shared is not None or a == b,
-            set_primary=shared,
-            role_a=_ROLES[data.entry_role[ea]] if ea >= 0 else None,
-            role_b=_ROLES[data.entry_role[eb]] if eb >= 0 else None)
-
-    def related_batch(self, pairs) -> list[bool]:
-        return [self.related(a, b) for a, b in pairs]
-
-    def related_batch_normalized(self,
-                                 pairs: Sequence[tuple[str | None,
-                                                       str | None]]
-                                 ) -> list[bool]:
-        """Batch probe for pre-normalized pairs — no lowercasing."""
-        results: list[bool] = []
-        primary = self._data.entry_primary
-        entry_index = self._entry_index
-        for a, b in pairs:
-            if a is None or b is None:
-                results.append(False)
-                continue
-            if a == b:
-                results.append(True)
-                continue
-            ea = entry_index(a)
-            if ea < 0:
-                results.append(False)
-                continue
-            eb = entry_index(b)
-            results.append(eb >= 0 and primary[ea] == primary[eb])
-        return results
-
-    def query_stream(self, pairs) -> Iterator[QueryResult]:
-        for site_a, site_b in pairs:
-            yield self.query(site_a, site_b)
-
-    def entries(self) -> Iterator[IndexEntry]:
-        for eidx in range(self._data.n_entries):
-            yield self._entry(eidx)
+    primary = data.string(data.set_primary[set_idx])
+    associated: list[str] = []
+    service: list[str] = []
+    cctlds: dict[str, list[str]] = {}
+    for ridx in range(data.set_rec_start[set_idx],
+                      data.set_rec_start[set_idx + 1]):
+        code = data.rec_role[ridx]
+        if code == 0:  # the set's own primary record
+            continue
+        site = data.string(data.rec_site[ridx])
+        if code == 1:
+            associated.append(site)
+        elif code == 2:
+            service.append(site)
+        else:
+            vid = data.rec_variant[ridx]
+            variant = data.string(vid - 1) if vid else primary
+            cctlds.setdefault(variant, []).append(site)
+    return RelatedWebsiteSet(primary=primary, associated=associated,
+                             service=service, cctlds=cctlds)
 
 
 class _BufferRwsList(RwsList):
@@ -834,9 +650,8 @@ class _BufferRwsList(RwsList):
         self.as_of = data.as_of
 
     def _materialize(self) -> list[RelatedWebsiteSet]:
-        data = self._data
-        index = BufferIndex(data)
-        return [index._set(set_idx) for set_idx in range(data.n_sets)]
+        return [_rebuild_set(self._data, set_idx)
+                for set_idx in range(self._data.n_sets)]
 
     @property
     def sets(self) -> list[RelatedWebsiteSet]:
@@ -877,7 +692,7 @@ class BufferSuffixTrie:
         sid = self._label_ids.get(label)
         if sid is None:
             sid = self._data.string_id(label)
-            if len(self._label_ids) >= _MEMO_LIMIT:
+            if len(self._label_ids) >= _PROBE_MEMO_LIMIT:
                 self._label_ids.clear()
             self._label_ids[label] = sid
         return sid
@@ -1022,16 +837,16 @@ def load_epoch(buf, *, psl=None, verify: bool = True) -> "Epoch":
     ``buf`` may be any 1-byte buffer object (``bytes``, ``bytearray``,
     ``mmap``, ``memoryview``); the loaded epoch keeps a read-only view
     into it, so the underlying storage must outlive the epoch.  Pass
-    ``psl`` to reuse an existing resolver (required when the buffer
-    was encoded with ``include_psl=False`` and the process has no
-    default PSL warm yet is not a concern — the default snapshot PSL
-    is used as a fallback).  ``verify=False`` skips the CRC check for
+    ``psl`` to reuse an existing resolver; otherwise the buffer's own
+    PSL trie serves, or the default snapshot PSL when the buffer was
+    encoded without one.  ``verify=False`` skips the CRC check for
     hot in-process hand-offs of trusted buffers.
     """
     from repro.serve.epoch import Epoch
+    from repro.serve.index import MembershipIndex
 
-    data = _BufferData(buf, verify=verify)
-    index = BufferIndex(data)
+    index = MembershipIndex(buf, verify=verify)
+    data = index._data
     if psl is None:
         if data.has_psl:
             from repro.psl.lookup import PublicSuffixList
@@ -1044,7 +859,8 @@ def load_epoch(buf, *, psl=None, verify: bool = True) -> "Epoch":
         snapshot = ListSnapshot(version=data.snap_version,
                                 content_hash=data.content_hash_hex,
                                 rws_list=_BufferRwsList(data))
-    return Epoch(index=index, snapshot=snapshot, psl=psl)
+    held = buf if isinstance(buf, bytes) and not data.has_psl else None
+    return Epoch(index=index, snapshot=snapshot, psl=psl, buffer=held)
 
 
 def epoch_stat(buf, *, verify: bool = True) -> dict:
@@ -1098,7 +914,7 @@ class EpochDiskCache:
         if epoch.snapshot is None:
             raise ValueError("cannot cache a bootstrap epoch: it has no "
                              "content hash to key by")
-        buf = encode_epoch(epoch, include_psl=include_psl)
+        buf = epoch.to_buffer(include_psl=include_psl)
         return self.put_encoded(epoch.snapshot.content_hash, buf)
 
     def put_encoded(self, content_hash: str, buf: bytes) -> Path:

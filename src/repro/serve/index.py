@@ -1,26 +1,37 @@
-"""Compiled membership index for RWS queries.
+"""The membership index for RWS queries, served off a binary epoch.
 
 Chrome does not answer ``requestStorageAccess`` decisions by scanning
 the shipped list: the component updater hands the browser a compiled
 form it can query in constant time.  :class:`MembershipIndex` is that
-compiled form for this reproduction — a single pass over an
-:class:`~repro.rws.model.RwsList` builds an eTLD+1 → (set, role) hash
-table with interned domain strings, after which every membership
-question (`lookup`, `related`, batches, streams) is a dictionary probe
-instead of the O(sets × members) scan behind
+form for this reproduction, and it has exactly one representation: a
+read-only view over an encoded epoch buffer
+(:mod:`repro.serve.epochfmt`).  An index built from a list
+(:meth:`MembershipIndex.from_list`,
+:meth:`~repro.serve.epoch.Epoch.compile`) encodes it and loads the
+result, the same load a buffer from a primary, a shard driver, or the
+disk cache goes through — so a verdict never depends on how a list
+version arrived.  Every membership question (`lookup`, `related`,
+batches, streams) is a string-table probe plus u32 compares instead of
+the O(sets × members) scan behind
 :meth:`~repro.rws.model.RwsList.related`.
 
-The index is immutable by convention: compile a new one when the list
-changes (see :mod:`repro.serve.snapshot` for the versioning story).
+The index is immutable: build a new one when the list changes (see
+:mod:`repro.serve.snapshot` for the versioning story).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
+from repro.serve.epochfmt import (
+    _PROBE_MEMO_LIMIT,
+    _ROLES,
+    _BufferData,
+    _rebuild_set,
+    encode_list,
+)
 
 
 @dataclass(frozen=True)
@@ -67,15 +78,28 @@ class QueryResult:
 
 
 class MembershipIndex:
-    """A precomputed eTLD+1 → (set, role) index over an RWS list.
+    """An eTLD+1 → (set, role) index over one encoded epoch buffer.
 
-    Compilation interns every domain string (the same domains recur
-    across sets, storage keys, and request logs) and maps each to its
-    :class:`IndexEntry` plus its containing
-    :class:`~repro.rws.model.RelatedWebsiteSet`.  When a domain
+    Probes hash a site into the buffer's string table and compare the
+    u32 ids of set primaries; :class:`IndexEntry` and
+    :class:`~repro.rws.model.RelatedWebsiteSet` objects are built only
+    when a caller asks for them, and memoized.  When a domain
     (invalidly) appears in more than one set, the first set in list
     order wins — the same tie-break :meth:`RwsList.find_set_for`
-    applies.
+    applies, resolved once by the encoder.
+
+    Args:
+        buf: An encoded epoch: any 1-byte buffer object, which must
+            outlive the index.
+        sets: The sets ``buf`` was just encoded from, in list order:
+            :meth:`set_for` and :meth:`members_of` then answer with
+            those objects instead of rebuilding sets from the buffer.
+        verify: Check the buffer's CRC (skip it for buffers encoded in
+            this process).
+
+    Raises:
+        repro.serve.epochfmt.EpochFormatError: On a corrupt, truncated,
+            or incompatible buffer.
 
     Example:
         >>> from repro.data import build_rws_list
@@ -84,80 +108,118 @@ class MembershipIndex:
         True
     """
 
-    def __init__(self, rws_list: RwsList):
-        self._entries: dict[str, IndexEntry] = {}
-        self._sets_by_primary: dict[str, RelatedWebsiteSet] = {}
-        self._set_for_site: dict[str, RelatedWebsiteSet] = {}
-        for rws_set in rws_list:
-            primary = sys.intern(rws_set.primary)
-            self._sets_by_primary.setdefault(primary, rws_set)
-            for record in rws_set.member_records():
-                site = sys.intern(record.site)
-                if site in self._entries:
-                    continue  # first set in list order wins
-                self._entries[site] = IndexEntry(
-                    site=site,
-                    role=record.role,
-                    set_primary=primary,
-                    variant_of=(sys.intern(record.variant_of)
-                                if record.variant_of else None),
-                )
-                self._set_for_site[site] = rws_set
+    __slots__ = ("_data", "_sets", "_site_eidx", "_entry_objs",
+                 "_set_objs", "_set_count")
+
+    def __init__(self, buf, *,
+                 sets: Sequence[RelatedWebsiteSet] | None = None,
+                 verify: bool = True) -> None:
+        self._data = _BufferData(buf, verify=verify)
+        self._sets = sets
+        self._site_eidx: dict[str, int] = {}
+        self._entry_objs: dict[int, IndexEntry] = {}
+        self._set_objs: dict[int, RelatedWebsiteSet] = {}
+        self._set_count: int | None = None
 
     @classmethod
     def from_list(cls, rws_list: RwsList) -> MembershipIndex:
-        """Compile an index from a list snapshot."""
-        return cls(rws_list)
+        """Encode a list (no PSL trie, no snapshot) and load it."""
+        return cls(encode_list(rws_list), sets=tuple(rws_list.sets),
+                   verify=False)
+
+    # -- probing helpers ------------------------------------------------------
+
+    def _entry_index(self, site: str) -> int:
+        """Entry index for an already-lowercased site, -1 if absent."""
+        eidx = self._site_eidx.get(site)
+        if eidx is None:
+            data = self._data
+            sid = data.string_id(site)
+            eidx = data.str_entry[sid] - 1 if sid >= 0 else -1
+            if len(self._site_eidx) >= _PROBE_MEMO_LIMIT:
+                self._site_eidx.clear()
+            self._site_eidx[site] = eidx
+        return eidx
+
+    def _entry(self, eidx: int) -> IndexEntry:
+        entry = self._entry_objs.get(eidx)
+        if entry is None:
+            data = self._data
+            vid = data.entry_variant[eidx]
+            entry = IndexEntry(
+                site=data.string(data.entry_site[eidx]),
+                role=_ROLES[data.entry_role[eidx]],
+                set_primary=data.string(data.entry_primary[eidx]),
+                variant_of=data.string(vid - 1) if vid else None)
+            self._entry_objs[eidx] = entry
+        return entry
+
+    def _set(self, set_idx: int) -> RelatedWebsiteSet:
+        if self._sets is not None:
+            return self._sets[set_idx]
+        rws_set = self._set_objs.get(set_idx)
+        if rws_set is None:
+            rws_set = _rebuild_set(self._data, set_idx)
+            self._set_objs[set_idx] = rws_set
+        return rws_set
 
     # -- introspection --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._data.n_entries
 
     def __contains__(self, site: str) -> bool:
-        return site.lower() in self._entries
+        return self._entry_index(site.lower()) >= 0
 
     @property
     def set_count(self) -> int:
-        """Number of distinct sets in the compiled list."""
-        return len(self._sets_by_primary)
+        """Number of distinct set primaries in the indexed list."""
+        if self._set_count is None:
+            self._set_count = len(set(self._data.set_primary))
+        return self._set_count
 
     @property
     def site_count(self) -> int:
         """Number of distinct member domains indexed."""
-        return len(self._entries)
+        return self._data.n_entries
 
     # -- single-domain queries ------------------------------------------------
 
     def lookup(self, site: str) -> IndexEntry | None:
-        """The compiled membership entry for a domain, or None."""
-        return self._entries.get(site.lower())
+        """The membership entry for a domain, or None."""
+        eidx = self._entry_index(site.lower())
+        return self._entry(eidx) if eidx >= 0 else None
 
     def role_of(self, site: str) -> SiteRole | None:
         """The role a domain plays in its set, or None if unlisted."""
-        entry = self._entries.get(site.lower())
-        return entry.role if entry is not None else None
+        eidx = self._entry_index(site.lower())
+        return _ROLES[self._data.entry_role[eidx]] if eidx >= 0 else None
 
     def set_for(self, site: str) -> RelatedWebsiteSet | None:
         """The set containing a domain, or None (O(1) find_set_for)."""
-        return self._set_for_site.get(site.lower())
+        eidx = self._entry_index(site.lower())
+        return self._set(self._data.entry_set[eidx]) if eidx >= 0 else None
 
     def primary_of(self, site: str) -> str | None:
         """The primary of the set containing a domain, or None."""
-        entry = self._entries.get(site.lower())
-        return entry.set_primary if entry is not None else None
+        eidx = self._entry_index(site.lower())
+        if eidx < 0:
+            return None
+        return self._data.string(self._data.entry_primary[eidx])
 
     def members_of(self, primary: str) -> list[str] | None:
         """All member domains of the set with a given primary, or None."""
-        rws_set = self._sets_by_primary.get(primary.lower())
-        return rws_set.members() if rws_set is not None else None
+        data = self._data
+        sid = data.string_id(primary.lower())
+        set_plus = data.str_set[sid] if sid >= 0 else 0
+        return self._set(set_plus - 1).members() if set_plus else None
 
     # -- pairwise queries -----------------------------------------------------
 
     def related(self, site_a: str, site_b: str) -> bool:
         """The browser-facing predicate: same set (or same site)?
 
-        Two hash probes instead of a scan over every set.  Identical to
+        Two probes instead of a scan over every set.  Identical to
         :meth:`RwsList.related` for every valid (disjoint-membership)
         list.  For *invalid* lists with duplicate members the naive
         scan is not even symmetric; the index resolves each site to its
@@ -168,52 +230,41 @@ class MembershipIndex:
         b = site_b.lower()
         if a == b:
             return True
-        entry_a = self._entries.get(a)
-        if entry_a is None:
+        ea = self._entry_index(a)
+        if ea < 0:
             return False
-        entry_b = self._entries.get(b)
-        return entry_b is not None and entry_a.set_primary == entry_b.set_primary
+        eb = self._entry_index(b)
+        primary = self._data.entry_primary
+        return eb >= 0 and primary[ea] == primary[eb]
 
     def query(self, site_a: str, site_b: str) -> QueryResult:
         """One pairwise query with full context (set and roles)."""
         a = site_a.lower()
         b = site_b.lower()
-        entry_a = self._entries.get(a)
-        entry_b = self._entries.get(b)
-        # One set_primary comparison decides both fields: a shared
+        ea = self._entry_index(a)
+        eb = self._entry_index(b)
+        data = self._data
+        # One set-primary comparison decides both fields: a shared
         # primary means related, and same-site pairs are related even
         # when unlisted (shared stays None unless both are members).
-        shared = (entry_a.set_primary
-                  if entry_a is not None and entry_b is not None
-                  and entry_a.set_primary == entry_b.set_primary else None)
-        related = shared is not None or a == b
+        shared = None
+        if ea >= 0 and eb >= 0:
+            pa = data.entry_primary[ea]
+            if pa == data.entry_primary[eb]:
+                shared = data.string(pa)
         return QueryResult(
             a,
             b,
-            related,
+            shared is not None or a == b,
             shared,
-            entry_a.role if entry_a is not None else None,
-            entry_b.role if entry_b is not None else None,
+            _ROLES[data.entry_role[ea]] if ea >= 0 else None,
+            _ROLES[data.entry_role[eb]] if eb >= 0 else None,
         )
 
     def related_batch(self, pairs: Iterable[tuple[str, str]]) -> list[bool]:
         """Bulk form of :meth:`related` for request batches."""
-        entries = self._entries
-        verdicts: list[bool] = []
-        for site_a, site_b in pairs:
-            a = site_a.lower()
-            b = site_b.lower()
-            if a == b:
-                verdicts.append(True)
-                continue
-            entry_a = entries.get(a)
-            if entry_a is None:
-                verdicts.append(False)
-                continue
-            entry_b = entries.get(b)
-            verdicts.append(entry_b is not None
-                            and entry_a.set_primary == entry_b.set_primary)
-        return verdicts
+        related = self.related
+        return [related(a, b) for a, b in pairs]
 
     def related_batch_normalized(
         self, pairs: Iterable[tuple[str | None, str | None]],
@@ -227,22 +278,22 @@ class MembershipIndex:
         pure overhead.  Callers own the precondition; a non-normalised
         site simply fails to match, like any unknown site.
         """
-        entries = self._entries
+        primary = self._data.entry_primary
+        entry_index = self._entry_index
         verdicts: list[bool] = []
-        for site_a, site_b in pairs:
-            if site_a is None or site_b is None:
+        for a, b in pairs:
+            if a is None or b is None:
                 verdicts.append(False)
                 continue
-            if site_a == site_b:
+            if a == b:
                 verdicts.append(True)
                 continue
-            entry_a = entries.get(site_a)
-            if entry_a is None:
+            ea = entry_index(a)
+            if ea < 0:
                 verdicts.append(False)
                 continue
-            entry_b = entries.get(site_b)
-            verdicts.append(entry_b is not None
-                            and entry_a.set_primary == entry_b.set_primary)
+            eb = entry_index(b)
+            verdicts.append(eb >= 0 and primary[ea] == primary[eb])
         return verdicts
 
     def query_stream(
@@ -253,5 +304,6 @@ class MembershipIndex:
             yield self.query(site_a, site_b)
 
     def entries(self) -> Iterator[IndexEntry]:
-        """All compiled entries, in list order."""
-        return iter(self._entries.values())
+        """All entries, in list order."""
+        for eidx in range(self._data.n_entries):
+            yield self._entry(eidx)

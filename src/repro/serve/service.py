@@ -61,10 +61,6 @@ from repro.serve.snapshot import (
     StaleSnapshotError,
 )
 
-#: Encoded-epoch cache bound per service (recent versions only; the
-#: buffers are immutable so there is nothing to invalidate, just age).
-_ENCODED_CACHE_KEEP = 4
-
 
 @dataclass
 class ServiceStats:
@@ -569,7 +565,6 @@ class RwsService(EpochShell):
         # own thread's stats cell.
         self._lock = threading.RLock()
         self.store = SnapshotStore()
-        self._encoded: dict[int, bytes] = {}
         self._epoch_encodes = 0
         self._epoch_encode_ns = 0
         self._epoch_loads = 0
@@ -603,7 +598,7 @@ class RwsService(EpochShell):
             snapshot = self.store.publish(rws_list)
             if previous is not None and snapshot is previous:
                 return snapshot
-            epoch = Epoch.compile(snapshot, self.psl)
+            epoch = self._compile(snapshot)
             self._epoch = epoch
             assert self.validator is not None
             self.validator.set_published(snapshot.rws_list,
@@ -633,20 +628,29 @@ class RwsService(EpochShell):
         with self._lock:
             if snapshot.version == self._epoch.version:
                 return False
-            epoch = Epoch.compile(snapshot, self.psl)
+            epoch = self._compile(snapshot)
             self._epoch = epoch
             assert self.validator is not None
             self.validator.set_published(snapshot.rws_list,
                                          index=epoch.index)
         return True
 
+    def _compile(self, snapshot: ListSnapshot) -> Epoch:
+        """:meth:`Epoch.compile` under the publication lock, counted as
+        one epoch encode."""
+        started = time.perf_counter_ns()
+        epoch = Epoch.compile(snapshot, self.psl)
+        self._epoch_encodes += 1
+        self._epoch_encode_ns += time.perf_counter_ns() - started
+        return epoch
+
     def encoded_epoch(self, version: int | None = None) -> bytes | None:
         """The binary-encoded epoch for ``version`` (default: current).
 
-        Encodes at most once per version and caches the buffer, so N
-        resyncing replicas (or N fanned-out shards) cost one encode,
-        not N recompiles.  Buffers are encoded without the PSL trie —
-        every in-process consumer shares the service's resolver.
+        The served epoch's own buffer, so N resyncing replicas (or N
+        fanned-out shards) cost no encode at all; an older version
+        still in the store is encoded on demand.  Buffers carry no PSL
+        trie — every in-process consumer shares the service's resolver.
 
         Returns ``None`` for versions the store no longer resolves
         (and for the pre-publish bootstrap epoch, which has no
@@ -654,38 +658,25 @@ class RwsService(EpochShell):
         """
         with self._lock:
             epoch = self._epoch
-            if version is None:
-                version = epoch.version
-            buf = self._encoded.get(version)
-            if buf is not None:
-                return buf
-            if version == epoch.version:
-                if epoch.snapshot is None:
-                    return None
-                source = epoch
-            else:
+            if version is not None and version != epoch.version:
                 try:
                     snapshot = self.store.get(version)
                 except StaleSnapshotError:
                     return None
-                source = Epoch.compile(snapshot, self.psl)
-            started = time.perf_counter_ns()
-            buf = source.to_buffer(include_psl=False)
-            self._epoch_encodes += 1
-            self._epoch_encode_ns += time.perf_counter_ns() - started
-            self._encoded[version] = buf
-            while len(self._encoded) > _ENCODED_CACHE_KEEP:
-                self._encoded.pop(min(self._encoded))
-        tracer = self._tracer
-        if tracer.live:
-            tracer.emit("epoch.encode", version=version, bytes=len(buf))
-        return buf
+                epoch = self._compile(snapshot)
+                tracer = self._tracer
+                if tracer.live:
+                    tracer.emit("epoch.encode", version=version,
+                                bytes=len(epoch.buffer))
+            if epoch.snapshot is None:
+                return None
+            return epoch.to_buffer(include_psl=False)
 
     def adopt_encoded(self, buf) -> ListSnapshot:
         """Adopt a binary-encoded epoch as the serving epoch.
 
         The O(size) spin-up path: the buffer's array-backed index view
-        is swapped in directly — no per-entry compile.  If the encoded
+        is swapped in directly — no encode.  If the encoded
         version extends this service's store by exactly one, the lazy
         snapshot is appended so subsequent deltas resolve; adopting a
         version already in the store just swaps the epoch.
@@ -714,10 +705,6 @@ class RwsService(EpochShell):
                 raise StaleSnapshotError(
                     f"cannot adopt encoded v{epoch.version}: store holds "
                     f"versions 1..{count}")
-            if isinstance(buf, bytes):
-                # Seed the encode cache: replicas bootstrapping off
-                # this service reuse the very buffer it adopted.
-                self._encoded.setdefault(epoch.version, buf)
             self._cells.cell().publishes += 1
             self._epoch = epoch
             assert self.validator is not None

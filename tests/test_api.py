@@ -39,6 +39,7 @@ from repro.api import (
     encode_response,
     negotiate_version,
 )
+from repro.cluster import Router
 from repro.rws.diff import ListDiff
 from repro.rws.model import (
     MemberRecord,
@@ -652,6 +653,20 @@ class TestWireCodecErrors:
             envelope = json.loads(dispatcher.dispatch_wire(bad))
             assert envelope["ok"] is False
             assert envelope["error"]["code"] == "MALFORMED"
+
+    def test_lone_surrogate_site_is_unrelated_on_every_node(self):
+        # "\\ud800" decodes to a lone surrogate: no UTF-8 form, so no
+        # index (the primary's or a replica's) can list it.
+        router = Router(RwsService(), 3, lag=0, policy="rendezvous")
+        try:
+            router.publish(small_list())
+            wire = (r'{"op": "batch_query", "payload": {"pairs": '
+                    r'[["a\ud800b.com", "example.com"]], "resolved": true}}')
+            envelope = json.loads(Dispatcher(router).dispatch_wire(wire))
+            assert envelope["ok"] is True, envelope
+            assert envelope["payload"]["related"] == [False]
+        finally:
+            router.primary.queue.shutdown()
 
     def test_dispatch_wire_round_trip(self, dispatcher):
         wire = encode_request(QueryRequest("www.example.com", "other.com"))

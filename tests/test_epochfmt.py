@@ -2,27 +2,32 @@
 
 Four concerns, matching the format's claims:
 
-* **Fidelity** — an encoded epoch must answer every
-  :class:`~repro.serve.MembershipIndex` query identically to the
-  compiled index it was serialized from, reconstruct a membership
-  hash bit-identical to the stored content hash, and resolve PSL
+* **Fidelity** — every :class:`~repro.serve.MembershipIndex` answer
+  (each index is a view over an encoded epoch) must equal a naive
+  first-wins oracle built from :class:`~repro.rws.RwsList` scans, a
+  loaded buffer must reconstruct a membership hash bit-identical to
+  the stored content hash, and the buffer's PSL trie must resolve
   suffixes exactly like the in-memory trie.
 * **Robustness** — corrupt, truncated, or foreign buffers are
   rejected with a structured :class:`~repro.serve.EpochFormatError`
-  (never a crash or a silently wrong index), and a poisoned disk
-  cache file heals itself.
-* **Integration** — the service encodes once and caches
-  (:meth:`~repro.serve.RwsService.encoded_epoch`), replicas resync
-  from the primary's cached buffer instead of recompiling, and the
-  workload driver's encoded fan-out leaves run digests bit-identical
-  to compiled execution.
+  (never a crash or a silently wrong index), a poisoned disk cache
+  file heals itself, and text with no UTF-8 form probes as unlisted.
+* **Integration** — every route an epoch arrives by serves the same
+  index class, the service hands out the served epoch's own buffer
+  (:meth:`~repro.serve.RwsService.encoded_epoch`) instead of encoding
+  again, replicas resync from it, and the workload driver's encoded
+  fan-out leaves run digests bit-identical to per-shard publishing.
 * **Scale fixtures** — the seeded synthetic list generator is
-  deterministic and hits its requested domain count exactly.
+  deterministic and hits its requested domain count exactly, and the
+  encoder's transient heap stays within a fixed multiple of its
+  output.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -88,64 +93,123 @@ PROBE_SITES = ["example.com", "example-news.com", "example-cdn.com",
                "missing.net", "Example.COM"]
 
 
-def assert_index_equivalent(compiled, loaded, sites) -> None:
-    """Every MembershipIndex API answers identically on both."""
-    assert len(loaded) == len(compiled)
-    assert loaded.site_count == compiled.site_count
-    assert loaded.set_count == compiled.set_count
+class FirstWinsOracle:
+    """The naive reference for every index answer: list scans only.
+
+    A site's set is :meth:`RwsList.find_set_for` (the first set in
+    list order that contains it), and its entry is the first matching
+    :meth:`~repro.rws.RelatedWebsiteSet.member_records` record of that
+    set — the tie-break the index documents for duplicate members.
+    """
+
+    def __init__(self, rws_list: RwsList) -> None:
+        self.rws_list = rws_list
+        self._scanned: dict[str, RelatedWebsiteSet | None] = {}
+
+    def set_for(self, site: str) -> RelatedWebsiteSet | None:
+        # One scan per distinct site keeps the all-pairs checks fast.
+        if site not in self._scanned:
+            self._scanned[site] = self.rws_list.find_set_for(site)
+        return self._scanned[site]
+
+    def record(self, site: str):
+        rws_set = self.set_for(site)
+        if rws_set is None:
+            return None
+        wanted = site.lower()
+        return next(record for record in rws_set.member_records()
+                    if record.site == wanted)
+
+    def related(self, site_a: str, site_b: str) -> bool:
+        if site_a.lower() == site_b.lower():
+            return True
+        set_a, set_b = self.set_for(site_a), self.set_for(site_b)
+        return (set_a is not None and set_b is not None
+                and set_a.primary == set_b.primary)
+
+    def members_of(self, primary: str) -> list[str] | None:
+        wanted = primary.lower()
+        for rws_set in self.rws_list.sets:
+            if rws_set.primary == wanted:
+                return rws_set.members()
+        return None
+
+    def sites(self) -> set[str]:
+        return {record.site for record in self.rws_list.all_members()}
+
+    @property
+    def set_count(self) -> int:
+        return len({rws_set.primary for rws_set in self.rws_list.sets})
+
+
+def assert_index_matches_oracle(index, rws_list: RwsList, sites) -> None:
+    """Every MembershipIndex API answers as the first-wins oracle."""
+    oracle = FirstWinsOracle(rws_list)
+    listed = oracle.sites()
+    assert len(index) == index.site_count == len(listed)
+    assert index.set_count == oracle.set_count
     for site in sites:
-        assert (site in loaded) == (site in compiled)
-        left, right = loaded.lookup(site), compiled.lookup(site)
-        if right is None:
-            assert left is None
+        record = oracle.record(site)
+        assert (site in index) == (record is not None)
+        entry = index.lookup(site)
+        if record is None:
+            assert entry is None
+            assert index.role_of(site) is None
+            assert index.primary_of(site) is None
         else:
-            assert left is not None
-            assert left.site == right.site
-            assert left.role == right.role
-            assert left.set_primary == right.set_primary
-            assert left.variant_of == right.variant_of
-        assert loaded.role_of(site) == compiled.role_of(site)
-        assert loaded.primary_of(site) == compiled.primary_of(site)
-        assert loaded.members_of(site) == compiled.members_of(site)
-        left_set = loaded.set_for(site)
-        right_set = compiled.set_for(site)
-        if right_set is None:
-            assert left_set is None
+            assert entry is not None
+            assert entry.site == record.site
+            assert entry.role == record.role
+            assert entry.set_primary == record.set_primary
+            assert entry.variant_of == record.variant_of
+            assert index.role_of(site) == record.role
+            assert index.primary_of(site) == record.set_primary
+        assert index.members_of(site) == oracle.members_of(site)
+        got_set, want_set = index.set_for(site), oracle.set_for(site)
+        if want_set is None:
+            assert got_set is None
         else:
-            assert left_set is not None
-            assert left_set.primary == right_set.primary
-            assert left_set.associated == right_set.associated
-            assert left_set.service == right_set.service
-            assert left_set.cctlds == right_set.cctlds
+            assert got_set is not None
+            assert got_set.primary == want_set.primary
+            assert got_set.associated == want_set.associated
+            assert got_set.service == want_set.service
+            assert got_set.cctlds == want_set.cctlds
     pairs = [(a, b) for a in sites for b in sites]
-    assert loaded.related_batch(pairs) == compiled.related_batch(pairs)
+    expected = [oracle.related(a, b) for a, b in pairs]
+    assert index.related_batch(pairs) == expected
     normalized = [(a.lower(), b.lower()) for a, b in pairs]
-    assert loaded.related_batch_normalized(normalized) \
-        == compiled.related_batch_normalized(normalized)
-    for pair in pairs:
-        left_q, right_q = loaded.query(*pair), compiled.query(*pair)
-        assert left_q.related == right_q.related
-        assert left_q.set_primary == right_q.set_primary
-        assert left_q.role_a == right_q.role_a
-        assert left_q.role_b == right_q.role_b
-    assert [q.related for q in loaded.query_stream(pairs)] \
-        == [q.related for q in compiled.query_stream(pairs)]
-    assert sorted(entry.site for entry in loaded.entries()) \
-        == sorted(entry.site for entry in compiled.entries())
+    assert index.related_batch_normalized(normalized) == expected
+    records = {site: oracle.record(site) for site in sites}
+    for pair, related in zip(pairs, expected):
+        result = index.query(*pair)
+        record_a, record_b = records[pair[0]], records[pair[1]]
+        assert result.related == related
+        assert result.set_primary == (
+            record_a.set_primary
+            if record_a is not None and record_b is not None
+            and record_a.set_primary == record_b.set_primary else None)
+        assert result.role_a == (record_a.role if record_a else None)
+        assert result.role_b == (record_b.role if record_b else None)
+    assert [q.related for q in index.query_stream(pairs)] == expected
+    assert sorted(entry.site for entry in index.entries()) == sorted(listed)
 
 
 class TestRoundTrip:
     def test_tricky_list_full_api_equivalence(self):
-        epoch = compile_epoch(tricky_list())
+        rws_list = tricky_list()
+        epoch = compile_epoch(rws_list)
         loaded = Epoch.from_buffer(epoch.to_buffer())
-        assert_index_equivalent(epoch.index, loaded.index, PROBE_SITES)
+        for index in (epoch.index, loaded.index):
+            assert_index_matches_oracle(index, rws_list, PROBE_SITES)
 
     def test_seed_list_full_api_equivalence(self):
-        epoch = compile_epoch(build_rws_list())
+        rws_list = build_rws_list()
+        epoch = compile_epoch(rws_list)
         loaded = Epoch.from_buffer(epoch.to_buffer())
         sites = [entry.site for entry in epoch.index.entries()]
         sites += ["missing.example", "WWW.SONY.COM"]
-        assert_index_equivalent(epoch.index, loaded.index, sites)
+        for index in (epoch.index, loaded.index):
+            assert_index_matches_oracle(index, rws_list, sites)
 
     def test_membership_hash_is_bit_identical(self):
         # The records section must carry enough (including cross-set
@@ -206,6 +270,23 @@ class TestRoundTrip:
         assert stat["records"] >= stat["entries"]  # duplicates kept
         assert stat["rules"] > 0 and stat["trie_nodes"] > 0
 
+    def test_site_without_utf8_form_probes_as_unlisted(self):
+        # JSON "\\ud800" escapes decode to lone surrogates, which have no
+        # UTF-8 form, so no such text can be in the string table.
+        site = "a\ud800b.com"
+        loaded = Epoch.from_buffer(compile_epoch(tricky_list()).to_buffer())
+        for index in (loaded.index, compile_epoch(tricky_list()).index):
+            assert site not in index
+            assert index.lookup(site) is None
+            assert not index.related(site, "example.com")
+            assert index.related(site, site)
+            assert index.related_batch_normalized(
+                [(site, "example.com")]) == [False]
+        # The buffer's PSL trie walks such a label as an unknown one.
+        labels = ["a\ud800b", "com"]
+        assert loaded.psl._trie.resolve(labels) \
+            == default_psl()._trie.resolve(labels)
+
     def test_buffer_is_plain_bytes_and_reusable(self):
         buf = compile_epoch(tricky_list()).to_buffer()
         assert isinstance(buf, bytes)
@@ -217,7 +298,7 @@ class TestRoundTrip:
 
 
 class TestRandomizedEquivalence:
-    """Fuzzed three-way differential: buffer == compiled == naive."""
+    """Fuzzed differential: compiled and loaded index == naive oracle."""
 
     @staticmethod
     def random_list(rng: random.Random) -> RwsList:
@@ -242,31 +323,24 @@ class TestRandomizedEquivalence:
         return RwsList(sets=sets, version=f"fuzz-{rng.random():.6f}")
 
     def test_fuzzed_lists_round_trip(self):
+        duplicated_lists = 0
         for seed in range(25):
             rng = random.Random(seed)
             rws_list = self.random_list(rng)
+            duplicated_lists += bool(rws_list.duplicate_members())
             epoch = compile_epoch(rws_list)
             loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
                                        psl=epoch.psl)
+            # Every probe site, cross-set duplicate members included:
+            # the oracle resolves them first-wins, as the index must.
             sites = sorted({record.site for rws_set in rws_list
                             for record in rws_set.member_records()})
             probe = sites + ["absent.example"]
-            assert_index_equivalent(epoch.index, loaded.index, probe)
-            # Naive ground truth on a site sample.  Cross-set duplicate
-            # members are excluded: the list scan answers from the
-            # queried side's set while the index is first-wins per
-            # site, so the two only agree on (valid) duplicate-free
-            # pairs — the index/buffer equivalence above still covers
-            # duplicates.
-            duplicated = set(rws_list.duplicate_members())
-            clean = [site for site in probe if site not in duplicated]
-            sample = rng.sample(clean, min(6, len(clean)))
-            for a in sample:
-                for b in sample:
-                    assert loaded.index.related(a, b) \
-                        == rws_list.related(a, b)
+            for index in (epoch.index, loaded.index):
+                assert_index_matches_oracle(index, rws_list, probe)
             assert membership_hash(loaded.snapshot.rws_list) \
                 == epoch.snapshot.content_hash
+        assert duplicated_lists > 0  # the duplicate path is exercised
 
 
 class TestCorruptionRejection:
@@ -397,9 +471,9 @@ class TestServiceIntegration:
             service.publish(tricky_list())
             first = service.encoded_epoch()
             second = service.encoded_epoch()
-            assert first is second  # one encode, cached bytes
+            assert first is second  # the served epoch's own bytes
             report = service.stats_report()
-            assert report["epoch_encodes"] == 1.0
+            assert report["epoch_encodes"] == 1.0  # the publish
             assert report["epoch_encode_ns"] > 0.0
         finally:
             service.queue.shutdown()
@@ -425,7 +499,7 @@ class TestServiceIntegration:
             report = follower.stats_report()
             assert report["epoch_loads"] == 1.0
             assert report["epoch_load_ns"] > 0.0
-            # The adopted buffer seeds the follower's own cache.
+            # The follower hands out the very buffer it adopted.
             assert follower.encoded_epoch(1) is buf
             assert follower.stats_report()["epoch_encodes"] == 0.0
         finally:
@@ -484,14 +558,15 @@ class TestReplicaResync:
                 primary="new.com", associated=["new-blog.com"],
                 rationales={"new-blog.com": "Same publisher."}))
             primary.publish(grown)
+            encodes = primary.stats_report()["epoch_encodes"]
             for replica in replicas:
                 assert replica.resync()
                 assert replica.version == 2
                 assert replica.epoch_loads == 1
                 assert replica.epoch_load_ns > 0
                 assert replica.stats_report()["epoch_loads"] == 1.0
-            # One encode serves the whole fleet.
-            assert primary.stats_report()["epoch_encodes"] == 1.0
+            # The publish's own encode serves the whole fleet.
+            assert primary.stats_report()["epoch_encodes"] == encodes
             # Resynced replicas answer from the loaded buffer index.
             for replica in replicas:
                 verdict = replica.query("new.com", "new-blog.com")
@@ -519,6 +594,49 @@ class TestReplicaResync:
             primary.queue.shutdown()
 
 
+class TestOneRepresentation:
+    """However an epoch arrives, it serves the same index class, and
+    the service hands out the bytes that index was loaded from."""
+
+    def test_every_route_serves_one_index_class(self):
+        grown = tricky_list()
+        grown.sets.append(RelatedWebsiteSet(
+            primary="new.com", associated=["new-blog.com"],
+            rationales={"new-blog.com": "Same publisher."}))
+        primary, follower = RwsService(), RwsService()
+        try:
+            primary.publish(tricky_list())
+            follower.adopt_encoded(primary.encoded_epoch())
+            applier, resyncer = Replica(0, primary), Replica(1, primary)
+            snapshot = primary.publish(grown)
+            applier.receive(primary.delta_since(1), published_clock=0)
+            applier.sync()
+            resyncer.resync()
+            follower.adopt_encoded(primary.encoded_epoch())
+            arrivals = {
+                "publish": primary.epoch,
+                "delta apply": applier.epoch,
+                "adopt_encoded": follower.epoch,
+                "resync": resyncer.epoch,
+                "bootstrap": Epoch.bootstrap(default_psl()),
+            }
+            for route, epoch in arrivals.items():
+                assert type(epoch.index) is MembershipIndex, route
+            del arrivals["bootstrap"]
+            for route, epoch in arrivals.items():
+                assert epoch.buffer is not None, route
+                assert epoch.version == snapshot.version, route
+                assert epoch.index.related("new.com", "new-blog.com"), route
+            for service in (primary, follower):
+                encodes = service.stats_report()["epoch_encodes"]
+                buf = service.encoded_epoch()
+                assert buf is service.epoch.buffer
+                assert service.stats_report()["epoch_encodes"] == encodes
+        finally:
+            primary.queue.shutdown()
+            follower.queue.shutdown()
+
+
 class TestSyntheticGenerator:
     def test_exact_domain_count_and_determinism(self):
         one = build_synthetic_list(3000, seed=7)
@@ -539,6 +657,21 @@ class TestSyntheticGenerator:
         v2 = build_small_synthetic_list_v2()
         assert membership_hash(v2) != membership_hash(small)
         assert v2.version != small.version
+
+    def test_encoder_heap_peak_is_bounded(self):
+        # Deterministic: tracemalloc counts bytes, not time.  A dict
+        # index over this list retains ~2.5x the buffer; the encoder's
+        # transient peak (its output included) must stay within 4x.
+        epoch = compile_epoch(build_synthetic_list(2000, seed=3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            buf = encode_epoch(epoch, include_psl=False)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * len(buf), peak / len(buf)
 
     def test_synthetic_list_round_trips(self):
         epoch = compile_epoch(build_synthetic_list(2000, seed=3))

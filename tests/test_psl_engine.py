@@ -49,7 +49,7 @@ def serialized_round_trip(psl: PublicSuffixList) -> PublicSuffixList:
     buffer — the third trie implementation the differential tests
     pin to the candidate scan.
     """
-    epoch = Epoch(index=MembershipIndex(RwsList()), snapshot=None,
+    epoch = Epoch(index=MembershipIndex.from_list(RwsList()), snapshot=None,
                   psl=psl)
     return Epoch.from_buffer(epoch.to_buffer()).psl
 

@@ -115,9 +115,9 @@ class TestMembershipIndex:
 
 
 class TestBufferIndexEquivalence:
-    """The serialized index is a third implementation of the
-    membership predicate; it must agree with both the compiled index
-    and the naive list scan, on known and randomised (valid) lists."""
+    """A published epoch's index and the same buffer loaded back must
+    both agree with the naive list scan, on known and randomised
+    (valid) lists."""
 
     @staticmethod
     def round_trip(rws_list):
@@ -546,7 +546,7 @@ class TestEpoch:
             with pytest.raises(AttributeError):
                 epoch.snapshot = None
             with pytest.raises(AttributeError):
-                epoch.index = MembershipIndex(RwsList())
+                epoch.index = MembershipIndex.from_list(RwsList())
         finally:
             service.queue.shutdown()
 
