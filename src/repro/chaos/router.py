@@ -82,15 +82,12 @@ class ChaosRouter(Router):
         lag: As for :class:`Router`.
         policy: Keep ``rendezvous`` for digest-stable workloads —
             routing must depend on content + membership only.
-        resolver_cache_size: Per-replica resolver accounting bound.
     """
 
     def __init__(self, primary: RwsService, replicas: int = 2, *,
                  plan: FaultPlan, lag: int | Sequence[int] = 0,
-                 policy: str = "rendezvous",
-                 resolver_cache_size: int = 4096):
-        super().__init__(primary, replicas, lag=lag, policy=policy,
-                         resolver_cache_size=resolver_cache_size)
+                 policy: str = "rendezvous"):
+        super().__init__(primary, replicas, lag=lag, policy=policy)
         self.plan = plan
         #: The currently-joined (routable) subset of ``self.replicas``.
         self._active: list[Replica] = list(self.replicas)
@@ -226,8 +223,7 @@ class ChaosRouter(Router):
         replica_id, join_lag = arg  # type: ignore[misc]
         if any(r.replica_id == replica_id for r in self.replicas):
             return
-        replica = Replica(replica_id, self.primary, lag=join_lag,
-                          resolver_cache_size=self._resolver_cache_size)
+        replica = Replica(replica_id, self.primary, lag=join_lag)
         if self._tracer.live:
             replica.set_tracer(self._tracer)
             if self.policy == "round-robin" and len(self._active) > 0:
@@ -257,8 +253,7 @@ class ChaosRouter(Router):
         # (lag 0); the promoted node keeps the write role — no
         # failback, so the role history stays monotone and replayable.
         replica_id = max(r.replica_id for r in self.replicas) + 1
-        replica = Replica(replica_id, self.primary, lag=0,
-                          resolver_cache_size=self._resolver_cache_size)
+        replica = Replica(replica_id, self.primary, lag=0)
         if self._tracer.live:
             replica.set_tracer(self._tracer)
         self._bootstrap(replica)

@@ -85,17 +85,17 @@ class Replica(EpochShell):
             published at clock ``t`` becomes applicable at
             ``t + lag``.  0 means the replica converges inside the
             router's publish call.
-        resolver_cache_size: Bound on this replica's resolver
-            accounting dict (see
-            :class:`~repro.serve.service._ResolverShim`).
+
+    Hosts resolve through the primary's PSL, so the replica shares its
+    cache (and its ``psl_*`` counters) with the primary.
     """
 
     def __init__(self, replica_id: int, primary: RwsService, *,
-                 lag: int = 0, resolver_cache_size: int = 4096):
+                 lag: int = 0):
         self.replica_id = replica_id
         self.primary = primary
         self.lag = max(0, lag)
-        self._shell_init(primary.psl, resolver_cache_size)
+        self._shell_init(primary.psl)
         self._trace_node = f"replica-{replica_id}"
         self._epoch = primary.epoch  # full-snapshot bootstrap
         #: (due_clock, payload) queue; payloads are deltas, or a full

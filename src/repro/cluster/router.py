@@ -74,13 +74,14 @@ class Router:
             uniform cluster, or a per-replica sequence (the
             ``stale-replica`` workload staggers them).
         policy: ``round-robin`` or ``rendezvous`` (see module doc).
-        resolver_cache_size: Per-replica resolver accounting bound.
+
+    Every replica resolves hosts through the primary's PSL, the same
+    cache routing keys come from.
     """
 
     def __init__(self, primary: RwsService, replicas: int = 2, *,
                  lag: int | Sequence[int] = 0,
-                 policy: str = "round-robin",
-                 resolver_cache_size: int = 4096):
+                 policy: str = "round-robin"):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         if policy not in POLICIES:
@@ -100,11 +101,8 @@ class Router:
         #: over :meth:`_read_replicas` instead, so a departed replica's
         #: served-request counters survive in :meth:`stats_report`.
         self.replicas: list[Replica] = [
-            Replica(i, primary, lag=lags[i],
-                    resolver_cache_size=resolver_cache_size)
-            for i in range(replicas)
+            Replica(i, primary, lag=lags[i]) for i in range(replicas)
         ]
-        self._resolver_cache_size = resolver_cache_size
         self._clock = 0
         self._rr = itertools.count()  # C-level counter: atomic next()
         self._tracer = NULL_TRACER
@@ -217,14 +215,16 @@ class Router:
         resolved ``example.com`` for the same decision, and under
         replica lag a key mismatch would send them to replicas serving
         different epochs (diverging the outcome digest between driver
-        paths).  Resolution rides the PSL's lock-free cache;
+        paths).  Resolution rides the PSL's lock-free cache, keyed by
+        the raw host exactly as the replica that serves the query will
+        look it up, so routing and serving share one cache entry;
         unresolvable hosts key as "" (their verdict is epoch-
         independent anyway).
         """
         if host is None:
             return ""
         try:
-            site = self.primary.psl.etld_plus_one(host.strip().lower())
+            site = self.primary.psl.etld_plus_one(host)
         except DomainError:
             return ""
         return site or ""

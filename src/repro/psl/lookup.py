@@ -28,10 +28,10 @@ validity check, the same-set predicate — so the resolution core is a
 * :func:`normalize_domain` front-runs the per-character validation
   loop with one precompiled-regex probe that accepts already-clean
   ASCII hosts — the overwhelming case in served traffic;
-* the memoisation cache is **generational and lock-free on the read
-  path**: hits probe two plain dicts without taking a lock, misses are
-  promoted in batches under a short write lock (see
-  :class:`PublicSuffixList`).
+* the memoisation cache is a **CLOCK cache, lock-free on the read
+  path**: a hit is one plain ``dict.get`` that sets the entry's
+  reference bit, and a miss inserts under a short write lock, its
+  eviction sweep costing O(1) amortised (see :class:`PublicSuffixList`).
 """
 
 from __future__ import annotations
@@ -184,19 +184,19 @@ class PublicSuffixList:
 
     Resolution rides a compiled engine: the parsed rules are baked into
     a :class:`~repro.psl.rules.SuffixTrie` (one dict-walk per domain),
-    and successful resolutions are memoised in a **generational
-    read-mostly cache**:
+    and successful resolutions are memoised in a **CLOCK cache**, the
+    second-chance approximation of LRU whose upkeep is O(1) amortised
+    per miss:
 
-    * the read path is lock-free — a hit probes two plain dict
-      snapshots (``gen1`` holds recent promotions, ``gen0`` the folded
-      bulk) and stamps the entry's recency tick with a single atomic
-      list-slot store, never touching a lock;
-    * misses resolve outside any lock, then promote into ``gen1`` under
-      a short write lock; once a batch of promotions accumulates (or
-      capacity is exceeded) ``gen1`` folds into ``gen0`` — merged in
-      place when nothing needs evicting (GIL-safe against the lock-free
-      ``get`` probes), rebuilt as a fresh snapshot when evicting
-      least-recently-used entries by tick.
+    * one dict maps each cached domain to ``[match, referenced]``, and
+      a ring of the same keys with a hand orders them for eviction;
+    * the read path is lock-free — a hit is one ``dict.get`` that sets
+      the entry's reference bit with a single list-slot store;
+    * misses resolve outside any lock and insert under a short write
+      lock with the bit clear.  Once the ring is full, the hand clears
+      set bits until it reaches a clear one, evicts that key and
+      reuses its slot — an entry hit since the hand last passed
+      survives one more sweep, so recently used domains stay.
 
     Under concurrency the ``hits`` counter is a plain racy increment
     (exact when uncontended; may undercount under heavy parallel
@@ -206,6 +206,10 @@ class PublicSuffixList:
     inflate ``misses``, which counts resolutions that entered the
     cache path).  Cached :class:`SuffixMatch` objects are shared —
     treat them as immutable.
+
+    The ``*_counted`` lookups hand each call's hit count back to the
+    caller, so a serving layer can keep per-service resolver counters
+    without a second cache in front of this one.
 
     Args:
         text: PSL-format rule text.  Defaults to the embedded snapshot;
@@ -251,14 +255,9 @@ class PublicSuffixList:
 
     def _cache_init(self, cache_size: int) -> None:
         self._cache_maxsize = max(0, cache_size)
-        # Fold gen1 into gen0 every _promote_batch promotions; keep a
-        # little headroom below maxsize after an eviction pass so a
-        # full cache does not re-sort on every subsequent miss.
-        self._promote_batch = max(1, min(64, self._cache_maxsize))
-        self._keep_size = self._cache_maxsize - self._cache_maxsize // 8
-        self._gen0: dict[str, list] = {}  # folded snapshot, replaced wholesale
-        self._gen1: dict[str, list] = {}  # recent promotions
-        self._tick = 0
+        self._cache: dict[str, list] = {}  # domain -> [match, referenced]
+        self._ring: list[str] = []  # every cached key once, in slot order
+        self._hand = 0
         self._cache_lock = threading.Lock()
         self._cache_hits = 0
         self._cache_misses = 0
@@ -285,52 +284,62 @@ class PublicSuffixList:
                 "hits": self._cache_hits,
                 "misses": self._cache_misses,
                 "errors": self._cache_errors,
-                "size": len(self._gen0) + len(self._gen1),
+                "size": len(self._cache),
                 "maxsize": self._cache_maxsize,
             }
 
     def cache_clear(self) -> None:
         """Empty the resolution cache and reset its counters."""
         with self._cache_lock:
-            # Fresh dicts, not .clear(): concurrent lock-free readers
-            # keep probing a consistent (old) snapshot.
-            self._gen0 = {}
-            self._gen1 = {}
+            # Fresh containers, not .clear(): concurrent lock-free
+            # readers keep probing a consistent (old) dict.
+            self._cache = {}
+            self._ring = []
+            self._hand = 0
             self._cache_hits = 0
             self._cache_misses = 0
             self._cache_errors = 0
 
     # -- cache internals ------------------------------------------------------
 
-    def _promote_locked(self, domain: str, match: SuffixMatch) -> None:
+    def _insert_locked(self, domain: str, match: SuffixMatch) -> None:
         """Insert one resolved domain (caller holds the write lock)."""
-        if domain in self._gen1 or domain in self._gen0:
-            return  # another thread promoted it while we resolved
-        self._tick += 1
-        self._gen1[domain] = [match, self._tick]
-        if (len(self._gen1) >= self._promote_batch
-                or len(self._gen0) + len(self._gen1) > self._cache_maxsize):
-            self._fold_locked()
-
-    def _fold_locked(self) -> None:
-        """Fold gen1 into gen0, evicting LRU overflow.
-
-        The common (non-evicting) fold merges in place: lock-free
-        readers only ever ``dict.get`` gen0, which is safe against a
-        concurrent ``update`` under the GIL, so no copy is needed.  A
-        fresh dict is built only when evicting — keeping the newest
-        ``_keep_size`` entries by recency tick, with the headroom
-        amortising the sort across the next misses.
-        """
-        if len(self._gen0) + len(self._gen1) <= self._cache_maxsize:
-            self._gen0.update(self._gen1)
+        cache = self._cache
+        if domain in cache:
+            return  # another thread inserted it while we resolved
+        ring = self._ring
+        if len(ring) < self._cache_maxsize:
+            ring.append(domain)
         else:
-            merged = dict(self._gen0)
-            merged.update(self._gen1)
-            ranked = sorted(merged.items(), key=lambda kv: kv[1][1],
-                            reverse=True)
-            self._gen0 = dict(ranked[:self._keep_size])
-        self._gen1 = {}
+            # Second chance: clear set bits until a clear one comes up.
+            # One full turn clears every bit, so the sweep is bounded
+            # even while lock-free hits keep setting bits behind it.
+            hand = self._hand
+            for _ in range(len(ring)):
+                entry = cache[ring[hand]]
+                if not entry[1]:
+                    break
+                entry[1] = False
+                hand = (hand + 1) % len(ring)
+            del cache[ring[hand]]
+            ring[hand] = domain
+            self._hand = (hand + 1) % len(ring)
+        # Inserted clear: a domain used once goes when the hand next
+        # reaches it; only a hit earns it the second chance.
+        cache[domain] = [match, False]
+
+    def _resolve_miss(self, domain: str) -> SuffixMatch:
+        """Resolve a domain the cache missed, count it and insert it."""
+        try:
+            match = self._resolve_uncached(domain)
+        except DomainError:
+            with self._cache_lock:
+                self._cache_errors += 1
+            raise
+        with self._cache_lock:
+            self._cache_misses += 1
+            self._insert_locked(domain, match)
+        return match
 
     # -- resolution -----------------------------------------------------------
 
@@ -347,39 +356,44 @@ class PublicSuffixList:
             DomainError: If the domain is syntactically invalid.
         """
         if self._cache_maxsize > 0 and isinstance(domain, str):
-            # Probe the folded snapshot first: gen1 drains into gen0
-            # every _promote_batch promotions, so steady-state hits
-            # land in gen0 with a single dict probe.
-            entry = self._gen0.get(domain)
-            if entry is None:
-                entry = self._gen1.get(domain)
+            entry = self._cache.get(domain)
             if entry is not None:
-                # Lock-free hit: stamp recency with one slot store.
-                tick = self._tick + 1
-                self._tick = tick
-                entry[1] = tick
+                entry[1] = True
                 self._cache_hits += 1
                 return entry[0]
-            try:
-                match = self._resolve_uncached(domain)
-            except DomainError:
-                with self._cache_lock:
-                    self._cache_errors += 1
-                raise
-            with self._cache_lock:
-                self._cache_misses += 1
-                self._promote_locked(domain, match)
-            return match
+            return self._resolve_miss(domain)
         return self._resolve_uncached(domain)
 
+    def etld_plus_one_counted(self, host: str) -> tuple[str | None, bool]:
+        """:meth:`etld_plus_one` with errors folded to ``None``, plus
+        whether the cache answered.
+
+        The serving layer's single-host lookup: it returns
+        ``(site, hit)`` so a caller can keep its own resolver counters
+        off this cache's probe.  ``site`` is None for an invalid host
+        (counted under ``errors``) and for a bare public suffix;
+        ``hit`` is False whenever the engine ran or caching is off.
+        """
+        try:
+            if self._cache_maxsize > 0 and isinstance(host, str):
+                entry = self._cache.get(host)
+                if entry is not None:
+                    entry[1] = True
+                    self._cache_hits += 1
+                    return entry[0].registrable_domain, True
+                return self._resolve_miss(host).registrable_domain, False
+            return self._resolve_uncached(host).registrable_domain, False
+        except DomainError:
+            return None, False
+
     def resolve_many(self, domains: Iterable[str]) -> list[SuffixMatch]:
-        """Bulk :meth:`resolve`: probe, resolve, and promote as a batch.
+        """Bulk :meth:`resolve`: probe, resolve, and insert as a batch.
 
         All cache probes run lock-free up front; cold domains resolve
         through the trie outside any lock (once per distinct domain —
         within-batch repeats are served from the first resolution, and
         accounted as the hits they would have been sequentially); the
-        promotions and counter updates then land under **one** write
+        insertions and counter updates then land under **one** write
         lock acquisition instead of one per miss.
 
         Raises:
@@ -395,31 +409,40 @@ class PublicSuffixList:
         """Bulk :meth:`etld_plus_one` with errors folded to ``None``.
 
         The serving stack's shape: every consumer that feeds raw hosts
-        in bulk (the service resolver, the workload fast path, the
-        browser engine) treats an invalid host exactly like a bare
-        public suffix — no registrable domain — so this returns None
-        for both instead of raising, while still counting failures
-        under ``errors``.  Value-equivalent to calling
-        :meth:`etld_plus_one` per element with ``DomainError`` mapped
-        to None, at one write-lock acquisition per batch.
+        in bulk (the service, the workload fast path, the browser
+        engine) treats an invalid host exactly like a bare public
+        suffix — no registrable domain — so this returns None for both
+        instead of raising, while still counting failures under
+        ``errors``.  Value-equivalent to calling :meth:`etld_plus_one`
+        per element with ``DomainError`` mapped to None, at one
+        write-lock acquisition per batch.
         """
-        matches, failed = self._resolve_batch(list(domains), strict=False)
-        if not failed:
-            return [match.registrable_domain for match in matches]
+        return self.etld_plus_one_many_counted(list(domains))[0]
+
+    def etld_plus_one_many_counted(
+        self, hosts: list[str],
+    ) -> tuple[list[str | None], int]:
+        """:meth:`etld_plus_one_many` plus the batch's hit count.
+
+        Returns ``(sites, hits)``: ``hits`` counts the hosts the cache
+        answered, a within-batch repeat of a host that resolved
+        included (sequentially it would have hit); every other host is
+        a miss.  Always 0 with caching off.
+        """
+        matches, hits = self._resolve_batch(hosts, strict=False)
         return [match.registrable_domain if match is not None else None
-                for match in matches]
+                for match in matches], hits
 
     def _resolve_batch(
         self, domains: list[str], *, strict: bool,
-    ) -> tuple[list, bool]:
-        """Shared bulk core; returns (matches, any_failed).
+    ) -> tuple[list, int]:
+        """Shared bulk core; returns (matches, hits).
 
         In strict mode the first :class:`DomainError` propagates after
         being counted; otherwise failures leave None in the result.
         """
         results: list[SuffixMatch | None] = [None] * len(domains)
         if self._cache_maxsize <= 0:
-            failed = False
             for i, domain in enumerate(domains):
                 if strict:
                     results[i] = self._resolve_uncached(domain)
@@ -427,20 +450,16 @@ class PublicSuffixList:
                     try:
                         results[i] = self._resolve_uncached(domain)
                     except DomainError:
-                        failed = True
-            return results, failed
+                        pass
+            return results, 0
 
-        gen1 = self._gen1
-        gen0 = self._gen0
+        cache = self._cache
         pending: dict[str, list[int]] = {}
         hits = 0
         for i, domain in enumerate(domains):
-            entry = gen1.get(domain)
-            if entry is None:
-                entry = gen0.get(domain)
+            entry = cache.get(domain)
             if entry is not None:
-                self._tick += 1
-                entry[1] = self._tick
+                entry[1] = True
                 hits += 1
                 results[i] = entry[0]
             else:
@@ -448,26 +467,26 @@ class PublicSuffixList:
                 if positions is None:
                     pending[domain] = [i]
                 else:
-                    # Sequentially the repeat would have hit the cache.
                     positions.append(i)
-                    hits += 1
 
         misses = 0
         errors = 0
-        failed = False
         resolved: list[tuple[str, SuffixMatch]] = []
         first_error: DomainError | None = None
         for domain, positions in pending.items():
             try:
                 match = self._resolve_uncached(domain)
             except DomainError as exc:
+                # Failures are never cached, so sequentially every
+                # occurrence would have failed on its own.
                 errors += len(positions)
-                failed = True
                 if strict:
                     first_error = exc
                     break
                 continue
             misses += 1
+            # Sequentially the repeats would have hit the cache.
+            hits += len(positions) - 1
             for position in positions:
                 results[position] = match
             resolved.append((domain, match))
@@ -476,13 +495,13 @@ class PublicSuffixList:
             self._cache_hits += hits
             self._cache_misses += misses
             self._cache_errors += errors
-            # Promote even when about to raise: every counted miss
-            # must correspond to a resolution that entered the cache.
+            # Insert even when about to raise: every counted miss must
+            # correspond to a resolution that entered the cache.
             for domain, match in resolved:
-                self._promote_locked(domain, match)
+                self._insert_locked(domain, match)
         if first_error is not None:
             raise first_error
-        return results, failed
+        return results, hits
 
     def _resolve_uncached(self, domain: str) -> SuffixMatch:
         normalised = normalize_domain(domain)

@@ -29,7 +29,7 @@ scans and synchronous validation; this package is the serving layer:
   encoded epochs on disk;
 * :mod:`repro.serve.service` — :class:`RwsService`, the thin stateful
   shell over the epoch model: lock-free queries (per-thread counter
-  cells, a counting resolver shim over the PSL's own cache) with the
+  cells, counted lookups on the PSL's own cache) with the
   read surface factored into :class:`EpochShell` so the cluster
   layer's replicas (:mod:`repro.cluster`) reuse it verbatim.
 """

@@ -19,10 +19,12 @@ The moving parts:
   immutable value, not mutable service state;
 * the **validation queue** accepts new-set submissions asynchronously
   (:mod:`repro.serve.queue`), modelling the GitHub governance pipeline;
-* a **counting resolver shim** fronts
-  :meth:`PublicSuffixList.etld_plus_one` — the PSL's generational
-  cache is the only value cache; the shim just keeps per-service
-  hit/miss/error accounting (see :class:`_ResolverShim`);
+* hosts resolve through the epoch's
+  :class:`~repro.psl.PublicSuffixList`, whose CLOCK cache is the only
+  host cache on the read path; its counted lookups
+  (:meth:`~repro.psl.PublicSuffixList.etld_plus_one_counted` and the
+  bulk form) hand back each call's hits, so the service's
+  ``resolver_*`` counters are counted once, at the PSL's probe;
 * request and latency **counters** live in per-thread cells
   (:class:`_StatsCells`): the query hot path bumps plain attributes on
   its own thread's cell — no lock after the epoch capture — and
@@ -48,7 +50,6 @@ from dataclasses import dataclass, field
 
 from repro.obs.trace import NULL_TRACER
 from repro.psl import PublicSuffixList, default_psl
-from repro.psl.lookup import DomainError
 from repro.rws.model import RelatedWebsiteSet, RwsList
 from repro.rws.validation import Validator
 from repro.serve.epoch import Epoch
@@ -69,9 +70,12 @@ class ServiceStats:
     Attributes:
         queries: Pairwise membership queries answered.
         related_hits: Queries answered "related".
-        resolver_hits: Host resolutions whose key the shim had seen.
-        resolver_misses: First-seen host resolutions.
-        resolver_errors: Hosts that failed to resolve to an eTLD+1.
+        resolver_hits: Hosts answered from the PSL's cache (a repeat
+            within one batch included).
+        resolver_misses: Every other host: the PSL's engine ran, or
+            its cache is disabled.
+        resolver_errors: Hosts answered with no site — invalid, or a
+            bare public suffix — once per occurrence.
         publishes: Snapshots published (deduplicated republications
             count too — the request happened).
         query_ns_total: Cumulative wall-clock nanoseconds in queries.
@@ -154,139 +158,6 @@ class _StatsCells:
         return total
 
 
-class _ResolverShim:
-    """Per-service resolution accounting over the PSL's own cache.
-
-    The pre-epoch service kept a second LRU of host → site values in
-    front of :class:`PublicSuffixList` — re-caching exactly what the
-    PSL's generational cache already holds, and guarding it with the
-    service lock.  The shim deletes that value cache: every
-    *successful* resolution rides
-    :meth:`PublicSuffixList.etld_plus_one` /
-    :meth:`~PublicSuffixList.etld_plus_one_many` (lock-free on warm
-    hits), and what remains per service is a bounded *seen-key* dict
-    used for hit/miss/error accounting — a key counts as a hit once
-    the service has resolved it before, mirroring the old LRU's
-    counters.  The one value the dict does keep is the failure bit:
-    the PSL deliberately never caches failed resolutions, so a key
-    whose value is False short-circuits to None without re-walking the
-    engine — repeated junk input stays cheap, exactly the old
-    failure-caching behaviour, without duplicating any successful
-    value the PSL already holds.
-
-    ``maxsize`` bounds the seen-key dict (FIFO eviction); 0 disables
-    it entirely — every resolution counts as a miss, the cold-cache
-    convention the old resolver had.  The dict is touched without a
-    lock: under concurrent resolution a probe may misclassify hit vs
-    miss (never a wrong *value* — values come from the PSL), the
-    standard observability trade, and eviction tolerates a racing
-    insert (:meth:`_evict_one`).
-    """
-
-    __slots__ = ("_psl", "_maxsize", "_seen")
-
-    #: Sentinel distinguishing "never seen" from the stored booleans.
-    _MISSING = object()
-
-    def __init__(self, psl: PublicSuffixList, maxsize: int):
-        self._psl = psl
-        self._maxsize = max(0, maxsize)
-        #: key -> resolves? (False short-circuits repeat failures).
-        self._seen: dict[str, bool] = {}
-
-    def _remember(self, key: str, resolves: bool) -> None:
-        seen = self._seen
-        if len(seen) >= self._maxsize:
-            # Lock-free FIFO eviction: next(iter(...)) can race a
-            # concurrent insert (RuntimeError) or a concurrent evict
-            # of the last key (StopIteration); both just mean another
-            # thread is maintaining the dict — skip this eviction.
-            try:
-                seen.pop(next(iter(seen)), None)
-            except (RuntimeError, StopIteration):
-                pass
-        seen[key] = resolves
-
-    def resolve(self, host: str, stats: ServiceStats) -> str | None:
-        key = host.strip().lower()
-        cached = self._seen.get(key, self._MISSING)
-        if cached is not self._MISSING:
-            stats.resolver_hits += 1
-            if cached is False:
-                return None  # known-unresolvable: skip the PSL walk
-        else:
-            stats.resolver_misses += 1
-        try:
-            value = self._psl.etld_plus_one(key)
-        except DomainError:
-            value = None
-        if cached is self._MISSING:
-            if value is None:
-                stats.resolver_errors += 1
-            if self._maxsize > 0:
-                self._remember(key, value is not None)
-        return value
-
-    def resolve_many(self, hosts: list[str],
-                     stats: ServiceStats) -> list[str | None]:
-        """Batch :meth:`resolve`: one bulk PSL walk, one stats fold.
-
-        Accounting-equivalent to ``[self.resolve(h) for h in hosts]``:
-        within-batch repeats of a raw host count as the hits they would
-        have been once the first occurrence had been seen (every
-        occurrence is its own miss when accounting is disabled), and a
-        first-seen host resolving to no registrable domain counts one
-        error per probe counted as a miss.  Known-unresolvable keys
-        answer None without re-walking; every other distinct host
-        resolves through one
-        :meth:`PublicSuffixList.etld_plus_one_many` call.
-        """
-        sites: list[str | None] = [None] * len(hosts)
-        dedupe = self._maxsize > 0
-        seen = self._seen
-        missing = self._MISSING
-        #: raw host -> [positions, probes counted as miss, key, cached]
-        pending: dict[str, list] = {}
-        hits = misses = 0
-        for i, host in enumerate(hosts):
-            entry = pending.get(host)
-            if entry is None:
-                key = host.strip().lower()
-                cached = seen.get(key, missing)
-                if cached is not missing:
-                    hits += 1
-                    pending[host] = [[i], 0, key, cached]
-                else:
-                    misses += 1
-                    pending[host] = [[i], 1, key, missing]
-            else:
-                entry[0].append(i)
-                if dedupe:
-                    hits += 1
-                else:
-                    misses += 1
-                    entry[1] += 1
-        entries = list(pending.values())
-        # Known failures skip the walk; everything else resolves in
-        # one bulk PSL call, consumed back in entry order.
-        values = iter(self._psl.etld_plus_one_many(
-            [entry[2] for entry in entries if entry[3] is not False]))
-        errors = 0
-        for positions, miss_count, key, cached in entries:
-            value = None if cached is False else next(values)
-            for position in positions:
-                sites[position] = value
-            if value is None:
-                errors += miss_count
-            if cached is missing and dedupe:
-                self._remember(key, value is not None)
-        stats.resolver_hits += hits
-        stats.resolver_misses += misses
-        if errors:
-            stats.resolver_errors += errors
-        return sites
-
-
 @dataclass(slots=True)
 class QueryVerdict:
     """A service-level answer to "may these two hosts share storage?".
@@ -320,8 +191,8 @@ class EpochShell:
     """The lock-free read surface over one swappable epoch reference.
 
     Everything a *reader* can do to the serving layer lives here:
-    capture ``self._epoch`` once, resolve hosts through the counting
-    shim, probe the captured index, bump this thread's stats cell.  No
+    capture ``self._epoch`` once, resolve hosts through the epoch's
+    PSL, probe the captured index, bump this thread's stats cell.  No
     method on this class acquires a lock after the epoch capture — the
     property the threaded publish/query stress test in
     ``tests/test_serve.py`` pins down.
@@ -334,14 +205,11 @@ class EpochShell:
     """
 
     _epoch: Epoch
-    _resolver: _ResolverShim
     _cells: _StatsCells
     _trace_node: str
 
-    def _shell_init(self, psl: PublicSuffixList,
-                    resolver_cache_size: int) -> None:
+    def _shell_init(self, psl: PublicSuffixList) -> None:
         self._epoch = Epoch.bootstrap(psl)
-        self._resolver = _ResolverShim(psl, resolver_cache_size)
         self._cells = _StatsCells()
         # Tracing is off by default: NULL_TRACER.live is False, so the
         # query hot path pays one attribute check per call and nothing
@@ -383,8 +251,15 @@ class EpochShell:
     # -- queries --------------------------------------------------------------
 
     def resolve_host(self, host: str) -> str | None:
-        """A host's eTLD+1 via the counting shim over the PSL cache."""
-        site = self._resolver.resolve(host, self._cells.cell())
+        """A host's eTLD+1 via the PSL cache (None when unresolvable)."""
+        site, hit = self._epoch.psl.etld_plus_one_counted(host)
+        cell = self._cells.cell()
+        if hit:
+            cell.resolver_hits += 1
+        else:
+            cell.resolver_misses += 1
+        if site is None:
+            cell.resolver_errors += 1
         tracer = self._tracer
         if tracer.live:
             tracer.emit("psl.resolve", host=host, site=site)
@@ -392,11 +267,22 @@ class EpochShell:
 
     def resolve_hosts(self, hosts: list[str]) -> list[str | None]:
         """Bulk :meth:`resolve_host`: one batched PSL pass."""
-        sites = self._resolver.resolve_many(hosts, self._cells.cell())
+        sites = self._resolve_many(self._epoch.psl, hosts,
+                                   self._cells.cell())
         tracer = self._tracer
         if tracer.live:
             tracer.emit("psl.resolve_batch", node=self._trace_node,
                         hosts=len(hosts))
+        return sites
+
+    @staticmethod
+    def _resolve_many(psl: PublicSuffixList, hosts: list[str],
+                      cell: ServiceStats) -> list[str | None]:
+        """One counted bulk PSL pass, its counts added to ``cell``."""
+        sites, hits = psl.etld_plus_one_many_counted(hosts)
+        cell.resolver_hits += hits
+        cell.resolver_misses += len(sites) - hits
+        cell.resolver_errors += sites.count(None)
         return sites
 
     def query(self, host_a: str, host_b: str) -> QueryVerdict:
@@ -410,10 +296,16 @@ class EpochShell:
         started = time.perf_counter_ns()
         epoch = self._epoch
         cell = self._cells.cell()
-        site_a = self._resolver.resolve(host_a, cell)
-        site_b = self._resolver.resolve(host_b, cell)
-        result = None
-        if site_a is not None and site_b is not None:
+        lookup = epoch.psl.etld_plus_one_counted
+        site_a, hit_a = lookup(host_a)
+        site_b, hit_b = lookup(host_b)
+        hits = hit_a + hit_b
+        cell.resolver_hits += hits
+        cell.resolver_misses += 2 - hits
+        if site_a is None or site_b is None:
+            cell.resolver_errors += (site_a is None) + (site_b is None)
+            result = None
+        else:
             result = epoch.index.query(site_a, site_b)
         verdict = QueryVerdict(host_a=host_a, host_b=host_b,
                                site_a=site_a, site_b=site_b, result=result)
@@ -445,22 +337,21 @@ class EpochShell:
         started = time.perf_counter_ns()
         epoch = self._epoch
         cell = self._cells.cell()
-        sites = self._resolver.resolve_many(
-            [host for pair in pairs for host in pair], cell)
+        sites = self._resolve_many(
+            epoch.psl, [host for pair in pairs for host in pair], cell)
         index_query = epoch.index.query
         verdicts: list[QueryVerdict] = []
+        append = verdicts.append
         related_hits = 0
-        for i, (host_a, host_b) in enumerate(pairs):
-            site_a = sites[2 * i]
-            site_b = sites[2 * i + 1]
-            result = (index_query(site_a, site_b)
-                      if site_a is not None and site_b is not None else None)
-            verdict = QueryVerdict(host_a=host_a, host_b=host_b,
-                                   site_a=site_a, site_b=site_b,
-                                   result=result)
-            if verdict.related:
-                related_hits += 1
-            verdicts.append(verdict)
+        for (host_a, host_b), site_a, site_b in zip(pairs, sites[0::2],
+                                                    sites[1::2]):
+            if site_a is None or site_b is None:
+                result = None
+            else:
+                result = index_query(site_a, site_b)
+                if result.related:
+                    related_hits += 1
+            append(QueryVerdict(host_a, host_b, site_a, site_b, result))
         cell.queries += len(pairs)
         cell.related_hits += related_hits
         cell.query_ns_total += time.perf_counter_ns() - started
@@ -481,20 +372,14 @@ class EpochShell:
         if not pairs:
             return []
         started = time.perf_counter_ns()
-        related = self._epoch.index.related
+        epoch = self._epoch
         cell = self._cells.cell()
-        sites = self._resolver.resolve_many(
-            [host for pair in pairs for host in pair], cell)
-        verdicts: list[bool] = []
-        related_hits = 0
-        for i in range(len(pairs)):
-            site_a = sites[2 * i]
-            site_b = sites[2 * i + 1]
-            bit = (site_a is not None and site_b is not None
-                   and related(site_a, site_b))
-            if bit:
-                related_hits += 1
-            verdicts.append(bit)
+        sites = self._resolve_many(
+            epoch.psl, [host for pair in pairs for host in pair], cell)
+        # PSL sites are already normalised, with None for failures.
+        verdicts = epoch.index.related_batch_normalized(
+            zip(sites[0::2], sites[1::2]))
+        related_hits = sum(verdicts)
         cell.queries += len(pairs)
         cell.related_hits += related_hits
         cell.query_ns_total += time.perf_counter_ns() - started
@@ -545,18 +430,17 @@ class RwsService(EpochShell):
     :class:`EpochShell`.
 
     Args:
-        psl: Public suffix list used by the resolver and validator.
+        psl: Public suffix list that resolves hosts (its cache is the
+            service's only host cache: pass ``cache_size=0`` for a
+            cold service) and backs the validator.
         validator: Validation engine for the submission queue (a
             structure-only validator over the served list by default).
         workers: Validation worker threads.
-        resolver_cache_size: Bound on the resolver shim's seen-key
-            accounting dict (0 counts every resolution as a miss).
     """
 
     psl: PublicSuffixList = field(default_factory=default_psl)
     validator: Validator | None = None
     workers: int = 4
-    resolver_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         # The lock covers the *write* side only: the store append, the
@@ -569,7 +453,7 @@ class RwsService(EpochShell):
         self._epoch_encode_ns = 0
         self._epoch_loads = 0
         self._epoch_load_ns = 0
-        self._shell_init(self.psl, self.resolver_cache_size)
+        self._shell_init(self.psl)
         if self.validator is None:
             self.validator = Validator(psl=self.psl)
         self.queue = ValidationQueue(self.validator, workers=self.workers)

@@ -77,7 +77,7 @@ from repro.chaos.router import ChaosRouter
 from repro.cluster.router import Router
 from repro.obs.trace import NULL_TRACER, Tracer, TraceSummary
 from repro.psl.lookup import DomainError
-from repro.psl import default_psl
+from repro.psl import PublicSuffixList, default_psl
 from repro.rws.model import RwsList
 from repro.serve.epoch import Epoch
 from repro.serve.service import RwsService
@@ -298,10 +298,10 @@ class _ShardState:
         the way Chrome's renderer resolves origin → site before
         consulting the list.
         Honours the scenario's ``resolver_cache_size``: 0 (cold-cache)
-        resolves every host through the PSL, a positive bound evicts —
-        FIFO rather than the service LRU's move-to-recent, which keeps
-        the hit path to one dict probe (hit/miss counts near the bound
-        may therefore differ slightly from the reference path).
+        resolves every host through the PSL, a positive bound evicts
+        FIFO, which keeps the hit path to one dict probe (hit/miss
+        counts near the bound may therefore differ slightly from the
+        reference path, which counts at the PSL's CLOCK cache).
         Hit/miss counts live in plain attributes (folded into the
         metrics when the shard finishes): this is the hottest call in
         the fast path and a dict-counter update per resolution costs
@@ -610,7 +610,11 @@ def run_shard(task: ShardTask) -> dict:
                          "non-deterministic")
     started = time.perf_counter()
     build_v1, build_v2 = LIST_PROFILES[scenario.list_profile]
-    service = RwsService(resolver_cache_size=scenario.resolver_cache_size)
+    # The service's only host cache is its PSL's: a cold-cache scenario
+    # gets a cache-disabled one, so the reference path stays cold.
+    psl = (default_psl() if scenario.resolver_cache_size > 0
+           else PublicSuffixList(cache_size=0))
+    service = RwsService(psl=psl)
     if task.encoded is not None:
         # O(size) spin-up: the shard serves the pre-encoded epoch's
         # array-backed index directly — no list build, no per-entry
@@ -642,13 +646,11 @@ def run_shard(task: ShardTask) -> dict:
                 plan=chaos_plan(scenario.chaos, task.total_users,
                                 scenario.replica_lag),
                 lag=lags, policy=scenario.router_policy,
-                resolver_cache_size=scenario.resolver_cache_size,
             )
         else:
             router = Router(
                 service, replicas=scenario.replicas, lag=lags,
                 policy=scenario.router_policy,
-                resolver_cache_size=scenario.resolver_cache_size,
             )
     tracer = Tracer(seed=task.seed) if task.trace else NULL_TRACER
     if task.trace:

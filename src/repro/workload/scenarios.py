@@ -79,9 +79,11 @@ class Scenario:
         zipf_exponent: Popularity skew for all site pools.
         trackers: Size of the synthetic unlisted third-party pool.
         outside_sites: Size of the synthetic non-member top-site pool.
-        resolver_cache_size: The service's host-resolver accounting
-            bound (0 counts every resolution as a miss — the
-            cold-cache scenario).
+        resolver_cache_size: Bound on the fast path's shard-local
+            host table.  0 is the cold-cache scenario: the table is
+            off, and the shard's service resolves over a
+            cache-disabled PSL, so every resolution on either driver
+            path counts as a miss.
         warm_cache: Pre-resolve every member host before traffic runs.
         update_at_fraction: When set, publish the profile's next list
             version once this fraction of all users has been served,
@@ -358,7 +360,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="cold-cache",
-            description="steady traffic with the host-resolver LRU disabled",
+            description="steady traffic with the host-resolver caches disabled",
             resolver_cache_size=0,
         ),
         Scenario(

@@ -40,6 +40,7 @@ from repro.api import (
     negotiate_version,
 )
 from repro.cluster import Router
+from repro.psl import PublicSuffixList
 from repro.rws.diff import ListDiff
 from repro.rws.model import (
     MemberRecord,
@@ -712,9 +713,11 @@ class TestBatchedServicePaths:
         pairs = [("example.com", "example-news.com"),
                  ("example.com", "example-news.com"),
                  ("other.com", "example.com")]
-        batched = RwsService()
+        # Each service gets its own cold PSL: on a shared one the
+        # second would find every host the first just resolved.
+        batched = RwsService(psl=PublicSuffixList())
         batched.publish(small_list())
-        looped = RwsService()
+        looped = RwsService(psl=PublicSuffixList())
         looped.publish(small_list())
         try:
             batched.query_batch(pairs)
@@ -728,7 +731,7 @@ class TestBatchedServicePaths:
             looped.queue.shutdown()
 
     def test_disabled_cache_batch_counts_every_miss(self):
-        service = RwsService(resolver_cache_size=0)
+        service = RwsService(psl=PublicSuffixList(cache_size=0))
         service.publish(small_list())
         try:
             bits = service.related_batch(

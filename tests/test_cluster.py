@@ -18,6 +18,7 @@ from repro.api.envelopes import (
     SubmitRequest,
 )
 from repro.cluster import Replica, ReplicationGapError, Router
+from repro.psl import PublicSuffixList
 from repro.rws import RelatedWebsiteSet, RwsList
 from repro.serve.epoch import Epoch
 from repro.serve import (
@@ -134,27 +135,30 @@ class TestReplica:
         router.advance(3)
         assert replica.version == 3
 
-    def test_repeat_unresolvable_hosts_skip_the_psl_walk(self):
-        # The shim caches the failure *bit* (the PSL never caches
-        # failures), so junk repeats stay cheap and error-counted once.
-        from repro.psl import PublicSuffixList
-
+    def test_repeat_unresolvable_hosts_count_every_occurrence(self):
+        # The PSL never caches failures and nothing sits in front of
+        # it, so every occurrence of a junk host is validated again
+        # and counted again, one error each.
         psl = PublicSuffixList()
         service = RwsService(psl=psl)
         service.publish(small_list())
         try:
+            size_before = psl.cache_stats()["size"]
             assert service.resolve_host("bad..host") is None
-            errors_after_first = psl.cache_stats()["errors"]
             assert service.resolve_host("bad..host") is None
             assert service.resolve_hosts(["bad..host", "bad..host"]) \
                 == [None, None]
-            # No further PSL walks for the repeats...
-            assert psl.cache_stats()["errors"] == errors_after_first
+            query = service.query("bad..host", "example.com")
+            assert query.site_a is None and not query.related
+            assert service.query_batch([("bad..host", "example.com")]) \
+                == [query]
+            psl_stats = psl.cache_stats()
+            assert psl_stats["errors"] == 6
+            assert psl_stats["size"] == size_before + 1  # example.com
             stats = service.stats
-            # ...which count as hits (one miss, one error — the first).
-            assert stats.resolver_misses == 1
-            assert stats.resolver_errors == 1
-            assert stats.resolver_hits == 3
+            assert stats.resolver_errors == 6
+            assert stats.resolver_misses == 7  # 6 junk + example.com
+            assert stats.resolver_hits == 1  # example.com, second time
         finally:
             service.queue.shutdown()
 
@@ -458,6 +462,24 @@ class TestRouter:
             router.query("example.com", "example-news.com")
         counts = [replica.stats.queries for replica in router.replicas]
         assert counts == [4, 4, 4]
+
+    def test_routing_and_serving_share_one_cache_entry_per_host(self):
+        # The routing key and the replica's own lookup must probe the
+        # PSL with the same spelling of the host, or every mixed-case
+        # host costs an extra miss and an extra cache entry.
+        psl = PublicSuffixList()
+        service = RwsService(psl=psl)
+        service.publish(small_list())
+        router = Router(service, replicas=2, policy="rendezvous")
+        try:
+            for _ in range(2):
+                assert router.query("WWW.Example.com",
+                                    "example-news.com").related
+            stats = psl.cache_stats()
+            assert stats["misses"] == 2
+            assert stats["size"] == 2
+        finally:
+            service.queue.shutdown()
 
     def test_rendezvous_pins_a_key_to_one_replica(self, primary):
         router = Router(primary, replicas=3, policy="rendezvous")

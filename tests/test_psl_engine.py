@@ -24,6 +24,7 @@ Three concerns, matching the engine's three claims:
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -353,3 +354,67 @@ class TestConcurrency:
             thread.join()
         assert not failures
         assert psl.cache_stats()["size"] <= 128
+
+    def test_eviction_under_thread_switch_stress(self):
+        # A cache far smaller than the key pool evicts on nearly every
+        # miss, while lock-free hits set reference bits and clears swap
+        # the containers; a tiny switch interval interleaves them all.
+        psl = PublicSuffixList(cache_size=32)
+        reference = PublicSuffixList(cache_size=0)
+        pool = [f"h{i}.example.co.uk" for i in range(48)] + self.VALID \
+            + self.INVALID
+
+        def expected(domain):
+            try:
+                return reference.etld_plus_one(domain)
+            except DomainError:
+                return None
+
+        answers = {domain: expected(domain) for domain in pool}
+        failures: list = []
+        barrier = threading.Barrier(8)
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            barrier.wait()
+            try:
+                run(rng)
+            except Exception as exc:  # recorded; a dead worker fails
+                failures.append(exc)
+
+        def run(rng: random.Random) -> None:
+            for _ in range(1_000):
+                roll = rng.random()
+                if roll < 0.01:
+                    psl.cache_clear()
+                elif roll < 0.3:
+                    batch = [rng.choice(pool) for _ in range(6)]
+                    got = psl.etld_plus_one_many(batch)
+                    if got != [answers[domain] for domain in batch]:
+                        failures.append((batch, got))
+                else:
+                    domain = rng.choice(pool)
+                    try:
+                        site = psl.resolve(domain).registrable_domain
+                    except DomainError:
+                        site = None
+                    if site != answers[domain]:
+                        failures.append((domain, site))
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        # Quiescent: every cached key holds exactly one ring slot.
+        assert sorted(psl._ring) == sorted(psl._cache)
+        stats = psl.cache_stats()
+        assert stats["size"] <= stats["maxsize"]

@@ -1,5 +1,8 @@
 """Unit + property tests for public-suffix lookup."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -204,3 +207,56 @@ class TestResolutionCache:
         assert psl.etld_plus_one("act.eff.org") == "eff.org"
         assert psl.cache_stats()["size"] == 0
         assert psl.cache_stats()["maxsize"] == 0
+
+    @staticmethod
+    def _zipf_stream(seed: int, distinct: int = 2_000,
+                     lookups: int = 20_000) -> list[str]:
+        """Hosts drawn with 1/rank popularity, the served-traffic skew."""
+        hosts = [f"host-{rank}.example.com" for rank in range(distinct)]
+        weights = [1.0 / (rank + 1) for rank in range(distinct)]
+        return random.Random(seed).choices(hosts, weights, k=lookups)
+
+    @staticmethod
+    def _exact_lru_hits(stream: list[str], size: int) -> int:
+        cache: OrderedDict[str, None] = OrderedDict()
+        hits = 0
+        for host in stream:
+            if host in cache:
+                cache.move_to_end(host)
+                hits += 1
+            else:
+                cache[host] = None
+                if len(cache) > size:
+                    cache.popitem(last=False)
+        return hits
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hits_close_to_exact_lru_on_zipf_traffic(self, seed):
+        stream = self._zipf_stream(seed)
+        psl = PublicSuffixList(cache_size=256)
+        for host in stream:
+            psl.resolve(host)
+        hits = psl.cache_stats()["hits"]
+        assert hits >= 0.9 * self._exact_lru_hits(stream, 256)
+
+    def test_cache_holding_every_host_misses_each_once(self):
+        stream = self._zipf_stream(seed=4)
+        distinct = len(set(stream))
+        psl = PublicSuffixList(cache_size=distinct)
+        for host in stream:
+            psl.resolve(host)
+        stats = psl.cache_stats()
+        assert stats["misses"] == distinct
+        assert stats["hits"] == len(stream) - distinct
+
+    def test_full_cache_keeps_its_bound_exactly(self):
+        # Eviction frees one slot per miss: the cache stays full, and
+        # holds exactly the most recent one-off domains.
+        psl = PublicSuffixList(cache_size=100)
+        domains = [f"d{i}.example.com" for i in range(1_000)]
+        for domain in domains:
+            psl.resolve(domain)
+        assert psl.cache_stats()["size"] == 100
+        for domain in domains[-100:]:
+            psl.resolve(domain)
+        assert psl.cache_stats()["hits"] == 100

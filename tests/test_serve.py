@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.browser import BROWSER_POLICIES, Browser, GrantDecision
+from repro.psl import PublicSuffixList
 from repro.rws import RelatedWebsiteSet, RwsList, SiteRole, Validator
 from repro.serve import (
     Epoch,
@@ -430,7 +431,7 @@ class TestRwsService:
         assert self.service.stats.resolver_errors == 1
 
     def test_disabled_resolver_cache_still_serves(self):
-        service = RwsService(resolver_cache_size=0)
+        service = RwsService(psl=PublicSuffixList(cache_size=0))
         service.publish(small_list())
         assert service.query("www.example.com", "example-news.com").related
         assert service.query("www.example.com", "example-news.com").related
