@@ -79,9 +79,8 @@ def measure_epoch_load(domains: int | None = None,
 
     compile_time = _best_of(rounds, lambda: Epoch.compile(snapshot, psl))
     epoch = Epoch.compile(snapshot, psl)
-    encode_time = _best_of(rounds,
-                           lambda: encode_epoch(epoch, include_psl=False))
-    buf = epoch.to_buffer(include_psl=False)
+    encode_time = _best_of(rounds, lambda: encode_epoch(epoch))
+    buf = epoch.to_buffer()
     load_time = _best_of(rounds, lambda: Epoch.from_buffer(buf, psl=psl))
     loaded = Epoch.from_buffer(buf, psl=psl)
     assert loaded.content_hash == epoch.content_hash

@@ -33,8 +33,8 @@ Subcommands:
 * ``trace`` — run a seeded workload with the deterministic tracer and
   print the span table and the reproducible trace digest;
 * ``epoch`` — work with the zero-copy binary epoch format:
-  ``encode`` a list profile to a ``.rwse`` file, ``stat`` / ``verify``
-  an encoded file, or ``warm`` the on-disk epoch cache;
+  ``encode`` a list profile to a ``.rwse`` file, then ``stat`` or
+  ``verify`` an encoded file;
 * ``api`` — dispatch one wire-format JSON request envelope and print
   the JSON response (the ``repro.api`` protocol over stdin/argv).
 
@@ -652,29 +652,12 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             print(error.args[0], file=sys.stderr)
             return 2
         started = time.perf_counter_ns()
-        buf = encode_epoch(epoch, include_psl=not args.no_psl)
+        buf = encode_epoch(epoch)
         encode_ms = (time.perf_counter_ns() - started) / 1e6
         with open(args.out, "wb") as handle:
             handle.write(buf)
         print(f"encoded {args.profile if args.domains is None else args.domains} "
               f"-> {args.out}: {len(buf)} bytes in {encode_ms:.2f} ms")
-        return 0
-
-    if args.action == "warm":
-        from repro.serve import EpochDiskCache
-        from repro.workload.scenarios import LIST_PROFILES
-
-        cache = EpochDiskCache(args.cache_dir)
-        profiles = [args.profile] if args.profile != "all" \
-            else sorted(LIST_PROFILES)
-        for profile in profiles:
-            try:
-                epoch = _epoch_for_profile(profile, None)
-            except KeyError as error:
-                print(error.args[0], file=sys.stderr)
-                return 2
-            path = cache.put(epoch, include_psl=not args.no_psl)
-            print(f"warmed {profile}: {path}")
         return 0
 
     # stat / verify need an encoded file.
@@ -955,25 +938,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "epoch",
         help="encode, inspect, and verify zero-copy binary epochs")
-    sub.add_argument("action", choices=["encode", "stat", "verify", "warm"],
-                     help="encode a list profile, stat/verify an encoded "
-                          "file, or warm the on-disk epoch cache")
+    sub.add_argument("action", choices=["encode", "stat", "verify"],
+                     help="encode a list profile, or stat/verify an "
+                          "encoded file")
     sub.add_argument("file", nargs="?", metavar="FILE",
                      help="encoded .rwse file (stat / verify)")
     sub.add_argument("--profile", default="seed", metavar="NAME",
-                     help="list profile to encode (default: seed; "
-                          "'all' warms every profile)")
+                     help="list profile to encode (default: seed)")
     sub.add_argument("--domains", type=int, default=None, metavar="N",
                      help="encode a seeded synthetic list with N "
                           "domains instead of a named profile")
     sub.add_argument("--out", metavar="FILE", default="epoch.rwse",
                      help="output path for encode "
                           "(default: epoch.rwse)")
-    sub.add_argument("--no-psl", action="store_true",
-                     help="omit the compiled PSL trie section")
-    sub.add_argument("--cache-dir", metavar="DIR", default=None,
-                     help="epoch cache directory for warm (default: "
-                          "$REPRO_EPOCH_CACHE or .repro-epoch-cache)")
     sub.set_defaults(handler=_cmd_epoch)
     return parser
 

@@ -227,33 +227,10 @@ class PublicSuffixList:
     """
 
     def __init__(self, text: str = PSL_SNAPSHOT, *, cache_size: int = 4096):
-        self._index: RuleIndex | None = RuleIndex.from_rules(
-            parse_rules(text))
+        self._index = RuleIndex.from_rules(parse_rules(text))
         if len(self._index) == 0:
             raise ValueError("PSL text contains no rules")
         self._trie = self._index.compile()
-        self._cache_init(cache_size)
-
-    @classmethod
-    def from_compiled(cls, trie, *, cache_size: int = 4096):
-        """Wrap an already-compiled trie — no parse, no rule objects.
-
-        This is how a buffer-loaded epoch
-        (:mod:`repro.serve.epochfmt`) stands up a resolver in O(1):
-        ``trie`` is any object with the :class:`SuffixTrie` resolve
-        surface (``resolve``, ``rules``, ``__len__``).  The bucketed
-        :class:`RuleIndex` used by the reference scan is rebuilt
-        lazily from ``trie.rules()`` only if something asks for it.
-        """
-        if len(trie) == 0:
-            raise ValueError("compiled PSL trie contains no rules")
-        psl = cls.__new__(cls)
-        psl._index = None
-        psl._trie = trie
-        psl._cache_init(cache_size)
-        return psl
-
-    def _cache_init(self, cache_size: int) -> None:
         self._cache_maxsize = max(0, cache_size)
         self._cache: dict[str, list] = {}  # domain -> [match, referenced]
         self._ring: list[str] = []  # every cached key once, in slot order
@@ -265,12 +242,6 @@ class PublicSuffixList:
 
     def __len__(self) -> int:
         return len(self._trie)
-
-    def _rule_index(self) -> RuleIndex:
-        """The bucketed rule index, rebuilt from the trie on demand."""
-        if self._index is None:
-            self._index = RuleIndex.from_rules(self._trie.rules())
-        return self._index
 
     def cache_stats(self) -> dict[str, int]:
         """Resolution-cache counters: hits, misses, errors, size, maxsize.
@@ -546,7 +517,7 @@ class PublicSuffixList:
 
         exception: Rule | None = None
         prevailing: Rule | None = None
-        for rule in self._rule_index().candidates(reversed_labels):
+        for rule in self._index.candidates(reversed_labels):
             if not rule.matches(reversed_labels):
                 continue
             if rule.kind is RuleKind.EXCEPTION:

@@ -205,29 +205,6 @@ class SuffixTrie:
     def __len__(self) -> int:
         return self._count
 
-    def rules(self) -> Iterator[Rule]:
-        """Yield the compiled rules in insertion (seq) order.
-
-        Exact duplicates of an already-inserted rule do not own a
-        terminal slot (first wins), so they are not recoverable from
-        the trie — the yielded set is the deduplicated rule list,
-        which resolves identically.
-        """
-        found: list[tuple[int, Rule]] = []
-        stack: list[list] = [self._root]
-        while stack:
-            node = stack.pop()
-            for slot in (1, 2):
-                terminal = node[slot]
-                if terminal is not None:
-                    found.append((terminal[1], terminal[0]))
-            stack.extend(node[0].values())
-            if node[3] is not None:
-                stack.append(node[3])
-        found.sort()
-        for _, rule in found:
-            yield rule
-
     def resolve(self, labels: list[str]) -> tuple[Rule | None, int]:
         """The prevailing rule and public-suffix length for a domain.
 

@@ -22,11 +22,10 @@ scans and synchronous validation; this package is the serving layer:
   (index, snapshot, PSL) unit of serving truth a publish encodes
   once and swaps atomically;
 * :mod:`repro.serve.epochfmt` — the zero-copy binary epoch format
-  every index serves from: :func:`encode_epoch` serializes an epoch,
-  :func:`load_epoch` stands one up in O(size) behind the
-  array-backed index and trie views (:class:`MembershipIndex`,
-  :class:`BufferSuffixTrie`), and :class:`EpochDiskCache` persists
-  encoded epochs on disk;
+  every index serves from: :func:`encode_epoch` serializes an epoch's
+  list (the PSL stays with each reader, as in Chrome), and
+  :func:`load_epoch` stands one up in O(size) behind the array-backed
+  :class:`MembershipIndex` view;
 * :mod:`repro.serve.service` — :class:`RwsService`, the thin stateful
   shell over the epoch model: lock-free queries (per-thread counter
   cells, counted lookups on the PSL's own cache) with the
@@ -35,13 +34,7 @@ scans and synchronous validation; this package is the serving layer:
 """
 
 from repro.serve.epoch import Epoch
-from repro.serve.epochfmt import (
-    BufferSuffixTrie,
-    EpochDiskCache,
-    EpochFormatError,
-    encode_epoch,
-    load_epoch,
-)
+from repro.serve.epochfmt import EpochFormatError, encode_epoch, load_epoch
 from repro.serve.index import IndexEntry, MembershipIndex, QueryResult
 from repro.serve.queue import (
     QueueStats,
@@ -66,9 +59,7 @@ from repro.serve.snapshot import (
 )
 
 __all__ = [
-    "BufferSuffixTrie",
     "Epoch",
-    "EpochDiskCache",
     "EpochFormatError",
     "EpochShell",
     "IndexEntry",

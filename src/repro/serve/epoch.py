@@ -54,10 +54,10 @@ class Epoch:
             for the bootstrap epoch, before any publish).
         psl: The public suffix list the serving stack resolves hosts
             against; carried so an adopted epoch is self-contained.
-        buffer: The PSL-free encoded bytes the index was loaded from —
-            what :meth:`to_buffer` hands out without encoding again.
-            None when the epoch was loaded from another buffer object
-            (a mapped file) or from a buffer carrying a PSL trie.
+        buffer: The encoded bytes the index was loaded from — what
+            :meth:`to_buffer` hands out without encoding again.  None
+            for the bootstrap epoch and for an epoch loaded from
+            another buffer object (a mapped file, say).
     """
 
     index: MembershipIndex
@@ -115,19 +115,23 @@ class Epoch:
                                 verify=False)
         return cls(index=index, snapshot=snapshot, psl=psl, buffer=buf)
 
-    def to_buffer(self, *, include_psl: bool = True) -> bytes:
-        """Serialize this epoch to the zero-copy binary wire format.
+    def to_buffer(self, *, include_psl: bool = False) -> bytes:
+        """This epoch in the zero-copy binary wire format.
 
-        The buffer loads back via :meth:`from_buffer` in O(size) with
-        no per-entry object construction — see
-        :mod:`repro.serve.epochfmt` for the layout.  ``include_psl``
-        controls whether the compiled PSL trie is carried (drop it
-        when every consumer shares the same in-process PSL); without
-        it, the epoch's own :attr:`buffer` is returned when it has one.
+        Hands out the held :attr:`buffer`, encoding only when the epoch
+        holds none.  The buffer loads back via :meth:`from_buffer` in
+        O(size) with no per-entry object construction — see
+        :mod:`repro.serve.epochfmt` for the layout.  The format carries
+        no PSL, so ``include_psl`` accepts only ``False``.
+
+        Raises:
+            ValueError: When ``include_psl`` is true.
         """
-        if not include_psl and self.buffer is not None:
+        if include_psl:
+            raise ValueError("the epoch format carries no PSL")
+        if self.buffer is not None:
             return self.buffer
-        return encode_epoch(self, include_psl=include_psl)
+        return encode_epoch(self)
 
     @classmethod
     def from_buffer(cls, buf, *, psl: PublicSuffixList | None = None,
@@ -135,9 +139,9 @@ class Epoch:
         """Load an epoch from an encoded buffer in O(size).
 
         The returned epoch's index is a lazy, array-backed view over
-        ``buf`` (which must outlive the epoch); ``psl`` overrides the
-        buffer-carried (or default) resolver.  ``verify=False`` skips
-        the CRC for trusted in-process hand-offs.
+        ``buf`` (which must outlive the epoch); ``psl`` is the resolver
+        it serves with (default: the snapshot PSL).  ``verify=False``
+        skips the CRC for trusted in-process hand-offs.
 
         Raises:
             repro.serve.epochfmt.EpochFormatError: On a corrupt,

@@ -3,22 +3,26 @@
 A list version is encoded once into a compact binary *epoch*, and
 every :class:`~repro.serve.index.MembershipIndex` is a read-only view
 over such a buffer: :meth:`~repro.serve.epoch.Epoch.compile` encodes a
-published snapshot and loads the result, while shard workers, cluster
-:class:`~repro.cluster.Replica` nodes, and the disk cache load buffers
-encoded elsewhere in O(size) with **no per-entry Python object
+published snapshot and loads the result, while shard workers and
+cluster :class:`~repro.cluster.Replica` nodes load buffers encoded
+elsewhere in O(size) with **no per-entry Python object
 construction**.  Either way the views answer ``query`` / ``related`` /
 batch probes directly off the buffer through ``memoryview`` casts, so
 no verdict depends on how a list version arrived.
 
+The buffer carries the list only.  As in Chrome, which compiles the
+Public Suffix List into the browser and ships the Related Website Sets
+list through the component updater, every reader resolves hosts with
+its own PSL.
+
 Wire layout (all integers little-endian; the loader refuses to run on
 big-endian hosts rather than silently mis-read)::
 
-    header   "<4sHHI32sIIIIIIIIII"  (84 bytes)
+    header   "<4sHHI32sIIIIIIII"  (76 bytes)
         magic=b"RWSE"  format_version  flags  snap_version
         content_hash(32 raw sha256 bytes)  list_version_id  as_of_id
-        n_strings  hash_cap  n_entries  n_sets  n_records
-        n_rules  n_nodes  total_len
-    section table  24 x (offset u32, length u32)   (192 bytes)
+        n_strings  hash_cap  n_entries  n_sets  n_records  total_len
+    section table  15 x (offset u32, length u32)   (120 bytes)
     sections  (each 4-byte aligned, zero-padded)
     crc32    u32 over everything before it
 
@@ -45,35 +49,23 @@ idx   name                contents
 12    rec_site            n_records x u32 string ids
 13    rec_role            n_records x u8 role codes
 14    rec_variant         n_records x u32 string_id+1 (0 = none)
-15    rule_flags          n_rules x u8 (kind | is_private << 2)
-16    rule_label_start    (n_rules+1) x u32 into rule_labels
-17    rule_labels         u32 string ids, TLD-first per rule
-18    node_child_start    (n_nodes+1) x u32 into the child arrays
-19    child_labels        u32 string ids, sorted per node
-20    child_nodes         u32 child node ids
-21    node_star           n_nodes x u32 node_id+1 (0 = none)
-22    node_normal         n_nodes x u32 rule_seq+1 (0 = none)
-23    node_exc            n_nodes x u32 rule_seq+1 (0 = none)
 ====  ==================  =====================================
 
-Flag bits: 0x1 = the buffer carries a compiled PSL trie; 0x2 = the
-buffer carries a list snapshot (a bootstrap epoch carries neither
-entries nor snapshot).
+Flag bits: 0x2 = the buffer carries a list snapshot (a bootstrap epoch
+carries neither entries nor snapshot).  Bit 0x1 is unused: format
+version 1 set it when a compiled PSL trie rode along, and version 2
+loaders refuse version 1 buffers outright.
 
 Design notes:
 
-* One *unified* string table interns domains, set primaries, PSL rule
-  labels, and the list version / as-of strings, so ``related`` probes
-  and trie walks reduce to u32 comparisons.
+* One *unified* string table interns domains, set primaries, and the
+  list version / as-of strings, so ``related`` probes reduce to u32
+  comparisons.
 * Records keep *every* member record per set — including cross-set
   duplicates that lose the first-wins entry race — so the
   reconstructed list reproduces :func:`~repro.serve.snapshot.membership_hash`
   bit-for-bit.  Rationales and contacts are **not** carried: they are
   deliberately outside membership identity (see ``membership_hash``).
-* Rule terminals store the rule's insertion sequence number; because
-  rules are encoded in :class:`~repro.psl.rules.RuleIndex` iteration
-  order, a single u32 identifies a rule and preserves the trie's
-  first-wins / lowest-seq tie-breaks exactly.
 * Encoding runs on every publish, so its transient heap is kept near
   twice the buffer: columns grow as ``array("I")`` / ``bytearray``
   (per-string columns alongside the string table, no id-keyed dicts),
@@ -82,16 +74,12 @@ Design notes:
 
 from __future__ import annotations
 
-import mmap
-import os
 import struct
 import sys
 import zlib
 from array import array
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
-from repro.psl.rules import Rule, RuleKind
 from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
 from repro.serve.snapshot import ListSnapshot
 
@@ -101,8 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "EPOCH_MAGIC",
     "EPOCH_FORMAT_VERSION",
-    "BufferSuffixTrie",
-    "EpochDiskCache",
     "EpochFormatError",
     "encode_epoch",
     "encode_list",
@@ -111,13 +97,12 @@ __all__ = [
 ]
 
 EPOCH_MAGIC = b"RWSE"
-EPOCH_FORMAT_VERSION = 1
+EPOCH_FORMAT_VERSION = 2
 
-_FLAG_PSL = 0x1
 _FLAG_SNAPSHOT = 0x2
 
-_HEADER = struct.Struct("<4sHHI32sIIIIIIIIII")
-_N_SECTIONS = 24
+_HEADER = struct.Struct("<4sHHI32sIIIIIIII")
+_N_SECTIONS = 15
 _SECTION_TABLE = struct.Struct("<" + "II" * _N_SECTIONS)
 _DATA_START = _HEADER.size + _SECTION_TABLE.size
 _TRAILER = struct.Struct("<I")
@@ -138,41 +123,20 @@ _S_SET_REC_START = 11
 _S_REC_SITE = 12
 _S_REC_ROLE = 13
 _S_REC_VARIANT = 14
-_S_RULE_FLAGS = 15
-_S_RULE_LABEL_START = 16
-_S_RULE_LABELS = 17
-_S_NODE_CHILD_START = 18
-_S_CHILD_LABELS = 19
-_S_CHILD_NODES = 20
-_S_NODE_STAR = 21
-_S_NODE_EXC = 23
-_S_NODE_NORMAL = 22
 
 _SECTION_NAMES = (
     "str_offsets", "str_blob", "str_hash", "str_entry", "str_primary_set",
     "entry_site", "entry_primary", "entry_variant", "entry_role",
     "entry_set", "set_primary", "set_rec_start", "rec_site", "rec_role",
-    "rec_variant", "rule_flags", "rule_label_start", "rule_labels",
-    "node_child_start", "child_labels", "child_nodes", "node_star",
-    "node_normal", "node_exc",
+    "rec_variant",
 )
 
 #: Sections holding u32 arrays (everything except the blob and u8 roles).
-_U8_SECTIONS = frozenset({_S_STR_BLOB, _S_ENTRY_ROLE, _S_REC_ROLE,
-                          _S_RULE_FLAGS})
+_U8_SECTIONS = frozenset({_S_STR_BLOB, _S_ENTRY_ROLE, _S_REC_ROLE})
 
 _ROLES: tuple[SiteRole, ...] = (SiteRole.PRIMARY, SiteRole.ASSOCIATED,
                                 SiteRole.SERVICE, SiteRole.CCTLD)
 _ROLE_CODES = {role: code for code, role in enumerate(_ROLES)}
-
-_RULE_KINDS: tuple[RuleKind, ...] = (RuleKind.NORMAL, RuleKind.WILDCARD,
-                                     RuleKind.EXCEPTION)
-_RULE_KIND_CODES = {kind: code for code, kind in enumerate(_RULE_KINDS)}
-
-#: Bound on the memos keyed by client input (probed sites, PSL labels)
-#: before they are dropped wholesale: the PSL resolution cache's size.
-#: Memos keyed by string id need no bound — the buffer bounds them.
-_PROBE_MEMO_LIMIT = 4096
 
 if array("I").itemsize != 4:  # pragma: no cover - exotic platforms only
     raise ImportError("repro.serve.epochfmt requires 4-byte unsigned ints")
@@ -258,15 +222,13 @@ class _StringTable:
         return table, cap
 
 
-def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
-                psl=None) -> bytes:
+def encode_list(rws_list: RwsList, *,
+                snapshot: ListSnapshot | None = None) -> bytes:
     """Serialize a list to the binary wire format.
 
     ``snapshot``, when given, is the published snapshot of
     ``rws_list``: its version and content hash go in the header and
-    the buffer loads back as that snapshot's epoch.  ``psl``, when
-    given, has its compiled trie ride along (leave it out when every
-    consumer already holds the same PSL, as in-process serving does).
+    the buffer loads back as that snapshot's epoch.
 
     Encoding is O(list size) Python work and runs once per publish;
     only the *load* side needs to be allocation-free.
@@ -314,66 +276,11 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
     list_version_id = add(rws_list.version) + 1
     as_of_id = add(rws_list.as_of) + 1 if rws_list.as_of else 0
 
-    rule_flags = bytearray()
-    rule_label_start = array("I", [0])
-    rule_labels = array("I")
-    node_child_start = array("I", [0])
-    child_labels = array("I")
-    child_nodes = array("I")
-    node_star = array("I")
-    node_normal = array("I")
-    node_exc = array("I")
-    n_rules = n_nodes = 0
-    if psl is not None:
-        psl_index = getattr(psl, "_index", None)
-        rules = list(psl_index) if psl_index is not None \
-            else list(psl._trie.rules())
-        n_rules = len(rules)
-        # Replay SuffixTrie.__init__ insertion over temp list-nodes
-        # [children: sid -> node_idx, normal_seq+1, exc_seq+1, star_idx].
-        nodes: list[list] = [[{}, 0, 0, 0]]
-        for seq, rule in enumerate(rules):
-            rule_flags.append(_RULE_KIND_CODES[rule.kind]
-                              | (int(rule.is_private) << 2))
-            node_idx = 0
-            for position, label in enumerate(rule.labels):
-                sid = add(label)
-                rule_labels.append(sid)
-                node = nodes[node_idx]
-                if label == "*" and position > 0:
-                    child = node[3]
-                    if child == 0:
-                        nodes.append([{}, 0, 0, 0])
-                        child = len(nodes) - 1
-                        node[3] = child
-                else:
-                    child = node[0].get(sid, 0)
-                    if child == 0:
-                        nodes.append([{}, 0, 0, 0])
-                        child = len(nodes) - 1
-                        node[0][sid] = child
-                node_idx = child
-            rule_label_start.append(len(rule_labels))
-            slot = 2 if rule.kind is RuleKind.EXCEPTION else 1
-            if nodes[node_idx][slot] == 0:
-                nodes[node_idx][slot] = seq + 1
-        n_nodes = len(nodes)
-        for node in nodes:
-            for sid, child in sorted(node[0].items()):
-                child_labels.append(sid)
-                child_nodes.append(child)
-            node_child_start.append(len(child_labels))
-            node_normal.append(node[1])
-            node_exc.append(node[2])
-            node_star.append(node[3])
-
     str_hash, hash_cap = strings.hash_table()
     sections = (  # in section-index order (see the module docstring)
         strings.offsets, strings.blob, str_hash, str_entry, str_set,
         entry_site, entry_primary, entry_variant, entry_role, entry_set,
         set_primary, set_rec_start, rec_site, rec_role, rec_variant,
-        rule_flags, rule_label_start, rule_labels, node_child_start,
-        child_labels, child_nodes, node_star, node_normal, node_exc,
     )
     table: list[int] = []
     parts: list = []
@@ -388,17 +295,14 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
         offset += size + pad
     total_len = offset + _TRAILER.size
 
-    flags = _FLAG_PSL if psl is not None else 0
-    if snapshot is not None:
-        flags |= _FLAG_SNAPSHOT
     header = _HEADER.pack(
-        EPOCH_MAGIC, EPOCH_FORMAT_VERSION, flags,
+        EPOCH_MAGIC, EPOCH_FORMAT_VERSION,
+        _FLAG_SNAPSHOT if snapshot is not None else 0,
         snapshot.version if snapshot is not None else 0,
         bytes.fromhex(snapshot.content_hash) if snapshot is not None
         else bytes(32),
         list_version_id, as_of_id, len(strings), hash_cap,
-        len(entry_site), len(set_primary), len(rec_site), n_rules,
-        n_nodes, total_len)
+        len(entry_site), len(set_primary), len(rec_site), total_len)
     parts[:0] = (header, _SECTION_TABLE.pack(*table))
     crc = 0
     for part in parts:
@@ -407,19 +311,13 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
     return b"".join(parts)
 
 
-def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
-    """Serialize an epoch to the binary wire format.
-
-    ``include_psl`` controls whether the compiled PSL trie rides along
-    (drop it when every consumer already holds the same PSL, e.g.
-    intra-process shard fan-out).
-    """
+def encode_epoch(epoch: "Epoch") -> bytes:
+    """Serialize an epoch to the binary wire format."""
     snapshot = epoch.snapshot
     if snapshot is None and len(epoch.index) > 0:
         raise ValueError("cannot encode an epoch with entries but no "
                          "snapshot: the wire format is list-derived")
-    return encode_list(epoch.rws_list, snapshot=snapshot,
-                       psl=epoch.psl if include_psl else None)
+    return encode_list(epoch.rws_list, snapshot=snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +330,11 @@ class _BufferData:
     __slots__ = (
         "buf", "flags", "snap_version", "content_hash_hex", "list_version",
         "as_of", "n_strings", "hash_cap", "hash_mask", "n_entries",
-        "n_sets", "n_records", "n_rules", "n_nodes", "total_len",
+        "n_sets", "n_records", "total_len",
         "str_offsets", "str_blob", "str_hash", "str_entry", "str_set",
         "entry_site", "entry_primary", "entry_variant", "entry_role",
         "entry_set", "set_primary", "set_rec_start", "rec_site",
-        "rec_role", "rec_variant", "rule_flags", "rule_label_start",
-        "rule_labels", "node_child_start", "child_labels", "child_nodes",
-        "node_star", "node_normal", "node_exc", "_strings",
+        "rec_role", "rec_variant", "_strings",
     )
 
     def __init__(self, buf, *, verify: bool = True) -> None:
@@ -453,8 +349,7 @@ class _BufferData:
                 f"buffer too short for an epoch header: {size} bytes")
         (magic, fmt_version, flags, snap_version, content_hash,
          list_version_id, as_of_id, n_strings, hash_cap, n_entries,
-         n_sets, n_records, n_rules, n_nodes, total_len) = \
-            _HEADER.unpack_from(view, 0)
+         n_sets, n_records, total_len) = _HEADER.unpack_from(view, 0)
         if magic != EPOCH_MAGIC:
             raise EpochFormatError(f"bad magic {bytes(magic)!r}", offset=0)
         if fmt_version != EPOCH_FORMAT_VERSION:
@@ -482,8 +377,6 @@ class _BufferData:
         self.n_entries = n_entries
         self.n_sets = n_sets
         self.n_records = n_records
-        self.n_rules = n_rules
-        self.n_nodes = n_nodes
         self.total_len = total_len
         if hash_cap < 8 or hash_cap & (hash_cap - 1):
             raise EpochFormatError(
@@ -505,12 +398,6 @@ class _BufferData:
             _S_REC_SITE: 4 * n_records,
             _S_REC_ROLE: n_records,
             _S_REC_VARIANT: 4 * n_records,
-            _S_RULE_FLAGS: n_rules,
-            _S_RULE_LABEL_START: 4 * (n_rules + 1),
-            _S_NODE_CHILD_START: 4 * (n_nodes + 1),
-            _S_NODE_STAR: 4 * n_nodes,
-            _S_NODE_NORMAL: 4 * n_nodes,
-            _S_NODE_EXC: 4 * n_nodes,
         }
         views: list[memoryview] = []
         limit = size - _TRAILER.size
@@ -539,10 +426,7 @@ class _BufferData:
          self.str_set, self.entry_site, self.entry_primary,
          self.entry_variant, self.entry_role, self.entry_set,
          self.set_primary, self.set_rec_start, self.rec_site,
-         self.rec_role, self.rec_variant, self.rule_flags,
-         self.rule_label_start, self.rule_labels, self.node_child_start,
-         self.child_labels, self.child_nodes, self.node_star,
-         self.node_normal, self.node_exc) = views
+         self.rec_role, self.rec_variant) = views
 
         if n_strings and self.str_offsets[n_strings] != \
                 len(self.str_blob):
@@ -558,10 +442,6 @@ class _BufferData:
         self._strings: dict[int, str] = {}
         self.list_version = self.string(list_version_id - 1)
         self.as_of = self.string(as_of_id - 1) if as_of_id else None
-
-    @property
-    def has_psl(self) -> bool:
-        return bool(self.flags & _FLAG_PSL)
 
     @property
     def has_snapshot(self) -> bool:
@@ -664,169 +544,6 @@ class _BufferRwsList(RwsList):
         self._materialized = list(value)
 
 
-class BufferSuffixTrie:
-    """Array-backed :class:`~repro.psl.rules.SuffixTrie` view.
-
-    ``resolve`` mirrors the compiled trie's walk exactly — including
-    the restart into the general multi-path resolver when an exact
-    child and a wildcard are simultaneously live, the exception-rule
-    ``depth - 1`` match length, and the implicit ``*`` fallback —
-    except that label membership checks go through the buffer's string
-    hash and a per-node binary search instead of dict lookups.
-    """
-
-    __slots__ = ("_data", "_label_ids", "_rule_objs")
-
-    def __init__(self, data: _BufferData) -> None:
-        if not data.has_psl:
-            raise EpochFormatError(
-                "buffer does not carry a PSL trie", section="rule_flags")
-        self._data = data
-        self._label_ids: dict[str, int] = {}
-        self._rule_objs: dict[int, Rule] = {}
-
-    def __len__(self) -> int:
-        return self._data.n_rules
-
-    def _label_sid(self, label: str) -> int:
-        sid = self._label_ids.get(label)
-        if sid is None:
-            sid = self._data.string_id(label)
-            if len(self._label_ids) >= _PROBE_MEMO_LIMIT:
-                self._label_ids.clear()
-            self._label_ids[label] = sid
-        return sid
-
-    def _child(self, node: int, sid: int) -> int:
-        """Exact child of ``node`` for label ``sid``, 0 if absent."""
-        if sid < 0:
-            return 0
-        data = self._data
-        lo = data.node_child_start[node]
-        hi = data.node_child_start[node + 1]
-        labels = data.child_labels
-        while lo < hi:
-            mid = (lo + hi) // 2
-            value = labels[mid]
-            if value < sid:
-                lo = mid + 1
-            elif value > sid:
-                hi = mid
-            else:
-                return data.child_nodes[mid]
-        return 0
-
-    def rule(self, seq: int) -> Rule:
-        """Materialize (and memoize) rule ``seq``."""
-        rule = self._rule_objs.get(seq)
-        if rule is None:
-            data = self._data
-            start = data.rule_label_start[seq]
-            end = data.rule_label_start[seq + 1]
-            labels = tuple(data.string(data.rule_labels[i])
-                           for i in range(start, end))
-            flags = data.rule_flags[seq]
-            rule = Rule(labels=labels, kind=_RULE_KINDS[flags & 3],
-                        is_private=bool(flags >> 2 & 1))
-            self._rule_objs[seq] = rule
-        return rule
-
-    def rules(self) -> Iterator[Rule]:
-        """Yield rules in insertion (RuleIndex iteration) order."""
-        for seq in range(self._data.n_rules):
-            yield self.rule(seq)
-
-    def resolve(self, labels: Sequence[str]) -> tuple[Rule | None, int]:
-        data = self._data
-        node = 0
-        best = 0  # normal terminal seq+1
-        best_depth = 0
-        exc = 0  # exception terminal seq+1
-        exc_depth = 0
-        depth = 0
-        for label in reversed(labels):
-            sid = self._label_sid(label)
-            depth += 1
-            child = self._child(node, sid)
-            star = data.node_star[node]
-            if star == 0:
-                if child == 0:
-                    break
-                node = child
-            elif child == 0:
-                node = star
-            else:
-                # Both an exact child and a wildcard are live: fall
-                # back to the general multi-path resolver.
-                return self._resolve_general(labels)
-            terminal = data.node_normal[node]
-            if terminal:
-                # Depth strictly increases on a single path, so the
-                # deepest terminal seen always prevails.
-                best = terminal
-                best_depth = depth
-            terminal = data.node_exc[node]
-            if terminal:
-                exc = terminal
-                exc_depth = depth
-        if exc:
-            # An exception rule wins outright and matches one label
-            # fewer than it contains.
-            return self.rule(exc - 1), exc_depth - 1
-        if best:
-            return self.rule(best - 1), best_depth
-        return None, 1  # implicit "*": the bare TLD is the suffix
-
-    def _resolve_general(self,
-                         labels: Sequence[str]) -> tuple[Rule | None, int]:
-        """Multi-path descent for domains matching exact + wildcard."""
-        data = self._data
-        nodes = [0]
-        best = -1  # rule seq
-        best_depth = 0
-        best_seq = 0
-        exc = -1
-        exc_depth = 0
-        exc_seq = 0
-        depth = 0
-        for label in reversed(labels):
-            sid = self._label_sid(label)
-            depth += 1
-            matched: list[int] = []
-            for node in nodes:
-                child = self._child(node, sid)
-                if child:
-                    matched.append(child)
-                star = data.node_star[node]
-                if star:
-                    matched.append(star)
-            if not matched:
-                break
-            for node in matched:
-                terminal = data.node_normal[node]
-                if terminal:
-                    seq = terminal - 1
-                    if depth > best_depth or (depth == best_depth
-                                              and seq < best_seq):
-                        best = seq
-                        best_depth = depth
-                        best_seq = seq
-                terminal = data.node_exc[node]
-                if terminal:
-                    seq = terminal - 1
-                    if depth > exc_depth or (depth == exc_depth
-                                             and seq < exc_seq):
-                        exc = seq
-                        exc_depth = depth
-                        exc_seq = seq
-            nodes = matched
-        if exc >= 0:
-            return self.rule(exc), exc_depth - 1
-        if best >= 0:
-            return self.rule(best), best_depth
-        return None, 1
-
-
 # ---------------------------------------------------------------------------
 # Loading
 
@@ -836,11 +553,11 @@ def load_epoch(buf, *, psl=None, verify: bool = True) -> "Epoch":
 
     ``buf`` may be any 1-byte buffer object (``bytes``, ``bytearray``,
     ``mmap``, ``memoryview``); the loaded epoch keeps a read-only view
-    into it, so the underlying storage must outlive the epoch.  Pass
-    ``psl`` to reuse an existing resolver; otherwise the buffer's own
-    PSL trie serves, or the default snapshot PSL when the buffer was
-    encoded without one.  ``verify=False`` skips the CRC check for
-    hot in-process hand-offs of trusted buffers.
+    into it, so the underlying storage must outlive the epoch.  The
+    buffer carries no PSL: pass ``psl`` to resolve hosts with an
+    existing resolver, otherwise the default snapshot PSL serves.
+    ``verify=False`` skips the CRC check for hot in-process hand-offs
+    of trusted buffers.
     """
     from repro.serve.epoch import Epoch
     from repro.serve.index import MembershipIndex
@@ -848,18 +565,14 @@ def load_epoch(buf, *, psl=None, verify: bool = True) -> "Epoch":
     index = MembershipIndex(buf, verify=verify)
     data = index._data
     if psl is None:
-        if data.has_psl:
-            from repro.psl.lookup import PublicSuffixList
-            psl = PublicSuffixList.from_compiled(BufferSuffixTrie(data))
-        else:
-            from repro.psl.lookup import default_psl
-            psl = default_psl()
+        from repro.psl.lookup import default_psl
+        psl = default_psl()
     snapshot = None
     if data.has_snapshot:
         snapshot = ListSnapshot(version=data.snap_version,
                                 content_hash=data.content_hash_hex,
                                 rws_list=_BufferRwsList(data))
-    held = buf if isinstance(buf, bytes) and not data.has_psl else None
+    held = buf if isinstance(buf, bytes) else None
     return Epoch(index=index, snapshot=snapshot, psl=psl, buffer=held)
 
 
@@ -873,101 +586,10 @@ def epoch_stat(buf, *, verify: bool = True) -> dict:
         "content_hash": data.content_hash_hex,
         "list_version": data.list_version,
         "as_of": data.as_of,
-        "has_psl": data.has_psl,
         "has_snapshot": data.has_snapshot,
         "strings": data.n_strings,
         "entries": data.n_entries,
         "sets": data.n_sets,
         "records": data.n_records,
-        "rules": data.n_rules,
-        "trie_nodes": data.n_nodes,
     }
 
-
-# ---------------------------------------------------------------------------
-# Disk cache
-
-
-class EpochDiskCache:
-    """Content-addressed on-disk cache of encoded epochs.
-
-    Files are keyed by the snapshot's ``content_hash``
-    (``<hash>.rwse``) under a cache directory taken from the
-    ``REPRO_EPOCH_CACHE`` environment variable or the explicit
-    ``directory`` argument.  Writes are atomic (temp file + rename);
-    loads are zero-copy via ``mmap`` with a plain-read fallback.
-    """
-
-    SUFFIX = ".rwse"
-
-    def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        if directory is None:
-            directory = os.environ.get("REPRO_EPOCH_CACHE",
-                                       ".repro-epoch-cache")
-        self.directory = Path(directory)
-
-    def path_for(self, content_hash: str) -> Path:
-        return self.directory / f"{content_hash}{self.SUFFIX}"
-
-    def put(self, epoch: "Epoch", *, include_psl: bool = True) -> Path:
-        """Encode and persist ``epoch``; returns the cache file path."""
-        if epoch.snapshot is None:
-            raise ValueError("cannot cache a bootstrap epoch: it has no "
-                             "content hash to key by")
-        buf = epoch.to_buffer(include_psl=include_psl)
-        return self.put_encoded(epoch.snapshot.content_hash, buf)
-
-    def put_encoded(self, content_hash: str, buf: bytes) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        target = self.path_for(content_hash)
-        tmp = target.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(buf)
-        os.replace(tmp, target)
-        return target
-
-    def get(self, content_hash: str, *, psl=None,
-            verify: bool = True) -> "Epoch | None":
-        """Load the cached epoch for ``content_hash``, or ``None``.
-
-        A cache file that fails validation is treated as absent and
-        removed (a torn write from a crashed process, say) rather than
-        poisoning every subsequent cold start.
-        """
-        target = self.path_for(content_hash)
-        try:
-            handle = open(target, "rb")
-        except OSError:
-            return None
-        with handle:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            except (OSError, ValueError):
-                mapped = None
-            raw = mapped if mapped is not None else handle.read()
-        # On rejection the mapping is NOT closed explicitly: a failed
-        # load may still hold exported memoryviews (closing would raise
-        # BufferError), so the mmap is released when those views are
-        # garbage-collected.  Unlinking a mapped file is safe.
-        try:
-            epoch = load_epoch(raw, psl=psl, verify=verify)
-        except EpochFormatError:
-            try:
-                os.unlink(target)
-            except OSError:
-                pass
-            return None
-        if epoch.snapshot is not None and \
-                epoch.snapshot.content_hash != content_hash:
-            try:
-                os.unlink(target)
-            except OSError:
-                pass
-            return None
-        return epoch
-
-    def warm(self, epochs: Iterable["Epoch"], *,
-             include_psl: bool = True) -> list[Path]:
-        """Persist every epoch in ``epochs``; returns the paths written."""
-        return [self.put(epoch, include_psl=include_psl)
-                for epoch in epochs]

@@ -8,12 +8,11 @@ read-only view over an encoded epoch buffer
 (:mod:`repro.serve.epochfmt`).  An index built from a list
 (:meth:`MembershipIndex.from_list`,
 :meth:`~repro.serve.epoch.Epoch.compile`) encodes it and loads the
-result, the same load a buffer from a primary, a shard driver, or the
-disk cache goes through — so a verdict never depends on how a list
-version arrived.  Every membership question (`lookup`, `related`,
-batches, streams) is a string-table probe plus u32 compares instead of
-the O(sets × members) scan behind
-:meth:`~repro.rws.model.RwsList.related`.
+result, the same load a buffer from a primary or a shard driver goes
+through — so a verdict never depends on how a list version arrived.
+Every membership question (`lookup`, `related`, batches, streams) is
+a string-table probe plus u32 compares instead of the O(sets ×
+members) scan behind :meth:`~repro.rws.model.RwsList.related`.
 
 The index is immutable: build a new one when the list changes (see
 :mod:`repro.serve.snapshot` for the versioning story).
@@ -26,12 +25,16 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
 from repro.serve.epochfmt import (
-    _PROBE_MEMO_LIMIT,
     _ROLES,
     _BufferData,
     _rebuild_set,
     encode_list,
 )
+
+#: Bound on the memo keyed by client input (probed sites) before it is
+#: dropped wholesale: the PSL resolution cache's size.  Memos keyed by
+#: string id need no bound — the buffer bounds them.
+_PROBE_MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class MembershipIndex:
 
     @classmethod
     def from_list(cls, rws_list: RwsList) -> MembershipIndex:
-        """Encode a list (no PSL trie, no snapshot) and load it."""
+        """Encode a list (no snapshot) and load it."""
         return cls(encode_list(rws_list), sets=tuple(rws_list.sets),
                    verify=False)
 

@@ -554,7 +554,7 @@ class RwsService(EpochShell):
                                 bytes=len(epoch.buffer))
             if epoch.snapshot is None:
                 return None
-            return epoch.to_buffer(include_psl=False)
+            return epoch.to_buffer()
 
     def adopt_encoded(self, buf) -> ListSnapshot:
         """Adopt a binary-encoded epoch as the serving epoch.

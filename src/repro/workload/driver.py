@@ -788,7 +788,7 @@ def _profile_buffer(profile: str) -> bytes:
         store = SnapshotStore()
         snapshot = store.publish(build_v1())
         epoch = Epoch.compile(snapshot, default_psl())
-        buf = epoch.to_buffer(include_psl=False)
+        buf = epoch.to_buffer()
         _PROFILE_BUFFERS[profile] = buf
     return buf
 

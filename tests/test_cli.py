@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -377,3 +379,39 @@ class TestNetTransportFlags:
         assert "net.requests" in output
         assert "net.client.requests" in output
         assert "serve.queries" in output
+
+
+class TestEpochCommand:
+    @pytest.fixture
+    def encoded(self, tmp_path, capsys):
+        path = tmp_path / "seed.rwse"
+        assert main(["epoch", "encode", "--out", str(path)]) == 0
+        assert f"-> {path}" in capsys.readouterr().out
+        return path
+
+    def test_stat_reports_format_version_2(self, encoded, capsys):
+        assert main(["epoch", "stat", str(encoded)]) == 0
+        rows = dict(line.split(maxsplit=1)
+                    for line in capsys.readouterr().out.splitlines())
+        assert rows["format_version"] == "2"
+        assert rows["bytes"] == str(encoded.stat().st_size)
+        assert "has_psl" not in rows
+
+    def test_verify_rechecks_the_content_hash(self, encoded, capsys):
+        assert main(["epoch", "verify", str(encoded)]) == 0
+        assert "content hash ok" in capsys.readouterr().out
+
+    def test_truncated_and_version_1_files_exit_two(self, encoded,
+                                                    tmp_path, capsys):
+        raw = encoded.read_bytes()
+        truncated = tmp_path / "truncated.rwse"
+        truncated.write_bytes(raw[:1000])
+        # A version 1 header with a valid CRC: refused by version alone.
+        body = bytearray(raw[:-4])
+        struct.pack_into("<H", body, 4, 1)
+        old = tmp_path / "v1.rwse"
+        old.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        for path in (truncated, old):
+            for action in ("stat", "verify"):
+                assert main(["epoch", action, str(path)]) == 2
+                assert "invalid epoch file" in capsys.readouterr().err

@@ -6,12 +6,12 @@ Four concerns, matching the format's claims:
   (each index is a view over an encoded epoch) must equal a naive
   first-wins oracle built from :class:`~repro.rws.RwsList` scans, a
   loaded buffer must reconstruct a membership hash bit-identical to
-  the stored content hash, and the buffer's PSL trie must resolve
-  suffixes exactly like the in-memory trie.
-* **Robustness** — corrupt, truncated, or foreign buffers are
-  rejected with a structured :class:`~repro.serve.EpochFormatError`
-  (never a crash or a silently wrong index), a poisoned disk cache
-  file heals itself, and text with no UTF-8 form probes as unlisted.
+  the stored content hash, and a loaded epoch resolves hosts with the
+  caller's (or the default) PSL, since the buffer carries none.
+* **Robustness** — corrupt, truncated, foreign, or format-version-1
+  buffers are rejected with a structured
+  :class:`~repro.serve.EpochFormatError` (never a crash or a silently
+  wrong index), and text with no UTF-8 form probes as unlisted.
 * **Integration** — every route an epoch arrives by serves the same
   index class, the service hands out the served epoch's own buffer
   (:meth:`~repro.serve.RwsService.encoded_epoch`) instead of encoding
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import gc
 import random
+import struct
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -43,7 +45,6 @@ from repro.psl import default_psl
 from repro.rws import RelatedWebsiteSet, RwsList, SiteRole
 from repro.serve import (
     Epoch,
-    EpochDiskCache,
     EpochFormatError,
     MembershipIndex,
     RwsService,
@@ -60,6 +61,13 @@ from repro.workload import run_serial, run_sharded
 def compile_epoch(rws_list: RwsList) -> Epoch:
     snapshot = SnapshotStore().publish(rws_list)
     return Epoch.compile(snapshot, default_psl())
+
+
+def with_format_version(buf: bytes, version: int) -> bytes:
+    """``buf`` with its header's format version rewritten, CRC redone."""
+    body = bytearray(buf[:-4])
+    struct.pack_into("<H", body, 4, version)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
 def tricky_list() -> RwsList:
@@ -227,22 +235,9 @@ class TestRoundTrip:
             assert loaded.snapshot.rws_list.version == rws_list.version
             assert loaded.snapshot.rws_list.as_of == rws_list.as_of
 
-    def test_embedded_psl_resolves_identically(self):
-        epoch = compile_epoch(tricky_list())
-        loaded = Epoch.from_buffer(epoch.to_buffer())
-        assert loaded.psl is not epoch.psl
-        for domain in ["www.example.com", "example.co.uk", "foo.ck",
-                       "www.ck", "a.b.ck", "mysite.github.io",
-                       "city.kawasaki.jp", "w.city.kawasaki.jp",
-                       "a.city.kawasaki.jp", "example.zz", "com"]:
-            assert loaded.psl._resolve_uncached(domain) \
-                == epoch.psl._resolve_uncached(domain)
-
     def test_without_psl_section_uses_caller_psl(self):
         epoch = compile_epoch(tricky_list())
-        buf = epoch.to_buffer(include_psl=False)
-        assert len(buf) < len(epoch.to_buffer())
-        assert not epoch_stat(buf)["has_psl"]
+        buf = epoch.to_buffer()
         loaded = Epoch.from_buffer(buf, psl=epoch.psl)
         assert loaded.psl is epoch.psl
         # Without an explicit PSL the default snapshot is used.
@@ -264,11 +259,10 @@ class TestRoundTrip:
         assert stat["content_hash"] == epoch.snapshot.content_hash
         assert stat["list_version"] == "tricky-1"
         assert stat["as_of"] == "2024-03-26"
-        assert stat["has_psl"] and stat["has_snapshot"]
+        assert stat["has_snapshot"]
         assert stat["entries"] == len(epoch.index)
         assert stat["sets"] == 2
         assert stat["records"] >= stat["entries"]  # duplicates kept
-        assert stat["rules"] > 0 and stat["trie_nodes"] > 0
 
     def test_site_without_utf8_form_probes_as_unlisted(self):
         # JSON "\\ud800" escapes decode to lone surrogates, which have no
@@ -282,10 +276,6 @@ class TestRoundTrip:
             assert index.related(site, site)
             assert index.related_batch_normalized(
                 [(site, "example.com")]) == [False]
-        # The buffer's PSL trie walks such a label as an unknown one.
-        labels = ["a\ud800b", "com"]
-        assert loaded.psl._trie.resolve(labels) \
-            == default_psl()._trie.resolve(labels)
 
     def test_buffer_is_plain_bytes_and_reusable(self):
         buf = compile_epoch(tricky_list()).to_buffer()
@@ -329,8 +319,7 @@ class TestRandomizedEquivalence:
             rws_list = self.random_list(rng)
             duplicated_lists += bool(rws_list.duplicate_members())
             epoch = compile_epoch(rws_list)
-            loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
-                                       psl=epoch.psl)
+            loaded = Epoch.from_buffer(epoch.to_buffer(), psl=epoch.psl)
             # Every probe site, cross-set duplicate members included:
             # the oracle resolves them first-wins, as the index must.
             sites = sorted({record.site for rws_set in rws_list
@@ -370,6 +359,19 @@ class TestCorruptionRejection:
             load_epoch(bytes(mangled))
         assert "version" in str(excinfo.value)
 
+    def test_format_version_1_buffer_is_refused(self):
+        # Version 1 carried the PSL trie sections; a version 1 header
+        # with an intact CRC is refused at the version field, before
+        # any section is read.
+        with pytest.raises(EpochFormatError) as excinfo:
+            load_epoch(with_format_version(self.buf, 1))
+        assert excinfo.value.offset == 4
+        assert "version 1" in str(excinfo.value)
+        # The rewrite itself keeps the buffer valid: only the version
+        # field decides.
+        assert load_epoch(with_format_version(self.buf, 2)).index \
+            .related("example.com", "shared.com")
+
     def test_single_byte_flips_never_crash(self):
         # Any single-byte corruption must surface as EpochFormatError
         # (the CRC trailer catches what structural checks miss) —
@@ -406,62 +408,6 @@ class TestCorruptionRejection:
         # Structural damage is rejected even without verification.
         with pytest.raises(EpochFormatError):
             load_epoch(self.buf[:40], verify=False)
-
-
-class TestDiskCache:
-    def test_put_get_round_trip(self, tmp_path):
-        cache = EpochDiskCache(tmp_path)
-        epoch = compile_epoch(tricky_list())
-        path = cache.put(epoch)
-        assert path.exists()
-        assert path.suffix == ".rwse"
-        loaded = cache.get(epoch.snapshot.content_hash)
-        assert loaded is not None
-        assert loaded.snapshot.content_hash == epoch.snapshot.content_hash
-        assert loaded.index.members_of("example.com") \
-            == epoch.index.members_of("example.com")
-
-    def test_miss_returns_none(self, tmp_path):
-        cache = EpochDiskCache(tmp_path)
-        assert cache.get("0" * 64) is None
-
-    def test_corrupt_file_is_removed_not_served(self, tmp_path):
-        cache = EpochDiskCache(tmp_path)
-        epoch = compile_epoch(tricky_list())
-        path = cache.put(epoch)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        assert cache.get(epoch.snapshot.content_hash) is None
-        assert not path.exists()  # healed: poisoned file removed
-
-    def test_mismatched_content_is_removed(self, tmp_path):
-        cache = EpochDiskCache(tmp_path)
-        epoch = compile_epoch(tricky_list())
-        wrong_key = "f" * 64
-        cache.put_encoded(wrong_key, epoch.to_buffer())
-        assert cache.get(wrong_key) is None
-        assert not cache.path_for(wrong_key).exists()
-
-    def test_bootstrap_epoch_is_uncacheable(self, tmp_path):
-        cache = EpochDiskCache(tmp_path)
-        with pytest.raises(ValueError):
-            cache.put(Epoch.bootstrap(default_psl()))
-
-    def test_warm_writes_every_epoch(self, tmp_path):
-        cache = EpochDiskCache(tmp_path)
-        epochs = [compile_epoch(tricky_list()),
-                  compile_epoch(build_small_synthetic_list())]
-        paths = cache.warm(epochs)
-        assert len(paths) == 2
-        assert all(path.exists() for path in paths)
-
-    def test_env_var_selects_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EPOCH_CACHE", str(tmp_path / "env"))
-        cache = EpochDiskCache()
-        epoch = compile_epoch(tricky_list())
-        path = cache.put(epoch)
-        assert path.parent == tmp_path / "env"
 
 
 class TestServiceIntegration:
@@ -636,6 +582,15 @@ class TestOneRepresentation:
             primary.queue.shutdown()
             follower.queue.shutdown()
 
+    def test_to_buffer_hands_out_the_held_buffer(self):
+        epoch = compile_epoch(tricky_list())
+        assert epoch.to_buffer() is epoch.buffer
+        loaded = Epoch.from_buffer(epoch.buffer)
+        assert loaded.to_buffer() is epoch.buffer
+        # The format carries no PSL, so asking for one is an error.
+        with pytest.raises(ValueError):
+            epoch.to_buffer(include_psl=True)
+
 
 class TestSyntheticGenerator:
     def test_exact_domain_count_and_determinism(self):
@@ -667,7 +622,7 @@ class TestSyntheticGenerator:
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            buf = encode_epoch(epoch, include_psl=False)
+            buf = encode_epoch(epoch)
             peak = tracemalloc.get_traced_memory()[1] - baseline
         finally:
             tracemalloc.stop()
@@ -675,8 +630,7 @@ class TestSyntheticGenerator:
 
     def test_synthetic_list_round_trips(self):
         epoch = compile_epoch(build_synthetic_list(2000, seed=3))
-        loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
-                                   psl=epoch.psl)
+        loaded = Epoch.from_buffer(epoch.to_buffer(), psl=epoch.psl)
         assert len(loaded.index) == 2000
         assert membership_hash(loaded.snapshot.rws_list) \
             == epoch.snapshot.content_hash

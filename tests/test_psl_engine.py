@@ -6,11 +6,8 @@ Three concerns, matching the engine's three claims:
   semantics-identical to the candidate scan it replaced
   (:meth:`PublicSuffixList._resolve_scan`), including wildcard,
   exception, and implicit-``*`` rules, on the full embedded snapshot
-  *and* on randomised rule sets; the same holds for the third
-  resolver implementation, the zero-copy
-  :class:`~repro.serve.BufferSuffixTrie` view a serialized epoch
-  loads back; the fast-path normaliser must accept and reject
-  exactly what the reference normaliser does.
+  *and* on randomised rule sets; the fast-path normaliser must accept
+  and reject exactly what the reference normaliser does.
 * **Concurrency** — lock-free cached reads stay correct under
   concurrent resolve/cache_clear, and the cache counters stay
   consistent (misses/errors exact under the write lock, hits exact
@@ -35,24 +32,11 @@ from repro.browser.policy import BROWSER_POLICIES
 from repro.psl import DomainError, PublicSuffixList, normalize_domain
 from repro.psl.lookup import _normalize_reference
 from repro.rws.model import RwsList
-from repro.serve import Epoch, MembershipIndex
 from repro.serve.service import RwsService
 
 LABEL = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789",
                 min_size=1, max_size=8)
 
-
-def serialized_round_trip(psl: PublicSuffixList) -> PublicSuffixList:
-    """Encode a PSL into a binary epoch and load it back.
-
-    The returned resolver answers from the zero-copy
-    :class:`~repro.serve.BufferSuffixTrie` view over the encoded
-    buffer — the third trie implementation the differential tests
-    pin to the candidate scan.
-    """
-    epoch = Epoch(index=MembershipIndex.from_list(RwsList()), snapshot=None,
-                  psl=psl)
-    return Epoch.from_buffer(epoch.to_buffer()).psl
 
 #: Suffix tails exercising every rule kind in the embedded snapshot:
 #: plain TLD, multi-label, wildcard (*.ck), exception (www.ck),
@@ -64,11 +48,6 @@ SNAPSHOT_TAILS = ["com", "org", "co.uk", "ck", "www.ck", "github.io",
 #: between exact, wildcard, and exception paths.
 RULE_LABEL = st.sampled_from(["aa", "bb", "cc", "top", "alt", "*"])
 DOMAIN_LABEL = st.sampled_from(["aa", "bb", "cc", "dd", "top", "alt", "www"])
-
-
-@pytest.fixture(scope="module")
-def buffer_psl(psl):
-    return serialized_round_trip(psl)
 
 
 class TestTrieEquivalence:
@@ -105,29 +84,10 @@ class TestTrieEquivalence:
             lines.append("!" + body if is_exception and len(labels) >= 2
                          else body)
         psl = PublicSuffixList("\n".join(lines), cache_size=0)
-        buffer_psl = serialized_round_trip(psl)
         for labels in domains:
             domain = ".".join(labels)
             expected = psl._resolve_scan(domain)
             assert psl._resolve_uncached(domain) == expected
-            assert buffer_psl._resolve_uncached(domain) == expected
-
-    @given(labels=st.lists(LABEL, min_size=1, max_size=4),
-           tail=st.sampled_from(SNAPSHOT_TAILS))
-    def test_serialized_trie_matches_scan_on_snapshot(self, psl,
-                                                      buffer_psl,
-                                                      labels, tail):
-        domain = ".".join(labels + [tail])
-        assert buffer_psl._resolve_uncached(domain) \
-            == psl._resolve_scan(domain)
-
-    def test_serialized_trie_rebuilds_an_equivalent_scan(self, buffer_psl):
-        # The loaded PSL has no RuleIndex; _resolve_scan rebuilds one
-        # from the buffer trie's own rules() walk.
-        for domain in ["a.example.com", "foo.ck", "www.ck",
-                       "a.city.kawasaki.jp", "example.zz"]:
-            assert buffer_psl._resolve_uncached(domain) \
-                == buffer_psl._resolve_scan(domain)
 
     def test_exception_inside_wildcard_takes_general_path(self, psl):
         # city.kawasaki.jp matches both *.kawasaki.jp and the

@@ -126,8 +126,7 @@ class TestBufferIndexEquivalence:
 
         snapshot = SnapshotStore().publish(rws_list)
         epoch = Epoch.compile(snapshot, default_psl())
-        loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
-                                   psl=epoch.psl)
+        loaded = Epoch.from_buffer(epoch.to_buffer(), psl=epoch.psl)
         return epoch, loaded
 
     def test_small_list_three_way_agreement(self):
