@@ -4,7 +4,7 @@ Not a paper artefact: the acceptance gate for ``repro.serve.epochfmt``.
 The format exists for one reason — standing up a serving epoch from an
 encoded buffer must be O(size) *without* per-entry Python object
 construction, so shard fan-out and replica cold-start stop paying the
-full index+trie compile on every worker.  This harness pins that:
+full compile (encode + load) on every worker.  This harness pins that:
 
 * **load vs compile** — ``Epoch.from_buffer`` must be at least 5x
   faster than ``Epoch.compile`` (an encode plus a load) on a synthetic
@@ -154,7 +154,7 @@ def _cached_result() -> dict[str, float]:
 
 
 def test_epoch_load_beats_compile_by_5x():
-    """The headline claim: O(size) load >= 5x the index+trie compile."""
+    """The headline claim: O(size) load >= 5x the compile (encode + load)."""
     global _RESULT
     result = _cached_result()
     if result["load_speedup"] < 5.0:

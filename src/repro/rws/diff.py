@@ -8,8 +8,9 @@ those analyses consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.rws.model import MemberRecord, RwsList
+from repro.rws.model import ROLES, MemberRecord, RelatedWebsiteSet, RwsList
 
 
 @dataclass
@@ -39,38 +40,77 @@ class ListDiff:
                     or self.added_members or self.removed_members)
 
 
-def _membership_key(record: MemberRecord) -> tuple[str, str, str]:
+#: Role values by role code, for membership keys built from rows.
+_ROLE_VALUES = tuple(role.value for role in ROLES)
+
+MembershipKey = tuple[str, str, str]
+
+
+def membership_key(record: MemberRecord) -> MembershipKey:
+    """A record's ``(set primary, role value, site)`` membership fact."""
     return (record.set_primary, record.role.value, record.site)
+
+
+def membership_keys(sets: Iterable[RelatedWebsiteSet]) -> list[MembershipKey]:
+    """Every membership fact some sets declare, in row order.
+
+    Repeats are kept.  Read from
+    :meth:`~repro.rws.model.RelatedWebsiteSet.member_rows`, so no
+    :class:`MemberRecord` is built.
+    """
+    return [
+        (rws_set.primary, _ROLE_VALUES[code], site)
+        for rws_set in sets
+        for site, code, _ in rws_set.member_rows()
+    ]
+
+
+def _records_for(rws_list: RwsList,
+                 keys: set[MembershipKey]) -> list[MemberRecord]:
+    """The records declaring ``keys``, in key order.
+
+    Only the sets a key names are walked.  A fact declared twice keeps
+    its last record, as a dict keyed by fact over every record would.
+    """
+    primaries = {primary for primary, _, _ in keys}
+    found: dict[MembershipKey, MemberRecord] = {}
+    for rws_set in rws_list.sets:
+        if rws_set.primary in primaries:
+            for record in rws_set.member_records():
+                key = membership_key(record)
+                if key in keys:
+                    found[key] = record
+    return [found[key] for key in sorted(keys)]
 
 
 def diff_lists(old: RwsList, new: RwsList) -> ListDiff:
     """Compute the delta from ``old`` to ``new``.
+
+    The two lists' :func:`membership_keys` are diffed as sets, and
+    records are built only for the sets that a changed fact names, so
+    an edit to a large list costs one row walk per side plus the
+    records of the sets it touches.
 
     Args:
         old: The earlier snapshot.
         new: The later snapshot.
 
     Returns:
-        The structured diff.
+        The structured diff: member records sorted by membership key.
     """
     old_primaries = set(old.primaries())
     new_primaries = set(new.primaries())
 
-    old_members = {_membership_key(r): r for r in old.all_members()}
-    new_members = {_membership_key(r): r for r in new.all_members()}
-
-    added_members = [new_members[key] for key in sorted(new_members.keys() - old_members.keys())]
-    removed_members = [old_members[key] for key in sorted(old_members.keys() - new_members.keys())]
-
-    changed = set()
-    for record in added_members + removed_members:
-        if record.set_primary in old_primaries and record.set_primary in new_primaries:
-            changed.add(record.set_primary)
+    old_keys = set(membership_keys(old.sets))
+    new_keys = set(membership_keys(new.sets))
+    added_keys = new_keys - old_keys
+    removed_keys = old_keys - new_keys
+    changed = {primary for primary, _, _ in added_keys | removed_keys}
 
     return ListDiff(
         added_sets=sorted(new_primaries - old_primaries),
         removed_sets=sorted(old_primaries - new_primaries),
-        added_members=added_members,
-        removed_members=removed_members,
-        changed_sets=sorted(changed),
+        added_members=_records_for(new, added_keys),
+        removed_members=_records_for(old, removed_keys),
+        changed_sets=sorted(changed & old_primaries & new_primaries),
     )

@@ -33,6 +33,13 @@ class SiteRole(enum.Enum):
     CCTLD = "cctld"
 
 
+#: Every role, indexed by its integer code: the codes
+#: :meth:`RelatedWebsiteSet.member_rows` yields and the binary epoch
+#: format stores.
+ROLES: tuple[SiteRole, ...] = (SiteRole.PRIMARY, SiteRole.ASSOCIATED,
+                               SiteRole.SERVICE, SiteRole.CCTLD)
+
+
 @dataclass(frozen=True)
 class MemberRecord:
     """One site's membership in one set.
@@ -103,21 +110,35 @@ class RelatedWebsiteSet:
                 seen.append(site)
         return seen
 
-    def member_records(self) -> Iterator[MemberRecord]:
-        """Typed membership records for every site in the set."""
-        yield MemberRecord(self.primary, SiteRole.PRIMARY, self.primary,
-                           rationale=self.rationales.get(self.primary))
-        for site in self.associated:
-            yield MemberRecord(site, SiteRole.ASSOCIATED, self.primary,
-                               rationale=self.rationales.get(site))
-        for site in self.service:
-            yield MemberRecord(site, SiteRole.SERVICE, self.primary,
-                               rationale=self.rationales.get(site))
+    def member_rows(self) -> list[tuple[str, int, str | None]]:
+        """``(site, role code, variant_of)`` for every member record.
+
+        The one place set fields map to roles.  Rows come in
+        :meth:`member_records` order (primary, associated, service,
+        then ccTLD variants grouped by the member they vary), keep
+        repeats, and carry the role as its index in :data:`ROLES`.
+        Publish-path consumers — the membership hash, the list diff
+        and the epoch encoder — read these plain tuples instead of
+        building a :class:`MemberRecord` per member.
+        """
+        rows: list[tuple[str, int, str | None]] = [(self.primary, 0, None)]
+        rows += [(site, 1, None) for site in self.associated]
+        rows += [(site, 2, None) for site in self.service]
         for member, variants in self.cctlds.items():
-            for variant in variants:
-                yield MemberRecord(variant, SiteRole.CCTLD, self.primary,
-                                   variant_of=member,
-                                   rationale=self.rationales.get(variant))
+            rows += [(variant, 3, member) for variant in variants]
+        return rows
+
+    def member_records(self) -> Iterator[MemberRecord]:
+        """Typed membership records for every site in the set.
+
+        One record per :meth:`member_rows` row, in the same order, with
+        the declared rationale attached.
+        """
+        primary = self.primary
+        rationale = self.rationales.get
+        for site, code, variant_of in self.member_rows():
+            yield MemberRecord(site, ROLES[code], primary,
+                               variant_of, rationale(site))
 
     def role_of(self, site: str) -> SiteRole | None:
         """The role a domain plays in this set, or None if absent."""

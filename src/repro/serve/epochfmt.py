@@ -80,7 +80,7 @@ import zlib
 from array import array
 from typing import TYPE_CHECKING
 
-from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
+from repro.rws.model import RelatedWebsiteSet, RwsList
 from repro.serve.snapshot import ListSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -133,10 +133,6 @@ _SECTION_NAMES = (
 
 #: Sections holding u32 arrays (everything except the blob and u8 roles).
 _U8_SECTIONS = frozenset({_S_STR_BLOB, _S_ENTRY_ROLE, _S_REC_ROLE})
-
-_ROLES: tuple[SiteRole, ...] = (SiteRole.PRIMARY, SiteRole.ASSOCIATED,
-                                SiteRole.SERVICE, SiteRole.CCTLD)
-_ROLE_CODES = {role: code for code, role in enumerate(_ROLES)}
 
 if array("I").itemsize != 4:  # pragma: no cover - exotic platforms only
     raise ImportError("repro.serve.epochfmt requires 4-byte unsigned ints")
@@ -231,7 +227,9 @@ def encode_list(rws_list: RwsList, *,
     the buffer loads back as that snapshot's epoch.
 
     Encoding is O(list size) Python work and runs once per publish;
-    only the *load* side needs to be allocation-free.
+    only the *load* side needs to be allocation-free.  It walks each
+    set's :meth:`~repro.rws.model.RelatedWebsiteSet.member_rows`, whose
+    role codes are the wire's, so no per-member record is built.
     """
     _require_little_endian()
     strings = _StringTable()
@@ -250,17 +248,16 @@ def encode_list(rws_list: RwsList, *,
     entry_set = array("I")
 
     # First-wins entries and primary->set slots, records in
-    # member_records() order: the first set in list order claims a
-    # site, as RwsList.find_set_for does.
+    # member_rows() order: the first set in list order claims a site,
+    # as RwsList.find_set_for does.
     for set_idx, rws_set in enumerate(rws_list.sets):
         pid = add(rws_set.primary)
         set_primary.append(pid)
         if not str_set[pid]:
             str_set[pid] = set_idx + 1
-        for record in rws_set.member_records():
-            sid = add(record.site)
-            vid = add(record.variant_of) + 1 if record.variant_of else 0
-            code = _ROLE_CODES[record.role]
+        for site, code, variant_of in rws_set.member_rows():
+            sid = add(site)
+            vid = add(variant_of) + 1 if variant_of else 0
             rec_site.append(sid)
             rec_role.append(code)
             rec_variant.append(vid)

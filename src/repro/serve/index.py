@@ -23,13 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
-from repro.serve.epochfmt import (
-    _ROLES,
-    _BufferData,
-    _rebuild_set,
-    encode_list,
-)
+from repro.rws.model import ROLES, RelatedWebsiteSet, RwsList, SiteRole
+from repro.serve.epochfmt import _BufferData, _rebuild_set, encode_list
 
 #: Bound on the memo keyed by client input (probed sites) before it is
 #: dropped wholesale: the PSL resolution cache's size.  Memos keyed by
@@ -151,7 +146,7 @@ class MembershipIndex:
             vid = data.entry_variant[eidx]
             entry = IndexEntry(
                 site=data.string(data.entry_site[eidx]),
-                role=_ROLES[data.entry_role[eidx]],
+                role=ROLES[data.entry_role[eidx]],
                 set_primary=data.string(data.entry_primary[eidx]),
                 variant_of=data.string(vid - 1) if vid else None)
             self._entry_objs[eidx] = entry
@@ -196,7 +191,7 @@ class MembershipIndex:
     def role_of(self, site: str) -> SiteRole | None:
         """The role a domain plays in its set, or None if unlisted."""
         eidx = self._entry_index(site.lower())
-        return _ROLES[self._data.entry_role[eidx]] if eidx >= 0 else None
+        return ROLES[self._data.entry_role[eidx]] if eidx >= 0 else None
 
     def set_for(self, site: str) -> RelatedWebsiteSet | None:
         """The set containing a domain, or None (O(1) find_set_for)."""
@@ -260,8 +255,8 @@ class MembershipIndex:
             b,
             shared is not None or a == b,
             shared,
-            _ROLES[data.entry_role[ea]] if ea >= 0 else None,
-            _ROLES[data.entry_role[eb]] if eb >= 0 else None,
+            ROLES[data.entry_role[ea]] if ea >= 0 else None,
+            ROLES[data.entry_role[eb]] if eb >= 0 else None,
         )
 
     def related_batch(self, pairs: Iterable[tuple[str, str]]) -> list[bool]:

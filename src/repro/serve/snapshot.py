@@ -26,9 +26,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Sequence
 
-from repro.rws.diff import ListDiff, diff_lists
+from repro.rws.diff import (
+    ListDiff,
+    MembershipKey,
+    diff_lists,
+    membership_key,
+    membership_keys,
+)
 from repro.rws.history import RwsHistory
 from repro.rws.model import MemberRecord, RelatedWebsiteSet, RwsList, SiteRole
 
@@ -37,25 +45,32 @@ class StaleSnapshotError(ValueError):
     """A delta cannot be produced for, or applied to, the given base."""
 
 
+_primary = attrgetter("primary")
+
+
 def membership_hash(rws_list: RwsList) -> str:
     """A canonical content hash of a list's membership.
 
     Order-independent: two lists declaring the same (set, role, site)
-    facts hash identically regardless of set or subset ordering.  The
-    key deliberately matches what :func:`repro.rws.diff.diff_lists`
-    tracks, so a delta is empty exactly when the hashes agree —
-    rationales, contacts, and ccTLD variant-of attributions are
-    submitter metadata the browser never consults, and changing only
-    them neither mints a new version nor invalidates client copies.
+    facts hash identically regardless of set or subset ordering, and a
+    fact declared twice is hashed once.  The facts are exactly
+    :func:`repro.rws.diff.membership_keys`, which
+    :func:`repro.rws.diff.diff_lists` diffs as sets, so a delta is
+    empty exactly when the hashes agree — rationales, contacts, and ccTLD
+    variant-of attributions are submitter metadata the browser never
+    consults, and changing only them neither mints a new version nor
+    invalidates client copies.
     """
     digest = hashlib.sha256()
-    keys = sorted(
-        (record.set_primary, record.role.value, record.site)
-        for record in rws_list.all_members()
-    )
-    for key in keys:
-        digest.update("\x1f".join(key).encode("utf-8"))
-        digest.update(b"\x1e")
+    update = digest.update
+    # Keys sort by primary first, so hashing one primary's sets at a
+    # time keeps the canonical order while holding only that primary's
+    # keys: a list-wide key set raised the peak RSS of a 100k-domain
+    # publish.
+    by_primary = sorted(rws_list.sets, key=_primary)
+    for _, group in groupby(by_primary, key=_primary):
+        for primary, role, site in sorted(set(membership_keys(group))):
+            update(f"{primary}\x1f{role}\x1f{site}\x1e".encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -225,17 +240,17 @@ def squash_deltas(deltas: Sequence[SnapshotDelta]) -> SnapshotDelta:
                 f"v{current.from_version} ({current.from_hash[:12]}…)"
             )
 
-    added: dict[tuple[str, str, str], MemberRecord] = {}
-    removed: dict[tuple[str, str, str], MemberRecord] = {}
+    added: dict[MembershipKey, MemberRecord] = {}
+    removed: dict[MembershipKey, MemberRecord] = {}
     added_sets: set[str] = set()
     removed_sets: set[str] = set()
     for delta in deltas:
         for record in delta.diff.removed_members:
-            key = _removal_key(record)
+            key = membership_key(record)
             if added.pop(key, None) is None:
                 removed[key] = record
         for record in delta.diff.added_members:
-            key = _removal_key(record)
+            key = membership_key(record)
             if removed.pop(key, None) is None:
                 added[key] = record
         for primary in delta.diff.removed_sets:
@@ -273,10 +288,6 @@ def squash_deltas(deltas: Sequence[SnapshotDelta]) -> SnapshotDelta:
             changed_sets=sorted(changed),
         ),
     )
-
-
-def _removal_key(record: MemberRecord) -> tuple[str, str, str]:
-    return (record.set_primary, record.role.value, record.site)
 
 
 def _rebuild_set(records: list[MemberRecord],
@@ -330,7 +341,8 @@ def apply_delta(client_list: RwsList, delta: SnapshotDelta) -> RwsList:
             f"(client {base_hash[:12]}…, expected {delta.from_hash[:12]}…)"
         )
 
-    removed = {_removal_key(record) for record in delta.diff.removed_members}
+    removed = {membership_key(record)
+               for record in delta.diff.removed_members}
     removed_sets = set(delta.diff.removed_sets)
     touched = set(delta.diff.changed_sets) | {
         record.set_primary for record in delta.diff.added_members
@@ -351,7 +363,7 @@ def apply_delta(client_list: RwsList, delta: SnapshotDelta) -> RwsList:
             continue
         survivors = [
             record for record in rws_set.member_records()
-            if _removal_key(record) not in removed
+            if membership_key(record) not in removed
         ]
         survivors.extend(added_by_primary.get(rws_set.primary, []))
         patched_sets.append(_rebuild_set(survivors, rws_set))

@@ -18,8 +18,9 @@ from repro.api.envelopes import (
     SubmitRequest,
 )
 from repro.cluster import Replica, ReplicationGapError, Router
+from repro.data import build_synthetic_list
 from repro.psl import PublicSuffixList
-from repro.rws import RelatedWebsiteSet, RwsList
+from repro.rws import MemberRecord, RelatedWebsiteSet, RwsList
 from repro.serve.epoch import Epoch
 from repro.serve import (
     RwsService,
@@ -605,3 +606,67 @@ class TestDispatcherOverRouter:
         assert stats.report["replicas"] == 3
         assert stats.report["epoch"] == 2
         assert stats.report["replica_epoch_min"] == 1  # still lagging
+
+
+class TestPublishPath:
+    """What one router publish costs and keeps consistent."""
+
+    @pytest.fixture()
+    def service(self):
+        service = RwsService(workers=1)
+        yield service
+        service.queue.shutdown()
+
+    @staticmethod
+    def one_set(associated: list[str]) -> RwsList:
+        return RwsList(sets=[RelatedWebsiteSet(primary="example.com",
+                                               associated=associated)])
+
+    @pytest.mark.parametrize("first, second", [
+        (["a.com", "a.com"], ["a.com"]),
+        (["a.com"], ["a.com", "a.com"]),
+    ])
+    def test_republish_that_only_repeats_a_fact_is_deduplicated(
+            self, service, first, second):
+        # A repeated (set, role, site) fact is one fact: the hash must
+        # agree with the diff, which sees no change, or every replica
+        # refuses the empty delta after the primary has switched.
+        router = Router(service, replicas=2, lag=0)
+        router.publish(self.one_set(first))
+        snapshot = router.publish(self.one_set(second))
+        assert snapshot.version == 1
+        assert service.store.versions() == [1]
+        assert router.converged
+        assert router.replica_versions() == [1, 1]
+        for replica in router.replicas:
+            assert replica.epoch.content_hash == service.epoch.content_hash
+
+    def test_router_publish_builds_records_only_for_its_delta(
+            self, service, monkeypatch):
+        # Count-based, no timing: the hash, diff and encoder of the
+        # primary and every replica read row tuples, so the only
+        # records a publish builds are the delta's own.
+        rws_list = build_synthetic_list(600, seed=5)
+        successor = RwsList(sets=rws_list.sets[1:] + [RelatedWebsiteSet(
+            primary="added.com", associated=["added-news.com",
+                                             "added-shop.com"],
+            service=["added-cdn.net"])], version=rws_list.version + "-v2")
+        router = Router(service, replicas=3, lag=0)
+        router.publish(rws_list)
+        built = []
+        original = MemberRecord.__init__
+
+        def counting_init(record, *args, **kwargs):
+            built.append(record)
+            original(record, *args, **kwargs)
+
+        monkeypatch.setattr(MemberRecord, "__init__", counting_init)
+        snapshot = router.publish(successor)
+        monkeypatch.undo()
+        assert snapshot.version == 2
+        assert router.replica_versions() == [2, 2, 2]
+        diff = service.store.delta(1, 2).diff
+        delta_records = len(diff.added_members) + len(diff.removed_members)
+        assert diff.removed_sets == [rws_list.sets[0].primary]
+        assert diff.added_sets == ["added.com"]
+        assert 0 < len(built) <= delta_records

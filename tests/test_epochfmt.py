@@ -21,17 +21,23 @@ Four concerns, matching the format's claims:
   deterministic and hits its requested domain count exactly, and the
   encoder's transient heap stays within a fixed multiple of its
   output.
+* **Publish path** — the membership hash and the encoded buffer are
+  pinned bit for bit, and the hash, the list diff and the
+  encode/load round trip agree with reference formulas built from
+  :class:`~repro.rws.MemberRecord` objects on drawn lists.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import struct
 import tracemalloc
 import zlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import Replica
 from repro.data import (
@@ -42,7 +48,8 @@ from repro.data import (
 from repro.data.synthetic import SMALL_SYNTHETIC_DOMAINS, \
     build_small_synthetic_list_v2
 from repro.psl import default_psl
-from repro.rws import RelatedWebsiteSet, RwsList, SiteRole
+from repro.rws import MemberRecord, RelatedWebsiteSet, RwsList, SiteRole
+from repro.rws.diff import ListDiff, diff_lists
 from repro.serve import (
     Epoch,
     EpochFormatError,
@@ -54,7 +61,7 @@ from repro.serve import (
     load_epoch,
     membership_hash,
 )
-from repro.serve.epochfmt import epoch_stat
+from repro.serve.epochfmt import encode_list, epoch_stat
 from repro.workload import run_serial, run_sharded
 
 
@@ -660,3 +667,182 @@ class TestWorkloadDigestIdentity:
                                    executor="thread")
             assert encoded.digest == compiled.digest, name
             assert threaded.digest == compiled.digest, name
+
+
+class TestPublishPathPins:
+    """The publish path's outputs, pinned before rows replaced records."""
+
+    PINS = {
+        "seed": (
+            build_rws_list, (41, 108, 14, 10),
+            "ec0ffaf6f8e0f3af54e28d1de4fa63def006928d5d6450030d576ff3fa8548c6",
+            11_632,
+            "5c4b0ad8ad87fd1e1a902c4b477ee546860b5619001e248bef656d74bb9932dd",
+        ),
+        "synthetic-2000": (
+            lambda: build_synthetic_list(2000, seed=3), (99, 1327, 290, 284),
+            "a8f79b05862d814131d7ed0b08706cb89f2953481fcd3db7bc8a817f3d2ea170",
+            129_308,
+            "a41c0fc05764a156653637352bfd7c0d05a7a172a8bf0c7b08d6d87c3facecb2",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_hash_and_buffer_are_pinned(self, name):
+        build, roles, content_hash, size, buffer_sha = self.PINS[name]
+        rws_list = build()
+        composition = rws_list.composition()
+        assert tuple(composition[role] for role in SiteRole) == roles
+        assert membership_hash(rws_list) == content_hash
+        buf = encode_list(rws_list,
+                          snapshot=SnapshotStore().publish(rws_list))
+        assert len(buf) == size
+        assert hashlib.sha256(buf).hexdigest() == buffer_sha
+
+
+# Few labels over a non-ASCII alphabet, so sites collide often: inside
+# a subset, across subsets and across sets.
+SITES = st.builds("{}.{}".format,
+                  st.text(alphabet="abéк中", min_size=1, max_size=2),
+                  st.sampled_from(["com", "de", "中国"]))
+
+
+@st.composite
+def drawn_sets(draw) -> RelatedWebsiteSet:
+    subset = st.lists(SITES, max_size=4)
+    return RelatedWebsiteSet(
+        primary=draw(SITES),
+        associated=draw(subset),
+        service=draw(subset),
+        # Keys are drawn apart from the members, so a variant may be
+        # keyed by a site that is not in the set.
+        cctlds=draw(st.dictionaries(SITES, subset, max_size=2)),
+        rationales=draw(st.dictionaries(
+            SITES, st.sampled_from(["brand", "cdn"]), max_size=3)),
+    )
+
+
+@st.composite
+def list_pairs(draw) -> tuple[RwsList, RwsList]:
+    """Two lists sharing some sets, as a republish does."""
+    pool = draw(st.lists(drawn_sets(), max_size=6))
+    old = [s for s in pool if draw(st.booleans())]
+    new = [s for s in pool if draw(st.booleans())]
+    return RwsList(sets=old), RwsList(sets=new)
+
+
+#: Every shape the strategy aims for, drawn or not: a cross-set
+#: duplicate, a site repeated inside one subset, a variant keyed by a
+#: non-member, an empty subset and non-ASCII sites.  ``b.de`` is one
+#: fact declared by two records that differ in ``variant_of``, so the
+#: diff must keep the last.
+TRICKY_PAIR = (
+    RwsList(sets=[
+        RelatedWebsiteSet(primary="a.com", associated=["b.com", "b.com"],
+                          cctlds={"z.com": ["b.de"], "a.com": ["b.de"]},
+                          rationales={"b.com": "brand"}),
+        RelatedWebsiteSet(primary="é.中国", associated=["b.com"],
+                          service=["к.de"]),
+    ]),
+    RwsList(sets=[
+        RelatedWebsiteSet(primary="a.com", associated=["b.com"],
+                          cctlds={"a.com": []}),
+        RelatedWebsiteSet(primary="a.com", service=["к.de"],
+                          rationales={"к.de": "cdn"}),
+    ]),
+)
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150,
+                             deadline=None)
+
+
+def reference_records(rws_set: RelatedWebsiteSet) -> list[MemberRecord]:
+    """A set's records spelled out from its fields."""
+    rationale = rws_set.rationales.get
+    records = [MemberRecord(rws_set.primary, SiteRole.PRIMARY,
+                            rws_set.primary,
+                            rationale=rationale(rws_set.primary))]
+    for role, sites in ((SiteRole.ASSOCIATED, rws_set.associated),
+                        (SiteRole.SERVICE, rws_set.service)):
+        records += [MemberRecord(site, role, rws_set.primary,
+                                 rationale=rationale(site))
+                    for site in sites]
+    for member, variants in rws_set.cctlds.items():
+        records += [MemberRecord(variant, SiteRole.CCTLD, rws_set.primary,
+                                 variant_of=member,
+                                 rationale=rationale(variant))
+                    for variant in variants]
+    return records
+
+
+def reference_hash(rws_list: RwsList) -> str:
+    """Each (set, role, site) fact once, sorted, joined per key."""
+    digest = hashlib.sha256()
+    keys = sorted({(record.set_primary, record.role.value, record.site)
+                   for record in rws_list.all_members()})
+    for key in keys:
+        digest.update("\x1f".join(key).encode("utf-8"))
+        digest.update(b"\x1e")
+    return digest.hexdigest()
+
+
+def reference_diff(old: RwsList, new: RwsList) -> ListDiff:
+    """The diff as a dict of records keyed by fact (last record wins)."""
+    def key(record):
+        return (record.set_primary, record.role.value, record.site)
+
+    old_members = {key(r): r for r in old.all_members()}
+    new_members = {key(r): r for r in new.all_members()}
+    added = [new_members[k]
+             for k in sorted(new_members.keys() - old_members.keys())]
+    removed = [old_members[k]
+               for k in sorted(old_members.keys() - new_members.keys())]
+    old_primaries, new_primaries = set(old.primaries()), set(new.primaries())
+    changed = {r.set_primary for r in added + removed
+               if r.set_primary in old_primaries
+               and r.set_primary in new_primaries}
+    return ListDiff(added_sets=sorted(new_primaries - old_primaries),
+                    removed_sets=sorted(old_primaries - new_primaries),
+                    added_members=added, removed_members=removed,
+                    changed_sets=sorted(changed))
+
+
+class TestPublishPathReference:
+    """Row-walk consumers against record-based reference formulas."""
+
+    @PROPERTY_SETTINGS
+    @given(drawn_sets())
+    def test_member_rows_spell_member_records(self, rws_set):
+        records = list(rws_set.member_records())
+        assert records == reference_records(rws_set)
+        assert rws_set.member_rows() == [
+            (r.site, list(SiteRole).index(r.role), r.variant_of)
+            for r in records]
+
+    @PROPERTY_SETTINGS
+    @given(list_pairs())
+    @example(TRICKY_PAIR)
+    def test_membership_hash_matches_reference(self, pair):
+        for rws_list in pair:
+            assert membership_hash(rws_list) == reference_hash(rws_list)
+
+    @PROPERTY_SETTINGS
+    @given(list_pairs())
+    @example(TRICKY_PAIR)
+    def test_diff_matches_reference(self, pair):
+        old, new = pair
+        for before, after in ((old, new), (new, old)):
+            diff = diff_lists(before, after)
+            assert diff == reference_diff(before, after)
+            assert diff.is_empty == (membership_hash(before)
+                                     == membership_hash(after))
+
+    @PROPERTY_SETTINGS
+    @given(list_pairs())
+    @example(TRICKY_PAIR)
+    def test_encoded_list_rebuilds_the_snapshot_hash(self, pair):
+        for rws_list in pair:
+            snapshot = SnapshotStore().publish(rws_list)
+            loaded = load_epoch(encode_list(rws_list, snapshot=snapshot))
+            assert membership_hash(loaded.snapshot.rws_list) \
+                == snapshot.content_hash
