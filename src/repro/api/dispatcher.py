@@ -67,7 +67,7 @@ from repro.api.envelopes import (
     SubmitResponse,
 )
 from repro.obs.trace import NULL_TRACER
-from repro.serve.service import RwsService
+from repro.serve.service import BATCH_SHAPES, RwsService
 from repro.serve.snapshot import StaleSnapshotError
 
 if TYPE_CHECKING:  # import cycle guard: workload.driver imports this module
@@ -359,8 +359,8 @@ class Dispatcher:
 
     # -- handlers -------------------------------------------------------------
     #
-    # The two query handlers are built as closures over pre-bound
-    # service methods: they run once per decision under load, and the
+    # The two read handlers are built as closures over the backend's two
+    # reads, pre-bound: they run once per decision under load, and the
     # saved `self.service.<method>` attribute walks are measurable at
     # that rate (see the overhead budget in the module docstring).
 
@@ -389,26 +389,19 @@ class Dispatcher:
 
     @staticmethod
     def _make_batch_handler(service: RwsService | Router) -> Handler:
-        # The two host-level batch methods resolve all their hosts in
-        # one bulk pass (the service's resolve_many: one
-        # PublicSuffixList.etld_plus_one_many call); resolved pairs
-        # skip host resolution entirely.
         query_batch = service.query_batch
-        related_batch = service.related_batch
-        related_sites_batch = service.related_sites_batch
 
         def handle_batch_query(request: BatchQueryRequest) -> Response:
-            if request.resolved:
-                # Site-level pairs: resolver skipped, bits-only answer.
+            detail = request.detail
+            resolved = request.resolved
+            answers = query_batch(request.pairs, detail=detail,
+                                  resolved=resolved)
+            if BATCH_SHAPES[detail, resolved] == "query_batch":
                 return BatchQueryResponse(
-                    related=related_sites_batch(request.pairs))
-            if request.detail:
-                verdicts = query_batch(request.pairs)
-                return BatchQueryResponse(
-                    related=[verdict.related for verdict in verdicts],
-                    verdicts=verdicts,
+                    related=[verdict.related for verdict in answers],
+                    verdicts=answers,
                 )
-            return BatchQueryResponse(related=related_batch(request.pairs))
+            return BatchQueryResponse(related=answers)
 
         return handle_batch_query
 

@@ -252,39 +252,6 @@ class Router:
             assignments.append(replica)
         return assignments
 
-    def _route_batch(self, pairs: list, method_name: str,
-                     key_of) -> list:
-        """Dispatch a batch, split per key under rendezvous routing.
-
-        Round-robin keeps the batch whole on one replica (``key_of``
-        is never called).  Rendezvous partitions by ``key_of(pair)``,
-        answers each sub-batch on its replica, and reassembles results
-        in request order — so routing depends only on pair content,
-        never on how the traffic was batched.
-        """
-        tracer = self._tracer
-        if tracer.live:
-            tracer.emit("cluster.route_batch", policy=self.policy,
-                        pairs=len(pairs))
-        if self.policy == "round-robin" or len(self._read_replicas()) == 1:
-            return getattr(self._pick(None), method_name)(pairs)
-        assignments = self._split([key_of(pair) for pair in pairs])
-        buckets: dict[int, tuple[list[int], list]] = {}
-        for i, replica in enumerate(assignments):
-            bucket = buckets.get(replica.replica_id)
-            if bucket is None:
-                bucket = buckets[replica.replica_id] = ([], [])
-            bucket[0].append(i)
-            bucket[1].append(pairs[i])
-        results: list = [None] * len(pairs)
-        by_id = {replica.replica_id: replica
-                 for replica in self._read_replicas()}
-        for replica_id, (positions, sub) in buckets.items():
-            answered = getattr(by_id[replica_id], method_name)(sub)
-            for position, answer in zip(positions, answered):
-                results[position] = answer
-        return results
-
     # -- read surface (the Dispatcher's query operations) ---------------------
 
     def _trace_replica_id(self, replica: Replica) -> int:
@@ -310,38 +277,53 @@ class Router:
                         replica=self._trace_replica_id(replica))
         return replica.query(host_a, host_b)
 
-    def query_batch(self, pairs: list[tuple[str, str]]) -> list[QueryVerdict]:
-        """Bulk queries; split per pair under rendezvous routing."""
+    def query_batch(self, pairs: list[tuple[str | None, str | None]], *,
+                    detail: bool = True, resolved: bool = False) -> list:
+        """The shell's batch read, routed.
+
+        Round-robin keeps the batch whole on one replica.  Rendezvous
+        keys each pair by its first host's site (``resolved`` pairs
+        already hold it), answers each replica's share as one
+        sub-batch, and reassembles the answers in request order — so
+        routing depends only on pair content, never on how the traffic
+        was batched.
+        """
         if not pairs:
             return []
-        return self._route_batch(pairs, "query_batch",
-                                 lambda pair: self._route_key(pair[0]))
+        tracer = self._tracer
+        if tracer.live:
+            tracer.emit("cluster.route_batch", policy=self.policy,
+                        pairs=len(pairs))
+        if self.policy == "round-robin" or len(self._read_replicas()) == 1:
+            return self._pick(None).query_batch(pairs, detail=detail,
+                                                resolved=resolved)
+        if resolved:
+            keys = [pair[0] or "" for pair in pairs]
+        else:
+            route_key = self._route_key
+            keys = [route_key(pair[0]) for pair in pairs]
+        buckets: dict[Replica, tuple[list[int], list]] = {}
+        for i, replica in enumerate(self._split(keys)):
+            bucket = buckets.get(replica)
+            if bucket is None:
+                bucket = buckets[replica] = ([], [])
+            bucket[0].append(i)
+            bucket[1].append(pairs[i])
+        answers: list = [None] * len(pairs)
+        for replica, (positions, sub) in buckets.items():
+            answered = replica.query_batch(sub, detail=detail,
+                                           resolved=resolved)
+            for position, answer in zip(positions, answered):
+                answers[position] = answer
+        return answers
 
     def related_batch(self, pairs: list[tuple[str, str]]) -> list[bool]:
-        """Bulk verdict bits; split per pair under rendezvous routing."""
-        if not pairs:
-            return []
-        return self._route_batch(pairs, "related_batch",
-                                 lambda pair: self._route_key(pair[0]))
-
-    def related_sites_batch(
-        self, pairs: list[tuple[str | None, str | None]],
-    ) -> list[bool]:
-        """Pre-resolved site pairs; split per pair under rendezvous."""
-        if not pairs:
-            return []
-        return self._route_batch(pairs, "related_sites_batch",
-                                 lambda pair: pair[0] or "")
+        """``query_batch(pairs, detail=False)``."""
+        return self.query_batch(pairs, detail=False)
 
     def resolve_host(self, host: str) -> str | None:
         """Resolve one host on a routed replica."""
         return self._pick(host).resolve_host(host)
-
-    def resolve_hosts(self, hosts: list[str]) -> list[str | None]:
-        """Resolve a batch; kept whole (resolution is epoch-free)."""
-        if not hosts:
-            return []
-        return self._pick(hosts[0]).resolve_hosts(hosts)
 
     # -- primary-pinned surface -----------------------------------------------
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
+from repro.serve.service import BATCH_SHAPES
 from repro.workload.metrics import LatencyHistogram
 
 if TYPE_CHECKING:
@@ -68,12 +69,16 @@ class StageProfiler:
 
     def attach_shell(self, shell: "EpochShell",
                      prefix: str = "serve") -> None:
-        """Wrap a shell's query surface with stage timing + alloc counts.
+        """Wrap a shell's two reads with stage timing + alloc counts.
 
-        Wraps ``query``, ``query_batch``, ``related_batch``, and
-        ``related_sites_batch``.  Each wrapped call times the stage and
-        counts the verdict/result objects the call allocated:
-        ``alloc.query_verdict`` per :class:`QueryVerdict`,
+        Wraps ``query`` (stage ``<prefix>.query``) and ``query_batch``,
+        whose stage is named after the call's shape in
+        :data:`~repro.serve.service.BATCH_SHAPES`
+        (``<prefix>.query_batch``, ``.related_batch`` or
+        ``.related_sites_batch``); ``related_batch`` reaches the
+        wrapper through ``self.query_batch``.  Verdict-answering calls
+        count ``alloc.query_verdict`` per
+        :class:`~repro.serve.service.QueryVerdict` and
         ``alloc.query_result`` per non-None
         :class:`~repro.serve.index.QueryResult`.
         """
@@ -81,8 +86,6 @@ class StageProfiler:
 
         query = shell.query
         query_batch = shell.query_batch
-        related_batch = shell.related_batch
-        related_sites_batch = shell.related_sites_batch
 
         def profiled_query(host_a, host_b):
             started = time.perf_counter_ns()
@@ -94,51 +97,37 @@ class StageProfiler:
                 profiler.count_alloc("alloc.query_result")
             return verdict
 
-        def profiled_query_batch(pairs):
+        def profiled_query_batch(pairs, *, detail=True, resolved=False):
             started = time.perf_counter_ns()
-            verdicts = query_batch(pairs)
-            profiler.record(f"{prefix}.query_batch",
+            answers = query_batch(pairs, detail=detail, resolved=resolved)
+            shape = BATCH_SHAPES[detail, resolved]
+            profiler.record(f"{prefix}.{shape}",
                             time.perf_counter_ns() - started)
-            profiler.count_alloc("alloc.query_verdict", len(verdicts))
-            profiler.count_alloc(
-                "alloc.query_result",
-                sum(1 for verdict in verdicts
-                    if verdict.result is not None))
-            return verdicts
-
-        def profiled_related_batch(pairs):
-            started = time.perf_counter_ns()
-            bits = related_batch(pairs)
-            profiler.record(f"{prefix}.related_batch",
-                            time.perf_counter_ns() - started)
-            return bits
-
-        def profiled_related_sites_batch(pairs):
-            started = time.perf_counter_ns()
-            bits = related_sites_batch(pairs)
-            profiler.record(f"{prefix}.related_sites_batch",
-                            time.perf_counter_ns() - started)
-            return bits
+            if shape == "query_batch":
+                profiler.count_alloc("alloc.query_verdict", len(answers))
+                profiler.count_alloc(
+                    "alloc.query_result",
+                    sum(1 for verdict in answers
+                        if verdict.result is not None))
+            return answers
 
         self._install(shell, "query", profiled_query)
         self._install(shell, "query_batch", profiled_query_batch)
-        self._install(shell, "related_batch", profiled_related_batch)
-        self._install(shell, "related_sites_batch",
-                      profiled_related_sites_batch)
 
     def attach_router(self, router: "Router",
                       prefix: str = "cluster") -> None:
-        """Wrap a router's batch routing with timing + per-pair counts.
+        """Wrap a router's two reads with timing + per-pair counts.
 
-        Wraps ``query``, ``query_batch``, ``related_batch``, and
-        ``related_sites_batch``: each batch call times the routed
-        dispatch and counts ``alloc.router_pair_route`` once per pair
-        routed (the per-pair splitting/reassembly hot spot under
-        rendezvous routing).
+        Wraps ``query`` (stage ``<prefix>.route``) and ``query_batch``
+        (stage ``<prefix>.route_batch``, every shape; ``related_batch``
+        reaches it through ``self.query_batch``).  Each call counts
+        ``alloc.router_pair_route`` once per pair routed (the per-pair
+        splitting/reassembly hot spot under rendezvous routing).
         """
         profiler = self
 
         query = router.query
+        query_batch = router.query_batch
 
         def profiled_query(host_a, host_b):
             started = time.perf_counter_ns()
@@ -148,22 +137,16 @@ class StageProfiler:
             profiler.count_alloc("alloc.router_pair_route")
             return verdict
 
+        def profiled_query_batch(pairs, *, detail=True, resolved=False):
+            started = time.perf_counter_ns()
+            answers = query_batch(pairs, detail=detail, resolved=resolved)
+            profiler.record(f"{prefix}.route_batch",
+                            time.perf_counter_ns() - started)
+            profiler.count_alloc("alloc.router_pair_route", len(pairs))
+            return answers
+
         self._install(router, "query", profiled_query)
-
-        for method_name in ("query_batch", "related_batch",
-                            "related_sites_batch"):
-            original = getattr(router, method_name)
-
-            def profiled_batch(pairs, *, _original=original):
-                started = time.perf_counter_ns()
-                answers = _original(pairs)
-                profiler.record(f"{prefix}.route_batch",
-                                time.perf_counter_ns() - started)
-                profiler.count_alloc("alloc.router_pair_route",
-                                     len(pairs))
-                return answers
-
-            self._install(router, method_name, profiled_batch)
+        self._install(router, "query_batch", profiled_query_batch)
 
     def _install(self, target: object, name: str, wrapper) -> None:
         # Instance-attribute shadowing: the class method stays intact,

@@ -10,7 +10,7 @@ read-only view over an encoded epoch buffer
 :meth:`~repro.serve.epoch.Epoch.compile`) encodes it and loads the
 result, the same load a buffer from a primary or a shard driver goes
 through — so a verdict never depends on how a list version arrived.
-Every membership question (`lookup`, `related`, batches, streams) is
+Every membership question (`lookup`, `related`, `query`, batches) is
 a string-table probe plus u32 compares instead of the O(sets ×
 members) scan behind :meth:`~repro.rws.model.RwsList.related`.
 
@@ -29,6 +29,14 @@ from repro.serve.epochfmt import _BufferData, _rebuild_set, encode_list
 #: Bound on the memo keyed by client input (probed sites) before it is
 #: dropped wholesale: the PSL resolution cache's size.  Memos keyed by
 #: string id need no bound — the buffer bounds them.
+#:
+#: The site memo (``_site_eidx``) earns its place on point traffic,
+#: where the same sites repeat.  Measured on point-open pairs (2 CPUs,
+#: Python 3.11.7, best of 7, two alternating runs): ``query`` took
+#: 0.93–1.43 µs per pair with it and 2.28–2.35 µs without;
+#: ``related_batch_normalized`` 0.20–0.35 µs against 1.20–1.23 µs.  On
+#: batch-cold traffic the two were not resolvably apart (3.1–4.2 µs
+#: against 3.1–3.3 µs per pair).
 _PROBE_MEMO_LIMIT = 4096
 
 
@@ -261,20 +269,21 @@ class MembershipIndex:
 
     def related_batch(self, pairs: Iterable[tuple[str, str]]) -> list[bool]:
         """Bulk form of :meth:`related` for request batches."""
-        related = self.related
-        return [related(a, b) for a, b in pairs]
+        return self.related_batch_normalized(
+            [(a.lower(), b.lower()) for a, b in pairs])
 
     def related_batch_normalized(
         self, pairs: Iterable[tuple[str | None, str | None]],
     ) -> list[bool]:
         """:meth:`related_batch` minus input normalisation.
 
-        The serving fast path hands this method *sites* straight out of
-        a resolver — already lower-case eTLD+1 values, with None for
-        hosts that failed to resolve (never related) — so the
-        per-pair ``lower()`` calls in :meth:`related_batch` would be
-        pure overhead.  Callers own the precondition; a non-normalised
-        site simply fails to match, like any unknown site.
+        The serving shell hands this method *sites* straight out of a
+        resolver (or a client's ``resolved`` batch) — already
+        lower-case eTLD+1 values, with None for hosts that failed to
+        resolve (never related) — so the per-pair ``lower()`` calls in
+        :meth:`related_batch` would be pure overhead.  Callers own the
+        precondition; a non-normalised site simply fails to match, like
+        any unknown site.
         """
         primary = self._data.entry_primary
         entry_index = self._entry_index
@@ -293,13 +302,6 @@ class MembershipIndex:
             eb = entry_index(b)
             verdicts.append(eb >= 0 and primary[ea] == primary[eb])
         return verdicts
-
-    def query_stream(
-        self, pairs: Iterable[tuple[str, str]],
-    ) -> Iterator[QueryResult]:
-        """Generator form of :meth:`query` for unbounded request streams."""
-        for site_a, site_b in pairs:
-            yield self.query(site_a, site_b)
 
     def entries(self) -> Iterator[IndexEntry]:
         """All entries, in list order."""

@@ -30,7 +30,9 @@ The moving parts:
   its own thread's cell — no lock after the epoch capture — and
   reports fold the cells on demand.
 
-The read surface lives in :class:`EpochShell`, which
+The read surface lives in :class:`EpochShell` — one point read
+(:meth:`~EpochShell.query`) and one batch read
+(:meth:`~EpochShell.query_batch`) — which
 :class:`~repro.cluster.Replica` reuses verbatim: a replica is the same
 lock-free shell over an epoch it advances by snapshot deltas instead
 of by local publishes.
@@ -158,6 +160,18 @@ class _StatsCells:
         return total
 
 
+#: Each batch read's shape by ``(detail, resolved)``, the
+#: :class:`~repro.api.envelopes.BatchQueryRequest` fields: its span is
+#: ``serve.<shape>``, its profiler stage ``<prefix>.<shape>``, and only
+#: ``query_batch`` answers verdict objects.  ``resolved`` implies bits.
+BATCH_SHAPES = {
+    (True, False): "query_batch",
+    (False, False): "related_batch",
+    (True, True): "related_sites_batch",
+    (False, True): "related_sites_batch",
+}
+
+
 @dataclass(slots=True)
 class QueryVerdict:
     """A service-level answer to "may these two hosts share storage?".
@@ -192,7 +206,9 @@ class EpochShell:
 
     Everything a *reader* can do to the serving layer lives here:
     capture ``self._epoch`` once, resolve hosts through the epoch's
-    PSL, probe the captured index, bump this thread's stats cell.  No
+    PSL, probe the captured index, bump this thread's stats cell.  The
+    reads are :meth:`query` for one pair and :meth:`query_batch` for
+    every batch shape (plus :meth:`resolve_host`).  No
     method on this class acquires a lock after the epoch capture — the
     property the threaded publish/query stress test in
     ``tests/test_serve.py`` pins down.
@@ -265,26 +281,6 @@ class EpochShell:
             tracer.emit("psl.resolve", host=host, site=site)
         return site
 
-    def resolve_hosts(self, hosts: list[str]) -> list[str | None]:
-        """Bulk :meth:`resolve_host`: one batched PSL pass."""
-        sites = self._resolve_many(self._epoch.psl, hosts,
-                                   self._cells.cell())
-        tracer = self._tracer
-        if tracer.live:
-            tracer.emit("psl.resolve_batch", node=self._trace_node,
-                        hosts=len(hosts))
-        return sites
-
-    @staticmethod
-    def _resolve_many(psl: PublicSuffixList, hosts: list[str],
-                      cell: ServiceStats) -> list[str | None]:
-        """One counted bulk PSL pass, its counts added to ``cell``."""
-        sites, hits = psl.etld_plus_one_many_counted(hosts)
-        cell.resolver_hits += hits
-        cell.resolver_misses += len(sites) - hits
-        cell.resolver_errors += sites.count(None)
-        return sites
-
     def query(self, host_a: str, host_b: str) -> QueryVerdict:
         """Answer one pairwise storage-access membership query.
 
@@ -325,98 +321,65 @@ class EpochShell:
                         related=verdict.related)
         return verdict
 
-    def query_batch(self, pairs: list[tuple[str, str]]) -> list[QueryVerdict]:
-        """Bulk form of :meth:`query`, batched end to end.
+    def query_batch(self, pairs: list[tuple[str | None, str | None]], *,
+                    detail: bool = True, resolved: bool = False) -> list:
+        """The one batch read: :meth:`query` over many pairs at once.
 
-        One epoch capture, one batched resolver pass, one stats fold
-        into this thread's cell — verdicts identical to the
-        per-element loop.
+        The keywords are :class:`~repro.api.envelopes.BatchQueryRequest`'s
+        own fields, and :data:`BATCH_SHAPES` names the shape they
+        select.  Host pairs resolve in one counted bulk PSL pass;
+        ``resolved`` pairs are already sites (lower-case eTLD+1 values,
+        or None for a host the client could not resolve), so the
+        resolver is skipped and the answer is bits whatever ``detail``
+        says.  ``detail`` answers a :class:`QueryVerdict` per pair,
+        identical to the per-pair :meth:`query` loop; otherwise only
+        the related bit per pair.  One epoch capture, one fold into
+        this thread's stats cell and one span per call.
         """
         if not pairs:
             return []
         started = time.perf_counter_ns()
         epoch = self._epoch
         cell = self._cells.cell()
-        sites = self._resolve_many(
-            epoch.psl, [host for pair in pairs for host in pair], cell)
-        index_query = epoch.index.query
-        verdicts: list[QueryVerdict] = []
-        append = verdicts.append
-        related_hits = 0
-        for (host_a, host_b), site_a, site_b in zip(pairs, sites[0::2],
-                                                    sites[1::2]):
-            if site_a is None or site_b is None:
-                result = None
-            else:
-                result = index_query(site_a, site_b)
-                if result.related:
-                    related_hits += 1
-            append(QueryVerdict(host_a, host_b, site_a, site_b, result))
+        shape = BATCH_SHAPES[detail, resolved]
+        if not resolved:
+            sites, hits = epoch.psl.etld_plus_one_many_counted(
+                [host for pair in pairs for host in pair])
+            cell.resolver_hits += hits
+            cell.resolver_misses += len(sites) - hits
+            cell.resolver_errors += sites.count(None)
+        if shape == "query_batch":  # host pairs: resolved implies bits
+            index_query = epoch.index.query
+            answers = []
+            append = answers.append
+            related_hits = 0
+            for (host_a, host_b), site_a, site_b in zip(pairs, sites[0::2],
+                                                        sites[1::2]):
+                if site_a is None or site_b is None:
+                    result = None
+                else:
+                    result = index_query(site_a, site_b)
+                    if result.related:
+                        related_hits += 1
+                append(QueryVerdict(host_a, host_b, site_a, site_b, result))
+        else:
+            # Sites from the PSL or the client are already normalised,
+            # with None for failures.
+            answers = epoch.index.related_batch_normalized(
+                pairs if resolved else zip(sites[0::2], sites[1::2]))
+            related_hits = sum(answers)
         cell.queries += len(pairs)
         cell.related_hits += related_hits
         cell.query_ns_total += time.perf_counter_ns() - started
         tracer = self._tracer
         if tracer.live:
-            tracer.emit("serve.query_batch", node=self._trace_node,
+            tracer.emit("serve." + shape, node=self._trace_node,
                         pairs=len(pairs), related=related_hits)
-        return verdicts
+        return answers
 
     def related_batch(self, pairs: list[tuple[str, str]]) -> list[bool]:
-        """The verdict bits of :meth:`query_batch`, minus the objects.
-
-        Same batched resolution and epoch capture, but answering only
-        the browser-facing related/unrelated bit per pair — the
-        workload fast path's shape, where a verdict object per decision
-        is pure allocation overhead.
-        """
-        if not pairs:
-            return []
-        started = time.perf_counter_ns()
-        epoch = self._epoch
-        cell = self._cells.cell()
-        sites = self._resolve_many(
-            epoch.psl, [host for pair in pairs for host in pair], cell)
-        # PSL sites are already normalised, with None for failures.
-        verdicts = epoch.index.related_batch_normalized(
-            zip(sites[0::2], sites[1::2]))
-        related_hits = sum(verdicts)
-        cell.queries += len(pairs)
-        cell.related_hits += related_hits
-        cell.query_ns_total += time.perf_counter_ns() - started
-        tracer = self._tracer
-        if tracer.live:
-            tracer.emit("serve.related_batch", node=self._trace_node,
-                        pairs=len(pairs), related=related_hits)
-        return verdicts
-
-    def related_sites_batch(
-        self, pairs: list[tuple[str | None, str | None]],
-    ) -> list[bool]:
-        """Verdict bits for pairs of already-resolved sites.
-
-        The component-updater deployment's own shape: clients resolve
-        host → site themselves (Chrome's renderer does) and ask the
-        service site-level questions, so this skips the host resolver
-        entirely — pre-normalised (lower-case) eTLD+1 values in, one
-        lock-free index pass against the captured epoch, one cell
-        update.  ``None`` sites (the client's own resolution failures)
-        answer False and still count as queries, matching how
-        :meth:`query` accounts unresolvable hosts.
-        """
-        if not pairs:
-            return []
-        started = time.perf_counter_ns()
-        verdicts = self._epoch.index.related_batch_normalized(pairs)
-        cell = self._cells.cell()
-        related_hits = sum(verdicts)
-        cell.queries += len(pairs)
-        cell.related_hits += related_hits
-        cell.query_ns_total += time.perf_counter_ns() - started
-        tracer = self._tracer
-        if tracer.live:
-            tracer.emit("serve.related_sites_batch", node=self._trace_node,
-                        pairs=len(pairs), related=related_hits)
-        return verdicts
+        """``query_batch(pairs, detail=False)``."""
+        return self.query_batch(pairs, detail=False)
 
 
 @dataclass

@@ -12,9 +12,10 @@ layer's protocol boundary (a per-shard
   latency sample per decision) — the readable, obviously-correct
   baseline;
 * the **sharded fast path** (:func:`run_sharded`) partitions users into
-  contiguous shards, resolves hosts through a shard-local table (the
-  way Chrome's renderer resolves origin → site before consulting the
-  list), buffers a few sessions' site pairs, and answers them with one
+  contiguous shards, resolves each session's hosts in one bulk pass
+  over the shard's PSL (the way Chrome's renderer resolves origin →
+  site before consulting the list), buffers a few sessions' site
+  pairs, and answers them with one
   ``resolved`` :class:`~repro.api.envelopes.BatchQueryRequest`
   dispatch per buffer — no per-decision round-trip, no verdict
   objects, one latency sample per flush — then merges shard metrics.
@@ -76,7 +77,6 @@ from repro.chaos.plan import chaos_plan
 from repro.chaos.router import ChaosRouter
 from repro.cluster.router import Router
 from repro.obs.trace import NULL_TRACER, Tracer, TraceSummary
-from repro.psl.lookup import DomainError
 from repro.psl import PublicSuffixList, default_psl
 from repro.rws.model import RwsList
 from repro.serve.epoch import Epoch
@@ -160,9 +160,11 @@ class WorkloadResult:
     denies, related hits) are deterministic for a given
     (scenario, users, seed) triple — across runs, shard counts, and
     driver paths.  Wall-clock figures are not, and per-shard
-    implementation counters (resolver hits/misses, ``list_updates`` /
-    ``delta_applied``, which count once per shard that crosses the
-    update cutoff) vary with the partition.
+    implementation counters vary with the partition and stay out of
+    the registry digest: resolver hits/misses (the fast path counts
+    them at the shard's PSL, whose cache inline and thread shards
+    share), and ``list_updates`` / ``delta_applied``, which count once
+    per shard that crosses the update cutoff.
     """
 
     scenario: Scenario
@@ -255,9 +257,8 @@ class _ShardState:
 
     __slots__ = ("scenario", "service", "router", "backend", "dispatcher",
                  "api_counter", "epoch", "psl", "metrics", "digests",
-                 "resolver_cache", "policy", "rsa_seen", "resolver_hits",
-                 "resolver_misses", "resolver_bound", "pending_users",
-                 "pending_pairs")
+                 "policy", "rsa_seen", "resolver_hits", "resolver_misses",
+                 "pending_users", "pending_pairs")
 
     def __init__(self, scenario: Scenario, service: RwsService,
                  router: Router | None = None, tracer=NULL_TRACER):
@@ -279,94 +280,17 @@ class _ShardState:
         self.psl = service.psl
         self.metrics = WorkloadMetrics()
         self.digests: list[int] = []
-        self.resolver_cache: dict[str, str | None] = {}
         self.policy = BROWSER_POLICIES["chrome-rws"]
         self.rsa_seen = 0
+        #: The fast path's resolver counts, taken at the shard's PSL
+        #: (plain attributes, folded into the metrics when the shard
+        #: finishes).
         self.resolver_hits = 0
         self.resolver_misses = 0
-        self.resolver_bound = max(0, scenario.resolver_cache_size)
         # Fast-path batch buffer: (user_id, rsa tokens, pair count) per
         # session, plus the flat resolved site pairs awaiting dispatch.
         self.pending_users: list[tuple[int, list[str], int]] = []
         self.pending_pairs: list[tuple[str | None, str | None]] = []
-
-    def resolve_local(self, host: str) -> str | None:
-        """Shard-local host resolution (the fast path's resolver).
-
-        The client side of the protocol: hosts resolve here before the
-        resulting sites are dispatched as a ``resolved`` batch query,
-        the way Chrome's renderer resolves origin → site before
-        consulting the list.
-        Honours the scenario's ``resolver_cache_size``: 0 (cold-cache)
-        resolves every host through the PSL, a positive bound evicts
-        FIFO, which keeps the hit path to one dict probe (hit/miss
-        counts near the bound may therefore differ slightly from the
-        reference path, which counts at the PSL's CLOCK cache).
-        Hit/miss counts live in plain attributes (folded into the
-        metrics when the shard finishes): this is the hottest call in
-        the fast path and a dict-counter update per resolution costs
-        more than the resolution itself.
-        """
-        cache = self.resolver_cache
-        if host in cache:
-            self.resolver_hits += 1
-            return cache[host]
-        self.resolver_misses += 1
-        try:
-            site = self.psl.etld_plus_one(host)
-        except DomainError:
-            site = None
-        if self.resolver_bound > 0:
-            if len(cache) >= self.resolver_bound:
-                cache.pop(next(iter(cache)))
-            cache[host] = site
-        return site
-
-    def resolve_local_many(self, hosts: list[str]) -> list[str | None]:
-        """Batch form of :meth:`resolve_local` for whole-session buffers.
-
-        Probes the shard-local table per host, then resolves every cold
-        host through **one** bulk PSL call
-        (:meth:`~repro.psl.lookup.PublicSuffixList.etld_plus_one_many`)
-        instead of a walk per host.  Accounting mirrors the sequential
-        loop: repeats of a cold host within the batch count as the hits
-        they would have been once the first occurrence had been cached
-        — except with caching disabled (cold-cache scenarios), where
-        every occurrence is its own miss, exactly like
-        :meth:`resolve_local`.
-        """
-        cache = self.resolver_cache
-        bound = self.resolver_bound
-        sites: list[str | None] = [None] * len(hosts)
-        pending: dict[str, list[int]] = {}
-        hits = misses = 0
-        for i, host in enumerate(hosts):
-            if host in cache:
-                hits += 1
-                sites[i] = cache[host]
-                continue
-            positions = pending.get(host)
-            if positions is None:
-                pending[host] = [i]
-                misses += 1
-            else:
-                positions.append(i)
-                if bound > 0:
-                    hits += 1
-                else:
-                    misses += 1
-        if pending:
-            values = self.psl.etld_plus_one_many(list(pending))
-            for (host, positions), site in zip(pending.items(), values):
-                for position in positions:
-                    sites[position] = site
-                if bound > 0:
-                    if len(cache) >= bound:
-                        cache.pop(next(iter(cache)))
-                    cache[host] = site
-        self.resolver_hits += hits
-        self.resolver_misses += misses
-        return sites
 
 
 def _browse_session(state: _ShardState, session: Session, *,
@@ -467,9 +391,9 @@ def _execute_reference(state: _ShardState, session: Session) -> None:
 def _execute_fast(state: _ShardState, session: Session) -> None:
     """Fast-path execution: buffer resolved site pairs, flush in batches.
 
-    Hosts resolve through the shard-local table (as before the protocol
-    rewiring — the client side of the renderer's origin → site step);
-    the buffered sites flush through one ``resolved``
+    The session's hosts resolve in one counted bulk pass over the
+    shard's PSL (the client side of the renderer's origin → site
+    step); the buffered sites flush through one ``resolved``
     :class:`BatchQueryRequest` dispatch every :data:`_FLUSH_SESSIONS`
     sessions (see :func:`_flush_fast`), which amortises the envelope
     and the service's stats fold across a few hundred decisions.
@@ -478,11 +402,12 @@ def _execute_fast(state: _ShardState, session: Session) -> None:
         rsa_tokens, pairs = _browse_session(state, session, reference=False)
     else:
         rsa_tokens, pairs = [], _query_pairs(session)
-    # Pre-resolve the whole session's hosts as one batch through the
-    # shard table: cold hosts ride a single bulk PSL walk instead of
-    # one resolver call per pair side.
-    sites = state.resolve_local_many(
+    # The whole session's hosts in one bulk PSL pass, not one resolver
+    # call per pair side.
+    sites, hits = state.psl.etld_plus_one_many_counted(
         [host for pair in pairs for host in pair])
+    state.resolver_hits += hits
+    state.resolver_misses += len(sites) - hits
     site_iter = iter(sites)
     state.pending_pairs.extend(zip(site_iter, site_iter))
     state.pending_users.append((session.user_id, rsa_tokens, len(pairs)))
@@ -610,10 +535,10 @@ def run_shard(task: ShardTask) -> dict:
                          "non-deterministic")
     started = time.perf_counter()
     build_v1, build_v2 = LIST_PROFILES[scenario.list_profile]
-    # The service's only host cache is its PSL's: a cold-cache scenario
-    # gets a cache-disabled one, so the reference path stays cold.
-    psl = (default_psl() if scenario.resolver_cache_size > 0
-           else PublicSuffixList(cache_size=0))
+    # The shard's only host cache is its PSL's: a cold-cache scenario
+    # gets a cache-disabled one, so both driver paths stay cold.
+    psl = (PublicSuffixList(cache_size=0) if scenario.cold_cache
+           else default_psl())
     service = RwsService(psl=psl)
     if task.encoded is not None:
         # O(size) spin-up: the shard serves the pre-encoded epoch's
@@ -672,10 +597,7 @@ def run_shard(task: ShardTask) -> dict:
     if scenario.warm_cache:
         for site in universe.member_sites:
             for host in (site, f"www.{site}", f"m.{site}"):
-                if task.reference:
-                    service.resolve_host(host)
-                else:
-                    state.resolve_local(host)
+                service.resolve_host(host)
         state.metrics.count("warmup_resolutions",
                             3 * len(universe.member_sites))
 
@@ -704,10 +626,9 @@ def run_shard(task: ShardTask) -> dict:
             execute(state, generator.session(user_id))
     _flush_fast(state)  # drain the fast path's tail buffer
 
-    # The reference path resolves inside the service (or its
-    # replicas), the fast path in its shard-local table; fold both so
-    # either driver reports its resolver traffic (the other side's
-    # counters are zero).
+    # The reference path (and the warm-up) resolves inside the service
+    # or its replicas, the fast path at the shard's PSL; fold both so
+    # either driver reports its resolver traffic.
     backend_stats = state.backend.stats
     state.metrics.count("resolver_hits",
                         backend_stats.resolver_hits + state.resolver_hits)

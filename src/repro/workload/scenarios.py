@@ -79,11 +79,9 @@ class Scenario:
         zipf_exponent: Popularity skew for all site pools.
         trackers: Size of the synthetic unlisted third-party pool.
         outside_sites: Size of the synthetic non-member top-site pool.
-        resolver_cache_size: Bound on the fast path's shard-local
-            host table.  0 is the cold-cache scenario: the table is
-            off, and the shard's service resolves over a
-            cache-disabled PSL, so every resolution on either driver
-            path counts as a miss.
+        cold_cache: Serve over a cache-disabled PSL (the
+            ``cold-cache`` scenario), so every host resolution on
+            either driver path counts as a miss.
         warm_cache: Pre-resolve every member host before traffic runs.
         update_at_fraction: When set, publish the profile's next list
             version once this fraction of all users has been served,
@@ -127,7 +125,7 @@ class Scenario:
     zipf_exponent: float = 1.2
     trackers: int = 256
     outside_sites: int = 512
-    resolver_cache_size: int = 4096
+    cold_cache: bool = False
     warm_cache: bool = False
     update_at_fraction: float | None = None
     replicas: int = 0
@@ -361,7 +359,7 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="cold-cache",
             description="steady traffic with the host-resolver caches disabled",
-            resolver_cache_size=0,
+            cold_cache=True,
         ),
         Scenario(
             name="warm-cache",

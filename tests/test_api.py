@@ -40,6 +40,7 @@ from repro.api import (
     negotiate_version,
 )
 from repro.cluster import Router
+from repro.data import build_rws_list
 from repro.psl import PublicSuffixList
 from repro.rws.diff import ListDiff
 from repro.rws.model import (
@@ -755,3 +756,123 @@ class TestBatchedServicePaths:
         assert snapshot.submitted == 1
         assert snapshot.passed == 1
         assert snapshot.completed == 1
+
+
+# -- every batch shape against the point loop ---------------------------------
+
+SEED_LIST = build_rws_list()
+SEED_MEMBERS = sorted({site for rws_set in SEED_LIST.sets
+                       for site in rws_set.members()})
+JUNK_HOSTS = ["com", "co.uk", "bad..host", "stranger.org",
+              "unlisted.example.net"]
+
+
+@st.composite
+def dressed_hosts(draw) -> str:
+    """A seed-list member (or junk) under a case, subdomain and
+    trailing-dot dressing."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(JUNK_HOSTS))
+    host = draw(st.sampled_from(["", "www.", "m."])) \
+        + draw(st.sampled_from(SEED_MEMBERS))
+    host = draw(st.sampled_from([str.lower, str.upper, str.title]))(host)
+    return host + "." if draw(st.booleans()) else host
+
+
+@st.composite
+def repeating_batches(draw) -> list:
+    """Host pairs drawn from a small pool, so hosts repeat."""
+    pool = draw(st.lists(dressed_hosts(), min_size=1, max_size=6))
+    host = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(host, host), min_size=1, max_size=12))
+
+
+def _cold_service() -> RwsService:
+    service = RwsService(psl=PublicSuffixList())
+    service.publish(SEED_LIST)
+    return service
+
+
+def _counted(backend, read):
+    """``read()``'s answer and the backend's counter deltas around it:
+    (queries, related_hits, resolver_hits, resolver_misses,
+    resolver_errors)."""
+    def counters():
+        stats = backend.stats
+        return (stats.queries, stats.related_hits, stats.resolver_hits,
+                stats.resolver_misses, stats.resolver_errors)
+
+    before = counters()
+    answer = read()
+    return answer, tuple(after - was
+                         for after, was in zip(counters(), before))
+
+
+class TestBatchShapeEquivalence:
+    """Every batch shape on a service and on a 3-replica lag-0 router
+    (both policies) equals a per-pair ``query`` loop on its own cold
+    PSL: verdicts, bits, response shapes and counter deltas."""
+
+    @pytest.mark.parametrize("policy", [None, "round-robin", "rendezvous"])
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(pairs=repeating_batches())
+    def test_every_shape_matches_the_point_loop(self, policy, pairs):
+        reference = _cold_service()
+        service = _cold_service()
+        backend = (service if policy is None
+                   else Router(service, replicas=3, policy=policy))
+        try:
+            self._check(backend, reference, pairs,
+                        routes_by_site=policy == "rendezvous")
+        finally:
+            reference.queue.shutdown()
+            service.queue.shutdown()
+
+    @staticmethod
+    def _check(backend, reference, pairs, *, routes_by_site):
+        def loop():
+            return _counted(reference, lambda: [
+                reference.query(a, b) for a, b in pairs])
+
+        verdicts, expected = loop()
+        answer, delta = _counted(backend,
+                                 lambda: backend.query_batch(pairs))
+        assert answer == verdicts
+        if routes_by_site:
+            # Rendezvous resolves each first host for its routing key
+            # before any replica sees the batch, so a cold batch moves
+            # misses to hits; their sum and everything else hold.
+            assert delta[:2] == expected[:2]
+            assert delta[2] + delta[3] == expected[2] + expected[3]
+            assert delta[4] == expected[4]
+        else:
+            assert delta == expected
+
+        # Both sides' caches now hold the same hosts.
+        bits = [verdict.related for verdict in verdicts]
+        for read in (lambda: backend.query_batch(pairs, detail=False),
+                     lambda: backend.related_batch(pairs)):
+            _, expected = loop()
+            answer, delta = _counted(backend, read)
+            assert answer == bits
+            assert delta == expected
+
+        sites = [(verdict.site_a, verdict.site_b) for verdict in verdicts]
+        _, expected = loop()
+        answer, delta = _counted(
+            backend, lambda: backend.query_batch(sites, resolved=True))
+        assert answer == bits
+        assert delta == expected[:2] + (0, 0, 0)  # no host resolved
+
+        dispatcher = Dispatcher(backend)
+        for detail in (True, False):
+            for resolved in (False, True):
+                response = dispatcher.dispatch(BatchQueryRequest(
+                    sites if resolved else pairs, detail=detail,
+                    resolved=resolved))
+                assert type(response) is BatchQueryResponse
+                assert response.related == bits
+                if detail and not resolved:
+                    assert response.verdicts == verdicts
+                else:
+                    assert response.verdicts is None

@@ -147,8 +147,8 @@ class TestReplica:
             size_before = psl.cache_stats()["size"]
             assert service.resolve_host("bad..host") is None
             assert service.resolve_host("bad..host") is None
-            assert service.resolve_hosts(["bad..host", "bad..host"]) \
-                == [None, None]
+            assert service.related_batch([("bad..host", "bad..host")]) \
+                == [False]
             query = service.query("bad..host", "example.com")
             assert query.site_a is None and not query.related
             assert service.query_batch([("bad..host", "example.com")]) \

@@ -10,6 +10,8 @@ digest.
 import json
 import threading
 
+from repro.api import BatchQueryRequest, Dispatcher
+from repro.cluster import Router
 from repro.data import build_rws_list
 from repro.obs import (
     DETERMINISTIC_WORKLOAD_COUNTERS,
@@ -34,6 +36,7 @@ from repro.obs import (
     write_snapshot,
 )
 from repro.obs.trace import span_id
+from repro.psl import PublicSuffixList
 from repro.serve import RwsService
 from repro.workload import replicated, run_workload
 from repro.workload.metrics import WorkloadMetrics
@@ -375,6 +378,150 @@ class TestStageProfiler:
         report = profiler.report()
         assert report["alloc.query_verdict"] == 3.0
         assert report["serve.query.count"] == 1.0
+
+
+class TestBatchShapeEmissions:
+    """What each :class:`BatchQueryRequest` shape emits, pinned at the
+    dispatcher: the span stream with its ``node``/``pairs``/``related``
+    annotations, the profiler's stage totals and its ``alloc.*``
+    counters, on one service and on a 3-replica router under each
+    policy.  Everything goes through the wire envelope, so the pins
+    hold however the backends implement the shapes.
+    """
+
+    PAIRS = [("www.timesinternet.in", "indiatimes.com"),
+             ("cafemedia.com", "M.CafeMediaAssets.net."),
+             ("com", "indiatimes.com"),
+             ("atlasquest.com", "pixelhearth.com"),
+             ("stranger.org", "stranger.org"),
+             ("roamly.com", "www.atlasquest.com"),
+             ("Gaana.com", "cricbuzz.com"),
+             ("verdantmedia.com", "bad..host")]
+    SITES = [("timesinternet.in", "indiatimes.com"),
+             (None, "indiatimes.com"),
+             ("atlasquest.com", "pixelhearth.com"),
+             ("roamly.com", "atlasquest.com"),
+             ("stranger.org", "stranger.org"),
+             ("gaana.com", "cricbuzz.com")]
+    PAIR_BITS = [True, True, False, False, True, True, True, False]
+    SITE_BITS = [True, False, False, True, True, True]
+
+    def _requests(self) -> list:
+        """detail, bits, resolved, resolved with the default ``detail``,
+        and an empty batch, in that order."""
+        return [BatchQueryRequest(self.PAIRS),
+                BatchQueryRequest(self.PAIRS, detail=False),
+                BatchQueryRequest(self.SITES, detail=False, resolved=True),
+                BatchQueryRequest(self.SITES, resolved=True),
+                BatchQueryRequest([])]
+
+    def _run(self, policy: str | None):
+        """Dispatch every shape, one traced request each."""
+        service = RwsService(psl=PublicSuffixList())
+        service.publish(build_rws_list())
+        tracer = Tracer(seed=3)
+        profiler = StageProfiler()
+        if policy is None:
+            backend = service
+            service.set_tracer(tracer)
+            profiler.attach_shell(service)
+        else:
+            backend = Router(service, replicas=3, policy=policy)
+            backend.set_tracer(tracer)
+            profiler.attach_router(backend)
+            for replica in backend.replicas:
+                profiler.attach_shell(replica)
+        dispatcher = Dispatcher(backend, tracer=tracer)
+        try:
+            responses = []
+            for index, request in enumerate(self._requests()):
+                with tracer.request(index):
+                    responses.append(dispatcher.dispatch(request))
+        finally:
+            service.queue.shutdown()
+        bits = [self.PAIR_BITS, self.PAIR_BITS, self.SITE_BITS,
+                self.SITE_BITS, []]
+        assert [response.related for response in responses] == bits
+        # Verdict objects answer the detail shape only.
+        assert [len(response.verdicts) if response.verdicts is not None
+                else None for response in responses] \
+            == [len(self.PAIRS), None, None, None, 0]
+        spans = [(span.request_index, span.seq, span.name,
+                  dict(span.annotations)) for span in tracer.spans()]
+        stages = {stage: histogram.total
+                  for stage, histogram in profiler.stages.items()}
+        return spans, stages, dict(profiler.allocations)
+
+    @staticmethod
+    def _stream(policy: str | None, requests: list) -> list:
+        """The expected spans: per request, the router's span (routed
+        non-empty batches only), each serve span in emission order,
+        then the enclosing ``api.dispatch``."""
+        spans = []
+        for index, (pairs, serves) in enumerate(requests):
+            seq = 1
+            if policy is not None and pairs:
+                spans.append((index, seq, "cluster.route_batch",
+                              {"pairs": str(pairs), "policy": policy}))
+                seq += 1
+            for name, node, count, related in serves:
+                spans.append((index, seq, name,
+                              {"node": node, "pairs": str(count),
+                               "related": str(related)}))
+                seq += 1
+            spans.append((index, 0, "api.dispatch", {"op": "batch_query"}))
+        return spans
+
+    def test_service(self):
+        spans, stages, allocations = self._run(None)
+        assert spans == self._stream(None, [
+            (8, [("serve.query_batch", "primary", 8, 5)]),
+            (8, [("serve.related_batch", "primary", 8, 5)]),
+            (6, [("serve.related_sites_batch", "primary", 6, 4)]),
+            (6, [("serve.related_sites_batch", "primary", 6, 4)]),
+            (0, []),
+        ])
+        # The empty batch still passes through the profiled read.
+        assert stages == {"serve.query_batch": 2, "serve.related_batch": 1,
+                          "serve.related_sites_batch": 2}
+        assert allocations == {"alloc.query_verdict": 8,
+                               "alloc.query_result": 6}
+
+    def test_round_robin_router(self):
+        spans, stages, allocations = self._run("round-robin")
+        assert spans == self._stream("round-robin", [
+            (8, [("serve.query_batch", "replica", 8, 5)]),
+            (8, [("serve.related_batch", "replica", 8, 5)]),
+            (6, [("serve.related_sites_batch", "replica", 6, 4)]),
+            (6, [("serve.related_sites_batch", "replica", 6, 4)]),
+            (0, []),
+        ])
+        assert stages == {"cluster.route_batch": 5, "serve.query_batch": 1,
+                          "serve.related_batch": 1,
+                          "serve.related_sites_batch": 2}
+        assert allocations == {"alloc.query_verdict": 8,
+                               "alloc.query_result": 6,
+                               "alloc.router_pair_route": 28}
+
+    def test_rendezvous_router(self):
+        spans, stages, allocations = self._run("rendezvous")
+        hosts = [("replica-2", 3, 1), ("replica-1", 4, 3),
+                 ("replica-0", 1, 1)]
+        sites = [("replica-2", 2, 1), ("replica-1", 3, 2),
+                 ("replica-0", 1, 1)]
+        assert spans == self._stream("rendezvous", [
+            (8, [("serve.query_batch", *split) for split in hosts]),
+            (8, [("serve.related_batch", *split) for split in hosts]),
+            (6, [("serve.related_sites_batch", *split) for split in sites]),
+            (6, [("serve.related_sites_batch", *split) for split in sites]),
+            (0, []),
+        ])
+        assert stages == {"cluster.route_batch": 5, "serve.query_batch": 3,
+                          "serve.related_batch": 3,
+                          "serve.related_sites_batch": 6}
+        assert allocations == {"alloc.query_verdict": 8,
+                               "alloc.query_result": 6,
+                               "alloc.router_pair_route": 28}
 
 
 class TestExport:

@@ -181,13 +181,15 @@ class TestBulkApis:
         psl.etld_plus_one_many([f"site-{i}.example.com" for i in range(32)])
         assert psl.cache_stats()["size"] <= 4
 
-    def test_service_resolve_hosts_matches_loop(self):
+    def test_service_batch_resolution_matches_loop(self):
         batched = RwsService()
         looped = RwsService()
         hosts = ["www.example.com", "example.com", "co.uk", "bad..host",
                  "www.example.com"]
         try:
-            assert batched.resolve_hosts(hosts) \
+            verdicts = batched.query_batch(
+                [(host, "example.com") for host in hosts])
+            assert [verdict.site_a for verdict in verdicts] \
                 == [looped.resolve_host(host) for host in hosts]
             assert batched.stats.resolver_errors \
                 == looped.stats.resolver_errors

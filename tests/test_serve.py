@@ -86,7 +86,7 @@ class TestMembershipIndex:
         assert self.index.related("Example.COM", "EXAMPLE-NEWS.com")
         assert self.index.role_of("OTHER.com") is SiteRole.PRIMARY
 
-    def test_batch_and_stream_agree_with_single(self):
+    def test_batch_and_query_agree_with_single(self):
         pairs = [
             ("example.com", "example-news.com"),
             ("example.com", "other.com"),
@@ -95,11 +95,11 @@ class TestMembershipIndex:
         ]
         single = [self.index.related(a, b) for a, b in pairs]
         assert self.index.related_batch(pairs) == single
-        streamed = list(self.index.query_stream(pairs))
-        assert [r.related for r in streamed] == single
-        assert streamed[0].set_primary == "example.com"
-        assert streamed[0].role_b is SiteRole.ASSOCIATED
-        assert streamed[1].set_primary is None
+        queried = [self.index.query(a, b) for a, b in pairs]
+        assert [r.related for r in queried] == single
+        assert queried[0].set_primary == "example.com"
+        assert queried[0].role_b is SiteRole.ASSOCIATED
+        assert queried[1].set_primary is None
 
     def test_members_of(self):
         assert self.index.members_of("example.com") == [
@@ -698,7 +698,7 @@ class TestEpoch:
             for _ in range(150):
                 service.query("www.example.com", "example-news.com")
                 service.related_batch(pairs)
-                service.related_sites_batch(sites)
+                service.query_batch(sites, resolved=True)
                 service.resolve_host("www.example.com")
 
         old_interval = sys.getswitchinterval()
