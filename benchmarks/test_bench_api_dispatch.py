@@ -34,6 +34,7 @@ from repro.api import (
     VerdictCache,
 )
 from repro.data import build_rws_list
+from repro.obs import MetricsRegistry
 from repro.serve import RwsService
 
 
@@ -103,7 +104,8 @@ def measure_dispatch_overhead(rounds: int = 7) -> dict:
         recorded = Dispatcher(service, middlewares=(recorder,))
         for request in requests:
             recorded.dispatch(request)
-        p99 = recorder.metrics.histograms["api_query"].percentile(0.99)
+        p99 = recorder.registry.histograms["api.latency.query"].percentile(
+            0.99)
         return {
             "pairs": float(len(pairs)),
             "direct_ns_per_op": direct_best / len(pairs) * 1e9,
@@ -256,11 +258,12 @@ def test_dispatch_p99_within_gate(make_service):
 
     p99 = float("inf")
     for _ in range(3):  # retries absorb a transiently loaded host
-        recorder.metrics.histograms.clear()
+        recorder.registry = MetricsRegistry()
         for request in requests:
             dispatch(request)
         p99 = min(p99,
-                  recorder.metrics.histograms["api_query"].percentile(0.99))
+                  recorder.registry.histograms["api.latency.query"]
+                  .percentile(0.99))
         if p99 <= 1_000_000:
             break
     print(f"\n{len(requests)} dispatches: p99 {p99 / 1e3:.1f} µs")

@@ -106,8 +106,8 @@ def test_replicated_digest_matches_serial():
                             _SHARDS, seed=_SEED, executor="inline")
     assert clustered.digest == serial.digest
     assert clustered.decisions == serial.decisions
-    assert (clustered.metrics.counters["related_hits"]
-            == serial.metrics.counters["related_hits"])
+    assert (clustered.count("related_hits")
+            == serial.count("related_hits"))
 
 
 def test_cluster_read_throughput():
@@ -140,7 +140,7 @@ def test_routed_query_p99_within_gate():
     a replica lock convoy or a routing-table stampede — not on CI
     scheduling noise.
     """
-    from repro.workload.metrics import LatencyHistogram
+    from repro.obs.registry import LatencyHistogram
 
     primary = RwsService()
     primary.publish(build_rws_list())

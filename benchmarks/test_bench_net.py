@@ -25,8 +25,8 @@ import time
 from repro.api import QueryRequest, StatsRequest
 from repro.data import build_rws_list
 from repro.net import RwsTcpServer, ServerThread, TcpApiClient
+from repro.obs.registry import LatencyHistogram
 from repro.serve import RwsService
-from repro.workload.metrics import LatencyHistogram
 
 #: Requests per pipelined burst — inside the server's default window,
 #: so no RATE_LIMITED pushback dilutes the measurement.

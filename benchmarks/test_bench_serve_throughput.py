@@ -33,7 +33,7 @@ def _best_of(repeats: int, run) -> float:
 
 def measure_index_throughput() -> dict:
     """Plain callable for the ``benchmarks.run`` trajectory harness."""
-    from repro.workload.metrics import LatencyHistogram
+    from repro.obs.registry import LatencyHistogram
 
     rws_list = build_rws_list()
     index = MembershipIndex.from_list(rws_list)
@@ -98,7 +98,7 @@ def test_index_query_p99_within_gate():
     op is sub-microsecond, so 1 ms only trips on a real pathology
     (lock convoy, resolver stampede), not CI scheduling noise.
     """
-    from repro.workload.metrics import LatencyHistogram
+    from repro.obs.registry import LatencyHistogram
 
     rws_list = build_rws_list()
     index = MembershipIndex.from_list(rws_list)

@@ -30,8 +30,8 @@ def test_sharded_matches_serial_outcomes():
     sharded = run_sharded("bulk", 400, _SHARDS, seed=_SEED)
     assert sharded.digest == serial.digest
     assert sharded.decisions == serial.decisions
-    assert (sharded.metrics.counters["related_hits"]
-            == serial.metrics.counters["related_hits"])
+    assert (sharded.count("related_hits")
+            == serial.count("related_hits"))
 
 
 def test_sharded_beats_serial_throughput():

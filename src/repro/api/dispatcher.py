@@ -5,7 +5,7 @@ the serving backend — a single
 :class:`~repro.serve.service.RwsService`, or a
 :class:`~repro.cluster.Router` over a replica set (the two expose the
 same serving surface, so replication is invisible at this layer beyond
-the extra ``replica``/``epoch`` fields in stats reports).  Every
+the ``cluster.*`` metrics in stats reports).  Every
 consumer — the CLI's ``query``/``serve``/``load``/``cluster``/``api``
 subcommands, both workload driver paths, and the governance
 simulation — sends typed envelopes from :mod:`repro.api.envelopes`
@@ -23,9 +23,11 @@ larger ratio than the pre-epoch 15%).
 A middleware is any ``callable(request, call_next) -> response``; the
 chain runs outermost-first.  Four ship here:
 
-* :class:`RequestCounter` — per-operation request/error counts;
-* :class:`LatencyRecorder` — dispatch latency into the mergeable
-  power-of-two-bucket histograms from :mod:`repro.workload.metrics`;
+* :class:`RequestCounter` — per-operation request/error counts,
+  written as ``api.requests.<op>`` / ``api.errors.<op>``;
+* :class:`LatencyRecorder` — dispatch latency into its own
+  :class:`~repro.obs.registry.MetricsRegistry` as mergeable
+  ``api.latency.<op>`` power-of-two-bucket histograms;
 * :class:`TokenBucketLimiter` — load shedding with ``RATE_LIMITED``
   errors;
 * :class:`VerdictCache` — short-TTL memoisation of single-pair query
@@ -66,13 +68,13 @@ from repro.api.envelopes import (
     SubmitRequest,
     SubmitResponse,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.serve.service import BATCH_SHAPES, RwsService
 from repro.serve.snapshot import StaleSnapshotError
 
-if TYPE_CHECKING:  # import cycle guard: workload.driver imports this module
+if TYPE_CHECKING:  # type-only: any backend with the serving surface works
     from repro.cluster.router import Router
-    from repro.workload.metrics import WorkloadMetrics
 
 Handler = Callable[[Request], Response]
 Middleware = Callable[[Request, Handler], Response]
@@ -99,38 +101,30 @@ class RequestCounter:
             self.errors[op] = self.errors.get(op, 0) + 1
         return response
 
-    def snapshot(self) -> dict[str, int]:
-        """Flat ``{op: requests, op_errors: errors}`` counter view."""
-        report = dict(self.requests)
-        for op, errors in self.errors.items():
-            report[f"{op}_errors"] = errors
-        return report
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The counts as ``api.requests.<op>`` and ``api.errors.<op>``."""
+        for op, count in self.requests.items():
+            registry.count(f"api.requests.{op}", count)
+        for op, count in self.errors.items():
+            registry.count(f"api.errors.{op}", count)
 
 
 class LatencyRecorder:
     """Middleware: dispatch latency into pow2-bucket histograms.
 
-    Records every dispatch under ``<prefix><op>`` in a
-    :class:`~repro.workload.metrics.WorkloadMetrics` — the same
-    mergeable histogram shape the workload engine reports, so API
-    latency from any consumer can be folded into a load run's metrics.
+    Records every dispatch under ``api.latency.<op>`` in its own
+    :attr:`registry`, which a report merges with the rest of the
+    stack's metrics.
     """
 
-    def __init__(self, metrics: "WorkloadMetrics | None" = None,
-                 prefix: str = "api_"):
-        if metrics is None:
-            # Imported lazily: repro.workload.driver imports repro.api,
-            # so a module-level import here would be circular.
-            from repro.workload.metrics import WorkloadMetrics
-            metrics = WorkloadMetrics()
-        self.metrics = metrics
-        self.prefix = prefix
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
 
     def __call__(self, request: Request, call_next: Handler) -> Response:
         started = time.perf_counter_ns()
         response = call_next(request)
-        self.metrics.record_latency(self.prefix + request.op,
-                                    time.perf_counter_ns() - started)
+        self.registry.histogram("api.latency." + request.op).record(
+            time.perf_counter_ns() - started)
         return response
 
 

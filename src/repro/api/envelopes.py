@@ -252,7 +252,8 @@ class PollResponse:
 
 @dataclass(slots=True)
 class StatsResponse:
-    """Answer to :class:`StatsRequest`: the flat counter report."""
+    """Answer to :class:`StatsRequest`: the backend's metrics registry
+    flattened to ``{name: value}`` (``serve.queries``, ``psl.hits``, ...)."""
 
     op: ClassVar[str] = "stats"
 

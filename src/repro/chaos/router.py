@@ -46,6 +46,7 @@ from typing import Sequence
 
 from repro.cluster.replica import Replica, ReplicationGapError
 from repro.cluster.router import Router
+from repro.obs.registry import MetricsRegistry
 from repro.rws.model import RwsList
 from repro.serve.epoch import Epoch
 from repro.serve.index import MembershipIndex
@@ -503,16 +504,17 @@ class ChaosRouter(Router):
 
     # -- observability --------------------------------------------------------
 
-    def stats_report(self) -> dict[str, float]:
-        """The cluster report plus chaos and availability fields.
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The cluster's metrics plus availability and ``chaos.*``.
 
-        ``self.replicas`` keeps every node ever joined — including
-        currently-offline ones — so a replica's served-request
-        counters never vanish from a report captured mid-churn.
+        The served-epoch gauges follow :attr:`epoch`, the acting
+        primary's.  ``self.replicas`` keeps every node ever joined —
+        including currently-offline ones — so a replica's
+        served-request counters never vanish from a report captured
+        mid-churn.
         """
-        report = super().stats_report()
-        report["active_replicas"] = float(len(self._active))
-        report["availability"] = self.availability
+        super().write_metrics(registry)
+        registry.gauge("cluster.active_replicas", len(self._active))
+        registry.gauge("cluster.availability", self.availability)
         for key, value in self._counters.items():
-            report[f"chaos_{key}"] = float(value)
-        return report
+            registry.count(f"chaos.{key}", value)

@@ -13,13 +13,13 @@ Subcommands:
 * ``query <site> <site...>`` — answer membership queries against the
   compiled serving index (the browser's storage-access question);
 * ``serve`` — bring up the serving layer over the reconstructed list,
-  exercise it, and print its counters (a one-shot stand-in for a
+  exercise it, and print its metrics table (a one-shot stand-in for a
   long-running service);
 * ``cluster`` — bring up a replicated deployment (a
   :class:`~repro.cluster.Router` over ``--replicas`` read replicas
   with ``--lag`` propagation delay and a ``--policy`` routing policy),
   publish a list update mid-run so stale reads are visible, and print
-  the merged cluster counters;
+  the merged cluster's metrics table;
 * ``load`` — run a named traffic scenario through the workload engine
   (``--scenario steady --users 100000 --shards 4``, optionally
   replicated via ``--replicas/--lag/--policy``) and print throughput,
@@ -151,6 +151,45 @@ def _build_api(middlewares=()):
     return service, Dispatcher(service, middlewares=middlewares)
 
 
+def _dispatch_ok(transport, request):
+    """Dispatch, surfacing error envelopes instead of crashing."""
+    from repro.api import ErrorResponse
+
+    response = transport.dispatch(request)
+    if isinstance(response, ErrorResponse):
+        print(f"{request.op} failed: {response.error.code.value}: "
+              f"{response.error.message}", file=sys.stderr)
+        raise SystemExit(1)
+    return response
+
+
+def _tcp_front(dispatcher, host: str = "127.0.0.1", port: int = 0):
+    """A loopback server thread over ``dispatcher`` and a client to it."""
+    from repro.net import RwsTcpServer, ServerThread, TcpApiClient
+
+    harness = ServerThread(RwsTcpServer(dispatcher=dispatcher, host=host,
+                                        port=port))
+    host, port = harness.start()
+    return harness, TcpApiClient(host, port)
+
+
+def _stack_registry(backend, counter, latency=None, net=None):
+    """One registry over a serving stack: the backend, its API
+    middleware and, behind a TCP front, both ends of the wire (which
+    are then shut down)."""
+    registry = backend.stats_registry()
+    counter.write_metrics(registry)
+    if latency is not None:
+        registry.merge(latency.registry)
+    if net is not None:
+        harness, client = net
+        harness.server.write_metrics(registry)
+        client.write_metrics(registry)
+        client.close()
+        harness.stop()
+    return registry
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.api import ErrorCode, ErrorResponse, QueryRequest, VerdictCache
 
@@ -199,33 +238,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import (
         BatchQueryRequest,
-        ErrorResponse,
         LatencyRecorder,
         PollRequest,
         RequestCounter,
         StatsRequest,
         SubmitRequest,
     )
-
-    def dispatch_ok(request):
-        """Dispatch, surfacing error envelopes instead of crashing."""
-        response = transport.dispatch(request)
-        if isinstance(response, ErrorResponse):
-            print(f"{request.op} failed: {response.error.code.value}: "
-                  f"{response.error.message}", file=sys.stderr)
-            raise SystemExit(1)
-        return response
+    from repro.obs import render_metrics_lines
 
     counter = RequestCounter()
     latency = LatencyRecorder()
     service, dispatcher = _build_api(middlewares=(counter, latency))
-    harness = client = None
+    transport, net = dispatcher, None
     if args.tcp is not None:
         # The self-test workload rides real loopback sockets: the same
         # dispatcher sits behind an RwsTcpServer, and every dispatch
         # below goes through a pooled TcpApiClient instead.
-        from repro.net import RwsTcpServer, ServerThread, TcpApiClient
-
         try:
             tcp_host, _, tcp_port = args.tcp.rpartition(":")
             bind = (tcp_host or "127.0.0.1", int(tcp_port))
@@ -233,13 +261,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"--tcp wants HOST:PORT (port 0 = ephemeral), "
                   f"got {args.tcp!r}", file=sys.stderr)
             return 2
-        harness = ServerThread(RwsTcpServer(
-            dispatcher=dispatcher, host=bind[0], port=bind[1]))
-        host, port = harness.start()
-        client = TcpApiClient(host, port)
+        net = _tcp_front(dispatcher, *bind)
+        harness, transport = net
+        host, port = harness.server.address
         print(f"tcp server listening on {host}:{port} "
-              f"(api v{client.api_version})")
-    transport = client if client is not None else dispatcher
+              f"(api v{transport.api_version})")
     snapshot = service.current_snapshot
     assert snapshot is not None
     rws_list = snapshot.rws_list
@@ -254,39 +280,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
              for i in range(workload)]
     # Compact path: only the verdict bits are reported, so skip the
     # per-query verdict objects the detail path would allocate.
-    response = dispatch_ok(BatchQueryRequest(pairs=pairs, detail=False))
+    response = _dispatch_ok(transport,
+                            BatchQueryRequest(pairs=pairs, detail=False))
     related = sum(response.related)
     print(f"answered {workload} membership queries "
           f"({related} related)")
 
     if args.validate:
-        tickets = [dispatch_ok(SubmitRequest(rws_set=rws_set)).ticket
+        tickets = [_dispatch_ok(transport,
+                                SubmitRequest(rws_set=rws_set)).ticket
                    for rws_set in rws_list]
         service.drain()
         passed = sum(1 for ticket in tickets
-                     if dispatch_ok(PollRequest(ticket=ticket)).passed)
+                     if _dispatch_ok(transport,
+                                     PollRequest(ticket=ticket)).passed)
         print(f"validated {len(tickets)} served sets through the queue "
               f"({passed} passed)")
 
-    report = dispatch_ok(StatsRequest()).report
-    for op, count in sorted(counter.snapshot().items()):
-        report[f"api_{op}"] = float(count)
-    for name, histogram in sorted(latency.metrics.histograms.items()):
-        report[f"{name}_p99_ns"] = histogram.percentile(0.99)
-    if client is not None and harness is not None:
-        for side, snap in (("net", harness.server.net_snapshot()),
-                           ("net_client", client.net_snapshot())):
-            for key, value in snap["counters"].items():
-                report[f"{side}_{key}"] = float(value)
-        client.close()
-        harness.stop()
+    # The stats op rides the transport like every other op; the table
+    # is the same stack's registry, with the middleware and the wire.
+    _dispatch_ok(transport, StatsRequest())
     print()
-    print("counter                value")
-    print("---------------------  ----------")
-    for key, value in sorted(report.items()):
-        rendered = (f"{value:.1f}" if key.endswith(("_query_ns", "_p99_ns"))
-                    else f"{int(value)}")
-        print(f"{key:21s}  {rendered}")
+    for line in render_metrics_lines(
+            _stack_registry(service, counter, latency, net)):
+        print(line)
     return 0
 
 
@@ -294,13 +311,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.api import (
         BatchQueryRequest,
         Dispatcher,
-        ErrorResponse,
         PublishRequest,
         RequestCounter,
         StatsRequest,
     )
     from repro.cluster import Router
     from repro.data import build_rws_list
+    from repro.obs import render_metrics_lines
     from repro.serve import RwsService
     from repro.workload.scenarios import LIST_PROFILES
 
@@ -308,14 +325,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print("cluster needs --replicas >= 1 and --lag >= 0",
               file=sys.stderr)
         return 2
-
-    def dispatch_ok(request):
-        response = dispatcher.dispatch(request)
-        if isinstance(response, ErrorResponse):
-            print(f"{request.op} failed: {response.error.code.value}: "
-                  f"{response.error.message}", file=sys.stderr)
-            raise SystemExit(1)
-        return response
 
     service = RwsService()
     service.publish(build_rws_list())
@@ -334,8 +343,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     workload = max(0, args.queries)
     pairs = [(members[i % len(members)], members[(i * 7 + 3) % len(members)])
              for i in range(workload)]
-    related = sum(dispatch_ok(
-        BatchQueryRequest(pairs=pairs, detail=False)).related)
+    related = sum(_dispatch_ok(
+        dispatcher, BatchQueryRequest(pairs=pairs, detail=False)).related)
     print(f"answered {workload} membership queries across the replica "
           f"set ({related} related)")
 
@@ -345,7 +354,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     _, build_v2 = LIST_PROFILES["seed"]
     assert build_v2 is not None
     v2_list = build_v2()
-    response = dispatch_ok(PublishRequest(rws_list=v2_list))
+    response = _dispatch_ok(dispatcher, PublishRequest(rws_list=v2_list))
     print(f"published v{response.version}; replica epochs now "
           f"{router.replica_versions()}"
           + (" (stale until the lag elapses)"
@@ -353,26 +362,22 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     grown_primary = v2_list.sets[0].primary
     probes = [(grown_primary, "midflight-news.com"),
               ("midflight.com", "midflight-shop.com")] * 8
-    stale = sum(dispatch_ok(
-        BatchQueryRequest(pairs=probes, detail=False)).related)
+    stale = sum(_dispatch_ok(
+        dispatcher, BatchQueryRequest(pairs=probes, detail=False)).related)
     router.converge()
-    converged = sum(dispatch_ok(
-        BatchQueryRequest(pairs=probes, detail=False)).related)
+    converged = sum(_dispatch_ok(
+        dispatcher, BatchQueryRequest(pairs=probes, detail=False)).related)
     print(f"probed the update's new members mid-propagation "
           f"({stale}/{len(probes)} related) and after convergence "
           f"({converged}/{len(probes)} related); replica epochs "
           f"{router.replica_versions()}")
 
-    report = dispatch_ok(StatsRequest()).report
-    for op, count in sorted(counter.snapshot().items()):
-        report[f"api_{op}"] = float(count)
+    # As in ``serve``: the stats op is exercised like every other op,
+    # and the table is the same stack's registry.
+    _dispatch_ok(dispatcher, StatsRequest())
     print()
-    print("counter                   value")
-    print("------------------------  ----------")
-    for key, value in sorted(report.items()):
-        rendered = (f"{value:.1f}" if key.endswith("_query_ns")
-                    else f"{int(value)}")
-        print(f"{key:24s}  {rendered}")
+    for line in render_metrics_lines(_stack_registry(router, counter)):
+        print(line)
     return 0
 
 
@@ -382,7 +387,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.api import BatchQueryRequest, LatencyRecorder, RequestCounter
     from repro.obs import (
         metrics_snapshot,
-        registry_for_backend,
         render_metrics_lines,
         write_snapshot,
     )
@@ -411,26 +415,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     members = [record.site for record in snapshot.rws_list.all_members()]
     pairs = [(members[i % len(members)], members[(i * 7 + 3) % len(members)])
              for i in range(args.queries)]
-    harness = client = None
-    if args.transport == "tcp":
-        from repro.net import RwsTcpServer, ServerThread, TcpApiClient
-
-        harness = ServerThread(RwsTcpServer(dispatcher=dispatcher))
-        host, port = harness.start()
-        client = TcpApiClient(host, port)
+    net = _tcp_front(dispatcher) if args.transport == "tcp" else None
     if pairs:
-        (client or dispatcher).dispatch(
+        (net[1] if net is not None else dispatcher).dispatch(
             BatchQueryRequest(pairs=pairs, detail=False))
-    registry = registry_for_backend(backend, api_counter=counter,
-                                    api_latency=latency)
-    if client is not None and harness is not None:
-        from repro.obs import fold_net_snapshot
-
-        fold_net_snapshot(registry, harness.server.net_snapshot())
-        fold_net_snapshot(registry, client.net_snapshot(),
-                          namespace="net.client")
-        client.close()
-        harness.stop()
+    registry = _stack_registry(backend, counter, latency, net)
     if args.out or args.json:
         document = metrics_snapshot(registry, meta={
             "source": "repro stats",
@@ -521,7 +510,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                           seed=args.seed, executor=args.executor)
     for line in result.report_lines():
         print(line)
-    assert result.registry is not None
     portable = result.registry.to_portable()
     for key in sorted(portable["counters"]):
         if key.startswith(("chaos.", "cluster.")):
@@ -605,7 +593,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             "transport": args.transport,
         }
         if args.metrics_out:
-            assert result.registry is not None
             write_snapshot(args.metrics_out,
                            metrics_snapshot(result.registry, meta=meta))
             print(f"wrote metrics snapshot to {args.metrics_out}")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.obs.registry import MetricsRegistry
 from repro.serve.epoch import Epoch
 from repro.serve.service import EpochShell, RwsService
 from repro.serve.snapshot import (
@@ -87,7 +88,7 @@ class Replica(EpochShell):
             router's publish call.
 
     Hosts resolve through the primary's PSL, so the replica shares its
-    cache (and its ``psl_*`` counters) with the primary.
+    cache (and its ``psl.*`` counters) with the primary.
     """
 
     def __init__(self, replica_id: int, primary: RwsService, *,
@@ -353,24 +354,21 @@ class Replica(EpochShell):
 
     # -- observability --------------------------------------------------------
 
-    def stats_report(self) -> dict[str, float]:
-        """This replica's counters, captured once.
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The shell's metrics, this replica's catch-up counters, and
+        its id and pending hop count as ``cluster.*`` gauges."""
+        super().write_metrics(registry)
+        self.write_catch_up_metrics(registry)
+        registry.gauge("cluster.replica", self.replica_id)
+        registry.gauge("cluster.replica_pending_updates",
+                       len(self._pending))
 
-        Request counters fold from the per-thread cells; the epoch
-        fields come from a single captured reference.
-        """
-        epoch = self._epoch
-        report = self._cells.fold().as_dict()
-        report["replica"] = float(self.replica_id)
-        report["epoch"] = float(epoch.version)
-        report["snapshot_version"] = float(epoch.version)
-        report["index_sites"] = float(epoch.index.site_count)
-        report["index_sets"] = float(epoch.index.set_count)
-        report["catch_ups"] = float(self.catch_ups)
-        report["deltas_applied"] = float(self.deltas_applied)
-        report["pending_updates"] = float(len(self._pending))
-        report["resyncs"] = float(self.resyncs)
-        report["duplicates_ignored"] = float(self.duplicates_ignored)
-        report["epoch_loads"] = float(self.epoch_loads)
-        report["epoch_load_ns"] = float(self.epoch_load_ns)
-        return report
+    def write_catch_up_metrics(self, registry: MetricsRegistry) -> None:
+        """The catch-up bookkeeping as counters, which a
+        :class:`~repro.cluster.Router` sums over its replicas."""
+        registry.count("cluster.replica_catch_ups", self.catch_ups)
+        registry.count("cluster.replica_deltas_applied", self.deltas_applied)
+        registry.count("cluster.resyncs", self.resyncs)
+        registry.count("cluster.duplicates_ignored", self.duplicates_ignored)
+        registry.count("epoch.loads", self.epoch_loads)
+        registry.count("epoch.load_ns", self.epoch_load_ns)

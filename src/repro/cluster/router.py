@@ -35,15 +35,21 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.obs.registry import MetricsRegistry, MetricsSource
 from repro.obs.trace import NULL_TRACER
 from repro.psl.lookup import DomainError
 from repro.rws.model import RelatedWebsiteSet, RwsList
 from repro.serve.epoch import Epoch
 from repro.serve.index import MembershipIndex
 from repro.serve.queue import SubmissionStatus, ValidationQueue
-from repro.serve.service import QueryVerdict, RwsService, ServiceStats
+from repro.serve.service import (
+    QueryVerdict,
+    RwsService,
+    ServiceStats,
+    write_epoch_gauges,
+)
 from repro.serve.snapshot import ListSnapshot, SnapshotDelta
 
 from repro.cluster.replica import Replica
@@ -63,7 +69,7 @@ def _weight(replica_id: int, key: str) -> int:
     return zlib.crc32(f"{replica_id}|{key}".encode("utf-8", "replace"))
 
 
-class Router:
+class Router(MetricsSource):
     """Spread reads across replicas; pin writes to the primary.
 
     Args:
@@ -99,7 +105,7 @@ class Router:
         #: Every replica this router has ever owned, in join order —
         #: the stats surface.  Subclasses with dynamic membership route
         #: over :meth:`_read_replicas` instead, so a departed replica's
-        #: served-request counters survive in :meth:`stats_report`.
+        #: served-request counters survive in :meth:`write_metrics`.
         self.replicas: list[Replica] = [
             Replica(i, primary, lag=lags[i]) for i in range(replicas)
         ]
@@ -383,48 +389,25 @@ class Router:
         """Each replica's served snapshot version, in replica order."""
         return [replica.version for replica in self.replicas]
 
-    def stats_report(self) -> dict[str, float]:
-        """The merged cluster report: every node captured exactly once.
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The cluster's metrics, every node captured exactly once.
 
-        Request counters sum across the primary and all replicas; the
-        epoch/index/queue/PSL fields ride the primary's single-capture
-        :meth:`~repro.serve.service.RwsService.stats_report` (replica
-        folds are passed in via its ``merge`` hook rather than
-        re-assembling — and re-locking — one sub-report per node); the
-        cluster adds replica-fleet fields on top.
+        The request counters of the primary and every replica, folded
+        into one (:attr:`stats`); the served epoch's gauges
+        (:attr:`epoch`, the epoch the cluster answers from); the
+        primary's write side (epoch codec, validation queue, PSL); and
+        the replica fleet: each replica's catch-up counters, summed,
+        plus its size, served-version range and pending hops as
+        ``cluster.*`` gauges.
         """
-        replica_stats: Iterable[ServiceStats] = [replica.stats
-                                                 for replica in self.replicas]
-        report = self.primary.stats_report(merge=tuple(replica_stats))
+        self.stats.write_metrics(registry)
+        write_epoch_gauges(registry, self.epoch)
+        self.primary.write_side_metrics(registry)
+        for replica in self.replicas:
+            replica.write_catch_up_metrics(registry)
         versions = self.replica_versions()
-        report["replicas"] = float(len(self.replicas))
-        report["replica_epoch_min"] = float(min(versions))
-        report["replica_epoch_max"] = float(max(versions))
-        report["replica_catch_ups"] = float(
-            sum(replica.catch_ups for replica in self.replicas))
-        report["replica_deltas_applied"] = float(
-            sum(replica.deltas_applied for replica in self.replicas))
-        report["replica_pending_updates"] = float(
-            sum(replica.pending_updates for replica in self.replicas))
-        report["resyncs"] = float(
-            sum(replica.resyncs for replica in self.replicas))
-        report["duplicates_ignored"] = float(
-            sum(replica.duplicates_ignored for replica in self.replicas))
-        report["epoch_loads"] += float(
-            sum(replica.epoch_loads for replica in self.replicas))
-        report["epoch_load_ns"] += float(
-            sum(replica.epoch_load_ns for replica in self.replicas))
-        return report
-
-    def stats_registry(self):
-        """The merged cluster report as a unified metrics registry.
-
-        Replica-fleet fields land under ``cluster.*``; everything else
-        follows the same namespaces as
-        :meth:`~repro.serve.service.RwsService.stats_registry`.
-        """
-        from repro.obs.registry import MetricsRegistry, fold_stats_report
-
-        registry = MetricsRegistry()
-        fold_stats_report(registry, self.stats_report())
-        return registry
+        registry.gauge("cluster.replicas", len(self.replicas))
+        registry.gauge("cluster.replica_epoch_min", min(versions))
+        registry.gauge("cluster.replica_epoch_max", max(versions))
+        registry.gauge("cluster.replica_pending_updates", sum(
+            replica.pending_updates for replica in self.replicas))

@@ -37,6 +37,7 @@ from repro.api.codec import (
 from repro.api.envelopes import Request, Response
 from repro.net.frame import FrameDecoder, FrameError, encode_frame
 from repro.net.server import hello_message
+from repro.obs.registry import MetricsRegistry
 
 #: Ops safe to retry on a transport error: reads with no server-side
 #: side effects.  ``publish``/``submit``/``queue_report`` are absent on
@@ -319,9 +320,16 @@ class TcpApiClient:
             except queue.Empty:
                 return
 
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The client's counters under ``net.client.*``."""
+        with self._lock:
+            counters = dict(self._counters)
+        for key, value in counters.items():
+            registry.count(f"net.client.{key}", value)
+
     def net_snapshot(self) -> dict:
-        """Client-side counters in the same portable shape the server
-        emits (no gauges or histograms on this side)."""
+        """Client-side counters as plain data, in the server's
+        :meth:`~repro.net.server.RwsTcpServer.net_snapshot` shape."""
         with self._lock:
             return {"counters": dict(self._counters), "gauges": {},
                     "histograms": {}}

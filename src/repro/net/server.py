@@ -31,17 +31,17 @@ construction.
   window holds back a peer that does not read its answers.
 * **publish ordering** — a ``publish`` runs alone on the loop, so it
   never overlaps a read, and any request answered after it (on any
-  connection) sees the published epoch.  ``net.drain_waits`` stays in
-  the snapshot and always reads 0.
+  connection) sees the published epoch.  ``drain_waits`` stays in
+  :meth:`~RwsTcpServer.net_snapshot` and always reads 0.
 * **idle timeout / connection cap** — connections with no partial
   frame buffered close after ``idle_timeout`` quiet seconds, timed by
   one timer per connection that re-arms itself from the last read;
   connects past ``max_connections`` are refused at hello.
 
-``net.*`` observability: :meth:`RwsTcpServer.net_snapshot` is the
-portable counter/gauge/histogram form that
-:func:`repro.obs.registry.fold_net_snapshot` folds into the unified
-registry, and a live :class:`~repro.obs.trace.Tracer` records
+``net.*`` observability: :meth:`RwsTcpServer.write_metrics` writes
+the wire's counters, gauges and request-latency histogram into a
+:class:`~repro.obs.registry.MetricsRegistry`, and a live
+:class:`~repro.obs.trace.Tracer` records
 ``net.accept`` / ``net.frame.decode`` / ``net.dispatch`` /
 ``net.frame.encode`` spans per request (request indices follow arrival
 order, so net traces are deterministic for serial single-connection
@@ -76,8 +76,8 @@ from repro.api.envelopes import (
     PublishRequest,
 )
 from repro.net.frame import FrameDecoder, FrameError, encode_frame
+from repro.obs.registry import LatencyHistogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER
-from repro.workload.metrics import LatencyHistogram
 
 if TYPE_CHECKING:
     from repro.cluster.router import Router
@@ -288,13 +288,24 @@ class RwsTcpServer:
 
     # -- observability --------------------------------------------------------
 
-    def net_snapshot(self) -> dict:
-        """The portable ``net.*`` stats form.
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The wire's counters and gauges, and its ``request_ns``
+        histogram, under ``net.*``."""
+        for key, value in self._counters.items():
+            registry.count(f"net.{key}", value)
+        for key, value in self._gauges.items():
+            registry.gauge(f"net.{key}", value)
+        registry.histogram("net.request_ns").merge(self._request_hist)
 
-        Counters/gauges/histograms, picklable and JSON-able, shaped
-        for :func:`repro.obs.registry.fold_net_snapshot` — the same
-        travel pattern every other mergeable structure here uses.
-        """
+    def stats_registry(self) -> MetricsRegistry:
+        """One registry: the backend's metrics plus ``net.*``."""
+        registry = self.dispatcher.service.stats_registry()
+        self.write_metrics(registry)
+        return registry
+
+    def net_snapshot(self) -> dict:
+        """The wire's counters, gauges and histogram as plain data
+        (picklable and JSON-able), with ``drain_waits`` still in it."""
         counters = dict(self._counters)
         # Publishes never overlap a read, so none waits for one.
         counters["drain_waits"] = 0
@@ -303,19 +314,6 @@ class RwsTcpServer:
             "gauges": dict(self._gauges),
             "histograms": {"request_ns": list(self._request_hist.counts)},
         }
-
-    def stats_registry(self):
-        """One unified registry: ``net.*`` plus the backend's report."""
-        from repro.obs.registry import (  # lazy: avoids import cycles
-            MetricsRegistry,
-            fold_net_snapshot,
-            fold_stats_report,
-        )
-
-        registry = MetricsRegistry()
-        fold_net_snapshot(registry, self.net_snapshot())
-        fold_stats_report(registry, self.dispatcher.service.stats_report())
-        return registry
 
 
 class _Connection(asyncio.Protocol):

@@ -4,13 +4,12 @@ Three instruments over the serving stack, all composing with the
 project's determinism invariant (bit-identical digests across runs,
 shard counts, and executors):
 
-* :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the unified
+* :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the one
   metrics schema (mergeable counters / gauges / pow2 latency
-  histograms) plus adapters folding every legacy stats shape
-  (``ServiceStats``, PSL ``cache_stats()``, queue counters, dispatcher
-  middleware, ``WorkloadMetrics``, ``repro.net`` transport snapshots)
-  into dot-namespaced metrics (``serve.*``, ``psl.*``, ``queue.*``,
-  ``api.*``, ``cluster.*``, ``workload.*``, ``net.*``);
+  histograms): every layer writes its own metrics into it under their
+  final dot-namespaced names (``serve.*``, ``epoch.*``, ``psl.*``,
+  ``queue.*``, ``api.*``, ``cluster.*``, ``chaos.*``, ``net.*``,
+  ``workload.*``), and every stats report is a view of it;
 * :mod:`repro.obs.trace` — :class:`Tracer`, deterministic per-request
   spans (dispatcher → router → replica/primary → epoch query → PSL
   resolve) with span ids derived from (seed, request index, sequence)
@@ -25,11 +24,11 @@ shard counts, and executors):
 ``repro stats`` / ``repro trace`` / ``repro load --metrics-out``.
 """
 
-# The serving layers import ``repro.obs.trace`` at module top (it is
-# stdlib-only), so this package __init__ must stay weightless: eagerly
-# importing ``registry``/``export`` here would pull in
-# ``repro.workload`` and close an import cycle back into
-# ``repro.serve``.  Re-exports resolve lazily via PEP 562 instead.
+# The serving layers import ``repro.obs.trace`` and
+# ``repro.obs.registry`` at module top (both stdlib-only), so this
+# package __init__ must stay weightless: eagerly importing ``profile``
+# here would import ``repro.serve`` and close an import cycle back
+# into it.  Re-exports resolve lazily via PEP 562 instead.
 
 _EXPORTS = {
     # repro.obs.trace (stdlib-only — safe from any layer)
@@ -41,16 +40,8 @@ _EXPORTS = {
     "span_id": "trace",
     # repro.obs.registry
     "DETERMINISTIC_WORKLOAD_COUNTERS": "registry",
+    "LatencyHistogram": "registry",
     "MetricsRegistry": "registry",
-    "fold_api_counter": "registry",
-    "fold_latency_recorder": "registry",
-    "fold_net_snapshot": "registry",
-    "fold_psl_stats": "registry",
-    "fold_queue_stats": "registry",
-    "fold_service_stats": "registry",
-    "fold_stats_report": "registry",
-    "fold_workload_metrics": "registry",
-    "registry_for_backend": "registry",
     # repro.obs.profile
     "StageProfiler": "profile",
     # repro.obs.export
@@ -83,6 +74,7 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "DETERMINISTIC_WORKLOAD_COUNTERS",
+    "LatencyHistogram",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -92,17 +84,8 @@ __all__ = [
     "TRACE_SCHEMA",
     "TraceSummary",
     "Tracer",
-    "fold_api_counter",
-    "fold_latency_recorder",
-    "fold_net_snapshot",
-    "fold_psl_stats",
-    "fold_queue_stats",
-    "fold_service_stats",
-    "fold_stats_report",
-    "fold_workload_metrics",
     "load_snapshot",
     "metrics_snapshot",
-    "registry_for_backend",
     "render_metrics_lines",
     "render_trace_lines",
     "span_id",

@@ -5,7 +5,7 @@
 :class:`~repro.cluster.Replica`) or :class:`~repro.cluster.Router`
 and records, per serving stage:
 
-* a power-of-two-bucket :class:`~repro.workload.metrics.LatencyHistogram`
+* a power-of-two-bucket :class:`~repro.obs.registry.LatencyHistogram`
   of wall-clock stage latency (``serve.query``, ``serve.query_batch``,
   ``cluster.route_batch``, ...);
 * **allocation counters** for the known per-query allocation hot
@@ -34,12 +34,11 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
+from repro.obs.registry import LatencyHistogram, MetricsRegistry
 from repro.serve.service import BATCH_SHAPES
-from repro.workload.metrics import LatencyHistogram
 
 if TYPE_CHECKING:
     from repro.cluster.router import Router
-    from repro.obs.registry import MetricsRegistry
     from repro.serve.service import EpochShell
 
 
@@ -176,7 +175,7 @@ class StageProfiler:
                 flat[f"{stage}.{key}"] = value
         return flat
 
-    def fold_into(self, registry: "MetricsRegistry",
+    def fold_into(self, registry: MetricsRegistry,
                   namespace: str = "profile") -> None:
         """Fold stages and counters into a registry under one namespace."""
         for name, value in self.allocations.items():

@@ -1,27 +1,32 @@
-"""The unified metrics registry: one schema over every subsystem's counters.
+"""The metrics registry: the one report shape of every layer.
 
-Before this module, the stack's telemetry was scattered: per-thread
-:class:`~repro.serve.service.ServiceStats` cells in the serving shell,
-:meth:`PublicSuffixList.cache_stats` dicts in the PSL engine,
-:class:`~repro.serve.queue.QueueStats` in the validation queue,
-middleware counter dicts in the API dispatcher, and the workload
-engine's :class:`~repro.workload.metrics.WorkloadMetrics` — five
-shapes, none mergeable with the others.  :class:`MetricsRegistry`
-folds all of them behind one schema:
+Every component writes its own metrics into a :class:`MetricsRegistry`
+— once, when a report is taken, under their final dot-namespaced names
+and with the kind the component knows:
 
 * **counters** — monotonic ints, merged by addition;
 * **gauges** — point-in-time floats (epoch version, index size),
   merged by max (the freshest view of monotone state);
-* **histograms** — the existing power-of-two-bucket
-  :class:`~repro.workload.metrics.LatencyHistogram`, merged by
-  element-wise addition.
+* **histograms** — :class:`LatencyHistogram`, fixed power-of-two
+  buckets, merged by element-wise addition.
 
-Metric names are dot-namespaced by subsystem — ``serve.*``, ``psl.*``,
-``queue.*``, ``api.*``, ``cluster.*``, ``workload.*`` — and the
-adapter functions below (:func:`fold_service_stats`,
-:func:`fold_stats_report`, :func:`fold_api_counter`, ...) translate
-each legacy shape into that namespace, so ``stats_report`` output from
-any layer lands in the same registry form.
+The writers, by namespace: ``serve.*`` (an
+:class:`~repro.serve.service.EpochShell`'s stats cells and served
+epoch), ``epoch.*``, ``queue.*`` and ``psl.*`` (the primary
+:class:`~repro.serve.service.RwsService`'s write side), ``cluster.*``
+(:class:`~repro.cluster.Replica` and :class:`~repro.cluster.Router`),
+``chaos.*`` (:class:`~repro.chaos.ChaosRouter`), ``api.*``
+(:class:`~repro.api.dispatcher.RequestCounter` and
+:class:`~repro.api.dispatcher.LatencyRecorder`), ``net.*`` and
+``net.client.*`` (:class:`~repro.net.server.RwsTcpServer` and
+:class:`~repro.net.client.TcpApiClient`), ``workload.*`` (the
+workload driver) and ``profile.*``
+(:class:`~repro.obs.profile.StageProfiler`).  Hot paths keep their own
+instruments — lock-free per-thread cells, plain counter dicts — and
+write them here only when a report is taken (the latency middleware,
+off the default path, records into a registry of its own); every
+``stats_report()`` is a registry's :meth:`~MetricsRegistry.as_flat_dict`
+(:class:`MetricsSource`).
 
 Determinism is first-class: a counter may be registered as
 *deterministic*, meaning its merged value must be bit-identical for a
@@ -34,21 +39,20 @@ hit/miss splits, per-shard bookkeeping) are never deterministic and
 never enter the digest.
 
 Like every mergeable structure here, the registry travels between
-process shards via :meth:`to_portable`/:meth:`from_portable`.
+process shards via :meth:`to_portable`/:meth:`from_portable`.  This
+module imports nothing from ``repro``, so any layer may import it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Mapping
 
-from repro.workload.metrics import LatencyHistogram, WorkloadMetrics
-
-if TYPE_CHECKING:  # type-only: avoid importing serve at module load
-    from repro.api.dispatcher import LatencyRecorder, RequestCounter
-    from repro.serve.queue import QueueStats
-    from repro.serve.service import ServiceStats
+#: Histogram shape: bucket ``i`` holds latencies whose nanosecond value
+#: has bit_length ``i`` (i.e. the range ``[2**(i-1), 2**i)``), clamped
+#: at the top.  48 buckets cover ~1 ns .. ~39 hours.
+NUM_BUCKETS = 48
 
 #: Workload counters whose merged values are partition-independent for
 #: a given (scenario, users, seed) — the decision/outcome counters the
@@ -67,14 +71,83 @@ DETERMINISTIC_WORKLOAD_COUNTERS = frozenset({
 })
 
 
+class LatencyHistogram:
+    """A fixed-bucket nanosecond histogram with lossless merge.
+
+    Buckets are powers of two, so resolution is a factor of two —
+    coarse for single measurements, plenty for p50/p95/p99 over
+    thousands of decisions, and the fixed shape makes shard merging a
+    vector add: percentiles computed after a merge are identical no
+    matter how the traffic was partitioned.
+    """
+
+    __slots__ = ("counts", "total")
+
+    def __init__(self, counts: list[int] | None = None):
+        if counts is None:
+            self.counts = [0] * NUM_BUCKETS
+        else:
+            if len(counts) != NUM_BUCKETS:
+                raise ValueError(
+                    f"histogram shape mismatch: {len(counts)} buckets, "
+                    f"expected {NUM_BUCKETS}"
+                )
+            self.counts = list(counts)
+        self.total = sum(self.counts)
+
+    def record(self, ns: int) -> None:
+        """Record one latency observation (nanoseconds, >= 0)."""
+        index = ns.bit_length() if ns > 0 else 0
+        if index >= NUM_BUCKETS:
+            index = NUM_BUCKETS - 1
+        self.counts[index] += 1
+        self.total += 1
+
+    def merge(self, other: LatencyHistogram) -> None:
+        """Fold another histogram into this one (element-wise add)."""
+        for i, count in enumerate(other.counts):
+            self.counts[i] += count
+        self.total += other.total
+
+    def percentile(self, q: float) -> float:
+        """The latency (ns) at quantile ``q`` in [0, 1].
+
+        Returns the geometric midpoint of the bucket containing the
+        q-th observation (0.0 for an empty histogram).
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if self.total == 0:
+            return 0.0
+        rank = max(1, round(q * self.total))
+        seen = 0
+        for i, count in enumerate(self.counts):
+            seen += count
+            if seen >= rank:
+                if i == 0:
+                    return 0.5
+                # Bucket i covers [2**(i-1), 2**i): geometric midpoint.
+                return float(2 ** (i - 1)) * (2 ** 0.5)
+        return float(2 ** (NUM_BUCKETS - 1))  # pragma: no cover
+
+    def summary(self) -> dict[str, float]:
+        """p50/p95/p99 in nanoseconds, plus the observation count."""
+        return {
+            "count": float(self.total),
+            "p50_ns": self.percentile(0.50),
+            "p95_ns": self.percentile(0.95),
+            "p99_ns": self.percentile(0.99),
+        }
+
+
 class MetricsRegistry:
     """Namespaced, mergeable counters, gauges, and latency histograms.
 
     Thread-safe for concurrent registration and updates: metric
     creation happens under a lock, and counter bumps ride
-    ``dict``-entry addition under the same lock (registries are scraped
-    and folded, not hot-path instruments — hot paths keep their
-    existing lock-free cells and *fold into* a registry on report).
+    ``dict``-entry addition under the same lock (a registry is filled
+    when a report is taken, not bumped on the hot path — hot paths
+    keep their own lock-free instruments and write them in then).
     """
 
     def __init__(self) -> None:
@@ -146,8 +219,9 @@ class MetricsRegistry:
     def as_flat_dict(self) -> dict[str, float]:
         """Everything as one flat ``{name: float}`` mapping.
 
-        The "one shape" every subsystem's stats report folds into:
-        counters and gauges keep their names; each histogram expands to
+        Every ``stats_report()`` and the
+        :class:`~repro.api.envelopes.StatsResponse` body: counters and
+        gauges keep their names; each histogram expands to
         ``<name>.count`` / ``<name>.p50_ns`` / ``<name>.p95_ns`` /
         ``<name>.p99_ns``.
         """
@@ -229,172 +303,25 @@ class MetricsRegistry:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# -- legacy-shape adapters ----------------------------------------------------
-#
-# Each adapter folds one of the stack's pre-registry stats shapes into
-# a namespaced registry.  They are additive (safe to call repeatedly on
-# distinct sources) and total: unknown keys land under their source
-# namespace rather than being dropped.
+class MetricsSource:
+    """Mixin: a component's report views over its :meth:`write_metrics`.
 
-#: ``stats_report`` keys that are point-in-time state, not counters.
-_REPORT_GAUGES = frozenset({
-    "epoch", "snapshot_version", "index_sites", "index_sets",
-    "mean_query_ns", "replicas", "replica_epoch_min", "replica_epoch_max",
-    "replica_pending_updates", "psl_size", "psl_maxsize", "replica",
-    "availability", "active_replicas",
-})
-
-#: ``stats_report`` keys belonging to the cluster namespace.
-_REPORT_CLUSTER = frozenset({
-    "replicas", "replica_epoch_min", "replica_epoch_max",
-    "replica_catch_ups", "replica_deltas_applied",
-    "replica_pending_updates", "replica",
-    "resyncs", "duplicates_ignored", "availability", "active_replicas",
-})
-
-
-def fold_service_stats(registry: MetricsRegistry, stats: "ServiceStats",
-                       namespace: str = "serve") -> None:
-    """Fold a :class:`ServiceStats` snapshot into ``<namespace>.*``."""
-    registry.count(f"{namespace}.queries", stats.queries)
-    registry.count(f"{namespace}.related_hits", stats.related_hits)
-    registry.count(f"{namespace}.resolver_hits", stats.resolver_hits)
-    registry.count(f"{namespace}.resolver_misses", stats.resolver_misses)
-    registry.count(f"{namespace}.resolver_errors", stats.resolver_errors)
-    registry.count(f"{namespace}.publishes", stats.publishes)
-    registry.gauge(f"{namespace}.mean_query_ns", stats.mean_query_ns)
-
-
-def fold_psl_stats(registry: MetricsRegistry, cache_stats: Mapping[str, int],
-                   namespace: str = "psl") -> None:
-    """Fold :meth:`PublicSuffixList.cache_stats` into ``psl.*``."""
-    for key, value in cache_stats.items():
-        if key in ("size", "maxsize"):
-            registry.gauge(f"{namespace}.{key}", float(value))
-        else:
-            registry.count(f"{namespace}.{key}", int(value))
-
-
-def fold_queue_stats(registry: MetricsRegistry, stats: "QueueStats",
-                     namespace: str = "queue") -> None:
-    """Fold a :class:`QueueStats` snapshot into ``queue.*``."""
-    registry.count(f"{namespace}.submitted", stats.submitted)
-    registry.count(f"{namespace}.passed", stats.passed)
-    registry.count(f"{namespace}.rejected", stats.rejected)
-    registry.count(f"{namespace}.errored", stats.errored)
-
-
-def fold_api_counter(registry: MetricsRegistry, counter: "RequestCounter",
-                     namespace: str = "api") -> None:
-    """Fold a dispatcher :class:`RequestCounter` into ``api.*``."""
-    for op, count in counter.requests.items():
-        registry.count(f"{namespace}.requests.{op}", count)
-    for op, count in counter.errors.items():
-        registry.count(f"{namespace}.errors.{op}", count)
-
-
-def fold_latency_recorder(registry: MetricsRegistry,
-                          recorder: "LatencyRecorder",
-                          namespace: str = "api") -> None:
-    """Fold a :class:`LatencyRecorder`'s histograms into ``api.*``.
-
-    The recorder prefixes its operation names itself (``api_query``
-    by default); the fold re-namespaces them as
-    ``<namespace>.latency.<op>``.
+    A component implements :meth:`write_metrics` — its own metrics,
+    written once under their final names — and inherits the two views
+    every report reads.
     """
-    prefix = recorder.prefix
-    for name, histogram in recorder.metrics.histograms.items():
-        op = name[len(prefix):] if name.startswith(prefix) else name
-        registry.histogram(f"{namespace}.latency.{op}").merge(histogram)
 
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """Write this component's metrics into ``registry``."""
+        raise NotImplementedError
 
-def fold_workload_metrics(
-    registry: MetricsRegistry, metrics: WorkloadMetrics,
-    namespace: str = "workload",
-    deterministic: Iterable[str] = DETERMINISTIC_WORKLOAD_COUNTERS,
-) -> None:
-    """Fold a :class:`WorkloadMetrics` into ``workload.*``.
+    def stats_registry(self) -> MetricsRegistry:
+        """A fresh registry holding this component's metrics."""
+        registry = MetricsRegistry()
+        self.write_metrics(registry)
+        return registry
 
-    Counters named in ``deterministic`` are registered as such (their
-    merged values are partition-independent); latency histograms land
-    under ``<namespace>.latency.<op>`` and are never deterministic.
-    """
-    deterministic = frozenset(deterministic)
-    for name, value in metrics.counters.items():
-        registry.count(f"{namespace}.{name}", value,
-                       deterministic=name in deterministic)
-    for name, histogram in metrics.histograms.items():
-        registry.histogram(f"{namespace}.latency.{name}").merge(histogram)
-
-
-def fold_stats_report(registry: MetricsRegistry,
-                      report: Mapping[str, float]) -> None:
-    """Fold a service/replica/router ``stats_report`` dict.
-
-    The flat legacy report re-namespaces as: ``psl_*`` → ``psl.*``,
-    ``queue_*`` → ``queue.*``, replica-fleet fields → ``cluster.*``,
-    fault-injection counters (``chaos_*``) → ``chaos.*``, binary-epoch
-    codec counters (``epoch_*``) → ``epoch.*``, and everything else
-    (request counters, epoch/index state) → ``serve.*``.
-    Point-in-time fields become gauges, monotonic fields counters.
-    """
-    for key, value in report.items():
-        if key.startswith("psl_"):
-            name = f"psl.{key[4:]}"
-        elif key.startswith("queue_"):
-            name = f"queue.{key[6:]}"
-        elif key.startswith("chaos_"):
-            name = f"chaos.{key[6:]}"
-        elif key.startswith("epoch_"):
-            name = f"epoch.{key[6:]}"
-        elif key in _REPORT_CLUSTER:
-            name = f"cluster.{key}"
-        else:
-            name = f"serve.{key}"
-        if key in _REPORT_GAUGES:
-            registry.gauge(name, value)
-        else:
-            registry.count(name, int(value))
-
-
-def fold_net_snapshot(registry: MetricsRegistry, snapshot: Mapping,
-                      namespace: str = "net") -> None:
-    """Fold a ``repro.net`` portable snapshot into ``<namespace>.*``.
-
-    Both sides of the wire emit the same shape —
-    :meth:`repro.net.server.RwsTcpServer.net_snapshot` and
-    :meth:`repro.net.client.TcpApiClient.net_snapshot` — so server
-    stats fold under ``net.*`` and client stats under e.g.
-    ``net.client.*`` by namespace choice.  None of it is
-    deterministic: retry counts, pipeline depths, and latency buckets
-    all depend on scheduling.
-    """
-    for key, value in snapshot.get("counters", {}).items():
-        registry.count(f"{namespace}.{key}", int(value))
-    for key, value in snapshot.get("gauges", {}).items():
-        registry.gauge(f"{namespace}.{key}", float(value))
-    for key, counts in snapshot.get("histograms", {}).items():
-        registry.histogram(f"{namespace}.{key}").merge(
-            LatencyHistogram(list(counts)))
-
-
-def registry_for_backend(backend, *, api_counter: "RequestCounter | None"
-                         = None,
-                         api_latency: "LatencyRecorder | None" = None,
-                         ) -> MetricsRegistry:
-    """One registry over a serving backend and its API middleware.
-
-    ``backend`` is anything with a ``stats_report()`` — an
-    :class:`~repro.serve.service.RwsService`, a
-    :class:`~repro.cluster.Replica`, or a
-    :class:`~repro.cluster.Router` (whose report already merges every
-    node once).  Optional dispatcher middleware folds in under
-    ``api.*``.
-    """
-    registry = MetricsRegistry()
-    fold_stats_report(registry, backend.stats_report())
-    if api_counter is not None:
-        fold_api_counter(registry, api_counter)
-    if api_latency is not None:
-        fold_latency_recorder(registry, api_latency)
-    return registry
+    def stats_report(self) -> dict[str, float]:
+        """:meth:`stats_registry` flattened to ``{name: float}`` — the
+        :class:`~repro.api.envelopes.StatsResponse` body."""
+        return self.stats_registry().as_flat_dict()

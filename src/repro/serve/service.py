@@ -27,8 +27,11 @@ The moving parts:
   ``resolver_*`` counters are counted once, at the PSL's probe;
 * request and latency **counters** live in per-thread cells
   (:class:`_StatsCells`): the query hot path bumps plain attributes on
-  its own thread's cell — no lock after the epoch capture — and
-  reports fold the cells on demand.
+  its own thread's cell — no lock after the epoch capture — and a
+  report folds the cells and writes them, with the rest of the
+  service's metrics, into a
+  :class:`~repro.obs.registry.MetricsRegistry`
+  (:meth:`RwsService.write_metrics`).
 
 The read surface lives in :class:`EpochShell` — one point read
 (:meth:`~EpochShell.query`) and one batch read
@@ -50,6 +53,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.obs.registry import MetricsRegistry, MetricsSource
 from repro.obs.trace import NULL_TRACER
 from repro.psl import PublicSuffixList, default_psl
 from repro.rws.model import RelatedWebsiteSet, RwsList
@@ -91,11 +95,6 @@ class ServiceStats:
     publishes: int = 0
     query_ns_total: int = 0
 
-    @property
-    def mean_query_ns(self) -> float:
-        """Mean per-query latency in nanoseconds (0.0 before traffic)."""
-        return self.query_ns_total / self.queries if self.queries else 0.0
-
     def merge(self, other: ServiceStats) -> None:
         """Fold another stats object into this one (element-wise add)."""
         self.queries += other.queries
@@ -106,17 +105,16 @@ class ServiceStats:
         self.publishes += other.publishes
         self.query_ns_total += other.query_ns_total
 
-    def as_dict(self) -> dict[str, float]:
-        """Counters as a flat dict (for reporting/CLI output)."""
-        return {
-            "queries": self.queries,
-            "related_hits": self.related_hits,
-            "resolver_hits": self.resolver_hits,
-            "resolver_misses": self.resolver_misses,
-            "resolver_errors": self.resolver_errors,
-            "publishes": self.publishes,
-            "mean_query_ns": self.mean_query_ns,
-        }
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The counters under ``serve.*`` (``query_ns_total`` as
+        ``serve.query_ns``, which sums across cells and shards)."""
+        registry.count("serve.queries", self.queries)
+        registry.count("serve.related_hits", self.related_hits)
+        registry.count("serve.resolver_hits", self.resolver_hits)
+        registry.count("serve.resolver_misses", self.resolver_misses)
+        registry.count("serve.resolver_errors", self.resolver_errors)
+        registry.count("serve.publishes", self.publishes)
+        registry.count("serve.query_ns", self.query_ns_total)
 
 
 class _StatsCells:
@@ -160,6 +158,14 @@ class _StatsCells:
         return total
 
 
+def write_epoch_gauges(registry: MetricsRegistry, epoch: Epoch) -> None:
+    """A served epoch's version and index size as ``serve.*`` gauges."""
+    registry.gauge("serve.epoch", epoch.version)
+    registry.gauge("serve.snapshot_version", epoch.version)
+    registry.gauge("serve.index_sites", epoch.index.site_count)
+    registry.gauge("serve.index_sets", epoch.index.set_count)
+
+
 #: Each batch read's shape by ``(detail, resolved)``, the
 #: :class:`~repro.api.envelopes.BatchQueryRequest` fields: its span is
 #: ``serve.<shape>``, its profiler stage ``<prefix>.<shape>``, and only
@@ -201,7 +207,7 @@ class QueryVerdict:
         return self.result is not None and self.result.related
 
 
-class EpochShell:
+class EpochShell(MetricsSource):
     """The lock-free read surface over one swappable epoch reference.
 
     Everything a *reader* can do to the serving layer lives here:
@@ -380,6 +386,19 @@ class EpochShell:
     def related_batch(self, pairs: list[tuple[str, str]]) -> list[bool]:
         """``query_batch(pairs, detail=False)``."""
         return self.query_batch(pairs, detail=False)
+
+    # -- observability --------------------------------------------------------
+
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The folded stats cells and the served epoch's gauges.
+
+        The epoch is captured as one reference, so its version and
+        index fields cannot drift apart.  A report scraped during a
+        burst is a momentary approximation of in-flight threads'
+        cells, and exact once they finish.
+        """
+        self._cells.fold().write_metrics(registry)
+        write_epoch_gauges(registry, self._epoch)
 
 
 @dataclass
@@ -589,63 +608,34 @@ class RwsService(EpochShell):
 
     # -- observability --------------------------------------------------------
 
-    def stats_report(self, merge: tuple[ServiceStats, ...] = ()
-                     ) -> dict[str, float]:
-        """All counters: requests, resolver, epoch, queue and PSL stats.
+    def write_metrics(self, registry: MetricsRegistry) -> None:
+        """The shell's metrics plus :meth:`write_side_metrics`."""
+        super().write_metrics(registry)
+        self.write_side_metrics(registry)
 
-        Everything is captured **once**: the per-thread cells fold into
-        one :class:`ServiceStats`, the epoch is captured as a single
-        reference (its index/snapshot fields cannot drift apart), and
-        the queue counters are taken as one locked snapshot
-        (:meth:`~repro.serve.queue.ValidationQueue.stats_snapshot`).
-        There is no service-wide lock to hold any more — a report
-        scraped during a burst is a momentary approximation of
-        in-flight threads' cells, and exact once they finish.
+    def write_side_metrics(self, registry: MetricsRegistry) -> None:
+        """The write side: the epoch codec's ``epoch.*`` counters, the
+        validation queue's four ``queue.*`` counters (one locked
+        snapshot) and the PSL's cache as ``psl.*``.
 
-        ``merge`` folds additional pre-captured stats into the request
-        counters before assembly — the :class:`~repro.cluster.Router`
-        passes its replicas' folds here so a cluster-wide report is
-        one capture per node, not a re-lock per sub-report.
-
-        The ``psl_*`` counters describe the underlying
+        The ``psl.*`` metrics describe the underlying
         :class:`PublicSuffixList` instance; with the default
         :func:`default_psl` singleton they are process-wide (shared
         with every other subsystem using that PSL), not per-service.
         Construct the service with its own ``PublicSuffixList()`` for
         isolated counters.
         """
-        folded = self._cells.fold()
-        for extra in merge:
-            folded.merge(extra)
-        epoch = self._epoch
-        report = folded.as_dict()
-        report["index_sites"] = float(epoch.index.site_count)
-        report["index_sets"] = float(epoch.index.set_count)
-        report["snapshot_version"] = float(epoch.version)
-        report["epoch"] = float(epoch.version)
-        report["epoch_encodes"] = float(self._epoch_encodes)
-        report["epoch_encode_ns"] = float(self._epoch_encode_ns)
-        report["epoch_loads"] = float(self._epoch_loads)
-        report["epoch_load_ns"] = float(self._epoch_load_ns)
+        registry.count("epoch.encodes", self._epoch_encodes)
+        registry.count("epoch.encode_ns", self._epoch_encode_ns)
+        registry.count("epoch.loads", self._epoch_loads)
+        registry.count("epoch.load_ns", self._epoch_load_ns)
         queue_stats = self.queue.stats_snapshot()
-        report["queue_submitted"] = float(queue_stats.submitted)
-        report["queue_passed"] = float(queue_stats.passed)
-        report["queue_rejected"] = float(queue_stats.rejected)
+        registry.count("queue.submitted", queue_stats.submitted)
+        registry.count("queue.passed", queue_stats.passed)
+        registry.count("queue.rejected", queue_stats.rejected)
+        registry.count("queue.errored", queue_stats.errored)
         for key, value in self.psl.cache_stats().items():
-            report[f"psl_{key}"] = float(value)
-        return report
-
-    def stats_registry(self, merge: tuple[ServiceStats, ...] = ()):
-        """This service's :meth:`stats_report` as a unified registry.
-
-        Returns a :class:`~repro.obs.registry.MetricsRegistry` with the
-        report folded under the standard namespaces (``serve.*``,
-        ``psl.*``, ``queue.*``) — the one-schema view the ``repro
-        stats`` CLI renders.  Imported lazily so the serving layer's
-        import graph stays free of the registry's workload dependency.
-        """
-        from repro.obs.registry import MetricsRegistry, fold_stats_report
-
-        registry = MetricsRegistry()
-        fold_stats_report(registry, self.stats_report(merge=merge))
-        return registry
+            if key in ("size", "maxsize"):
+                registry.gauge(f"psl.{key}", value)
+            else:
+                registry.count(f"psl.{key}", value)

@@ -17,9 +17,9 @@ that traffic reproducibly:
 * :mod:`repro.workload.driver` — the serial reference driver and the
   sharded executor that partitions users across workers and merges
   results;
-* :mod:`repro.workload.metrics` — throughput counters and mergeable
-  latency histograms (p50/p95/p99), plus the partition-independent
-  outcome digest that makes runs bit-comparable.
+* :mod:`repro.workload.metrics` — the partition-independent outcome
+  digest that makes runs bit-comparable (a run's counters and latency
+  histograms live in its :class:`~repro.obs.registry.MetricsRegistry`).
 
 Entry point::
 
@@ -45,13 +45,7 @@ from repro.workload.generator import (
     SiteUniverse,
     ZipfSampler,
 )
-from repro.workload.metrics import (
-    LatencyHistogram,
-    WorkloadMetrics,
-    combine_digests,
-    digest_hex,
-    user_digest,
-)
+from repro.workload.metrics import combine_digests, digest_hex, user_digest
 from repro.workload.scenarios import (
     LIST_PROFILES,
     SCENARIOS,
@@ -62,7 +56,6 @@ from repro.workload.scenarios import (
 __all__ = [
     "EmbedCall",
     "LIST_PROFILES",
-    "LatencyHistogram",
     "PageVisit",
     "SCENARIOS",
     "Scenario",
@@ -70,7 +63,6 @@ __all__ = [
     "SessionGenerator",
     "ShardTask",
     "SiteUniverse",
-    "WorkloadMetrics",
     "WorkloadResult",
     "ZipfSampler",
     "chaotic",

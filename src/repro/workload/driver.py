@@ -18,7 +18,7 @@ layer's protocol boundary (a per-shard
   pairs, and answers them with one
   ``resolved`` :class:`~repro.api.envelopes.BatchQueryRequest`
   dispatch per buffer — no per-decision round-trip, no verdict
-  objects, one latency sample per flush — then merges shard metrics.
+  objects, one latency sample per flush — then merges shard registries.
   Shards run in worker processes (real parallelism on multi-core
   hosts) or threads; on a single core the fast path still wins because
   each decision does strictly less work.
@@ -59,9 +59,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.api.dispatcher import Dispatcher, RequestCounter
 from repro.api.envelopes import (
@@ -76,6 +76,11 @@ from repro.browser.policy import BROWSER_POLICIES
 from repro.chaos.plan import chaos_plan
 from repro.chaos.router import ChaosRouter
 from repro.cluster.router import Router
+from repro.obs.registry import (
+    DETERMINISTIC_WORKLOAD_COUNTERS,
+    LatencyHistogram,
+    MetricsRegistry,
+)
 from repro.obs.trace import NULL_TRACER, Tracer, TraceSummary
 from repro.psl import PublicSuffixList, default_psl
 from repro.rws.model import RwsList
@@ -83,16 +88,8 @@ from repro.serve.epoch import Epoch
 from repro.serve.service import RwsService
 from repro.serve.snapshot import SnapshotStore, apply_delta, membership_hash
 from repro.workload.generator import Session, SessionGenerator, SiteUniverse
-from repro.workload.metrics import (
-    WorkloadMetrics,
-    combine_digests,
-    digest_hex,
-    user_digest,
-)
+from repro.workload.metrics import combine_digests, digest_hex, user_digest
 from repro.workload.scenarios import LIST_PROFILES, Scenario, get_scenario
-
-if TYPE_CHECKING:  # import cycle guard: obs.registry imports this package
-    from repro.obs.registry import MetricsRegistry
 
 #: Sampling stride for fast-path rSA latency timing (one in N).
 _SAMPLE_STRIDE = 32
@@ -172,23 +169,29 @@ class WorkloadResult:
     shards: int
     executor: str
     seed: int
-    metrics: WorkloadMetrics
+    #: The shard-merged metrics registry (counters add, gauges keep
+    #: the max, histograms vector-add): the driver's ``workload.*``
+    #: counts and latencies beside every layer's own metrics.  Its
+    #: deterministic-subset digest is partition-independent like the
+    #: outcome digest.
+    registry: MetricsRegistry
     digest: int
     wall_seconds: float
     snapshot_version: int
     #: ``inproc`` or ``tcp`` — how shard dispatches reached the backend.
     transport: str = "inproc"
-    #: The shard-merged unified metrics registry (counters add, gauges
-    #: keep the max, histograms vector-add); its deterministic-subset
-    #: digest is partition-independent like the outcome digest.
-    registry: MetricsRegistry | None = None
     #: The shard-merged trace summary (``trace=True`` runs only).
     trace: TraceSummary | None = None
+
+    def count(self, name: str) -> int:
+        """The merged ``workload.<name>`` counter (0 when absent)."""
+        return self.registry.counter_value(f"workload.{name}")
 
     @property
     def decisions(self) -> int:
         """Total decisions made (rSA + rSAFor + membership queries)."""
-        return self.metrics.decisions
+        return (self.count("rsa_calls") + self.count("rsa_for_calls")
+                + self.count("queries"))
 
     @property
     def decisions_per_sec(self) -> float:
@@ -204,7 +207,7 @@ class WorkloadResult:
 
     def report_lines(self) -> list[str]:
         """Human-readable report; deterministic lines first."""
-        counters = self.metrics.counters
+        count = self.count
         lines = [
             f"scenario {self.scenario.name}: {self.scenario.description}",
             f"users {self.users}  shards {self.shards} ({self.executor})  "
@@ -212,36 +215,39 @@ class WorkloadResult:
             + (f"  transport {self.transport}"
                if self.transport != "inproc" else ""),
             f"decisions {self.decisions}  "
-            f"(rsa {counters.get('rsa_calls', 0)}, "
-            f"rsa-for {counters.get('rsa_for_calls', 0)}, "
-            f"queries {counters.get('queries', 0)})",
-            f"grants {counters.get('rsa_granted', 0)}  "
-            f"denies {counters.get('rsa_denied', 0)}  "
-            f"related {counters.get('related_hits', 0)}",
+            f"(rsa {count('rsa_calls')}, "
+            f"rsa-for {count('rsa_for_calls')}, "
+            f"queries {count('queries')})",
+            f"grants {count('rsa_granted')}  "
+            f"denies {count('rsa_denied')}  "
+            f"related {count('related_hits')}",
             f"digest {self.digest_hex}",
+            f"metrics digest {self.registry.digest_hex()}",
         ]
-        if self.registry is not None:
-            lines.append(f"metrics digest {self.registry.digest_hex()}")
         if self.trace is not None:
             lines.append(f"trace digest {self.trace.digest_hex}  "
                          f"({self.trace.span_count} spans over "
                          f"{self.trace.request_count} requests)")
-        if counters.get("list_updates"):
+        if count("list_updates"):
             # One logical update; each shard at/above the cutoff
             # republishes into its private service and re-verifies.
             lines.append(
                 f"mid-flight list update applied in "
-                f"{counters['list_updates']} shard(s); delta clients "
-                f"converged in {counters.get('delta_applied', 0)}"
+                f"{count('list_updates')} shard(s); delta clients "
+                f"converged in {count('delta_applied')}"
             )
         lines.append(
             f"throughput {self.decisions_per_sec:,.0f} decisions/sec "
             f"({self.wall_seconds:.2f}s wall)"
         )
-        for name in sorted(self.metrics.histograms):
-            summary = self.metrics.histograms[name].summary()
+        prefix = "workload.latency."
+        for name, histogram in sorted(self.registry.histograms.items()):
+            if not name.startswith(prefix):
+                continue
+            summary = histogram.summary()
             lines.append(
-                f"latency {name}: p50 {summary['p50_ns'] / 1e3:.1f}us  "
+                f"latency {name[len(prefix):]}: "
+                f"p50 {summary['p50_ns'] / 1e3:.1f}us  "
                 f"p95 {summary['p95_ns'] / 1e3:.1f}us  "
                 f"p99 {summary['p99_ns'] / 1e3:.1f}us  "
                 f"({int(summary['count'])} samples)"
@@ -256,9 +262,9 @@ class _ShardState:
     """Mutable per-shard context threaded through session execution."""
 
     __slots__ = ("scenario", "service", "router", "backend", "dispatcher",
-                 "api_counter", "epoch", "psl", "metrics", "digests",
-                 "policy", "rsa_seen", "resolver_hits", "resolver_misses",
-                 "pending_users", "pending_pairs")
+                 "api_counter", "epoch", "psl", "counts", "latencies",
+                 "digests", "policy", "rsa_seen", "resolver_hits",
+                 "resolver_misses", "pending_users", "pending_pairs")
 
     def __init__(self, scenario: Scenario, service: RwsService,
                  router: Router | None = None, tracer=NULL_TRACER):
@@ -278,12 +284,16 @@ class _ShardState:
         # the serving-layer queries may lag behind on stale replicas.
         self.epoch = service.epoch
         self.psl = service.psl
-        self.metrics = WorkloadMetrics()
+        #: ``workload.*`` event counts and latencies, kept in plain
+        #: containers and written into the shard's registry at the end.
+        self.counts: Counter[str] = Counter()
+        self.latencies: defaultdict[str, LatencyHistogram] = \
+            defaultdict(LatencyHistogram)
         self.digests: list[int] = []
         self.policy = BROWSER_POLICIES["chrome-rws"]
         self.rsa_seen = 0
         #: The fast path's resolver counts, taken at the shard's PSL
-        #: (plain attributes, folded into the metrics when the shard
+        #: (plain attributes, added to the counts when the shard
         #: finishes).
         self.resolver_hits = 0
         self.resolver_misses = 0
@@ -301,7 +311,7 @@ def _browse_session(state: _ShardState, session: Session, *,
     Returns the rSA outcome tokens (in event order) and the
     (top_host, embed_host) pairs for the serving-layer queries.
     """
-    metrics = state.metrics
+    counts = state.counts
     rsa_tokens: list[str] = []
     pairs: list[tuple[str, str]] = []
     browser = Browser(policy=state.policy, rws_list=RwsList(),
@@ -320,7 +330,7 @@ def _browse_session(state: _ShardState, session: Session, *,
             page_visit.top_host,
             [embed.host for embed in page_visit.embeds],
             interact=page_visit.interact)
-        metrics.count("page_visits")
+        counts["page_visits"] += 1
         for embed, embed_site in zip(page_visit.embeds, embed_sites):
             pairs.append((page_visit.top_host, embed.host))
             if embed_site is None:
@@ -332,17 +342,15 @@ def _browse_session(state: _ShardState, session: Session, *,
             decision = browser.request_storage_access(
                 frame, user_gesture=embed.user_gesture)
             if timed:
-                metrics.record_latency("rsa",
-                                       time.perf_counter_ns() - started)
-            metrics.count("rsa_calls")
-            metrics.count("rsa_granted" if decision.granted
-                          else "rsa_denied")
+                state.latencies["rsa"].record(
+                    time.perf_counter_ns() - started)
+            counts["rsa_calls"] += 1
+            counts["rsa_granted" if decision.granted else "rsa_denied"] += 1
             rsa_tokens.append(decision.value)
         for host in page_visit.rsa_for_hosts:
             decision = browser.request_storage_access_for(page, host)
-            metrics.count("rsa_for_calls")
-            metrics.count("rsa_granted" if decision.granted
-                          else "rsa_denied")
+            counts["rsa_for_calls"] += 1
+            counts["rsa_granted" if decision.granted else "rsa_denied"] += 1
             rsa_tokens.append(f"for:{decision.value}")
     return rsa_tokens, pairs
 
@@ -355,7 +363,7 @@ def _query_pairs(session: Session) -> list[tuple[str, str]]:
 
 def _execute_reference(state: _ShardState, session: Session) -> None:
     """Full-fidelity execution: one API dispatch per decision."""
-    metrics = state.metrics
+    counts = state.counts
     if state.scenario.browser_traffic:
         rsa_tokens, pairs = _browse_session(state, session, reference=True)
     else:
@@ -365,8 +373,8 @@ def _execute_reference(state: _ShardState, session: Session) -> None:
     for top_host, embed_host in pairs:
         started = time.perf_counter_ns()
         response = dispatch(QueryRequest(top_host, embed_host))
-        metrics.record_latency("query", time.perf_counter_ns() - started)
-        metrics.count("queries")
+        state.latencies["query"].record(time.perf_counter_ns() - started)
+        counts["queries"] += 1
         if type(response) is QueryResponse:
             related = response.verdict.related
         else:
@@ -382,7 +390,7 @@ def _execute_reference(state: _ShardState, session: Session) -> None:
                     f"{response.error.message}")
             related = False
         if related:
-            metrics.count("related_hits")
+            counts["related_hits"] += 1
         query_tokens.append("1" if related else "0")
     state.digests.append(
         user_digest(session.user_id, rsa_tokens + ["#"] + query_tokens))
@@ -426,7 +434,6 @@ def _flush_fast(state: _ShardState) -> None:
     """
     if not state.pending_users:
         return
-    metrics = state.metrics
     pairs = state.pending_pairs
     bits: list[bool] = []
     if pairs:
@@ -436,12 +443,12 @@ def _flush_fast(state: _ShardState) -> None:
         assert type(response) is BatchQueryResponse, response
         bits = response.related
         # One sample per flush: the per-decision mean over the batch.
-        metrics.record_latency(
-            "query", (time.perf_counter_ns() - started) // len(pairs))
-        metrics.count("queries", len(pairs))
+        state.latencies["query"].record(
+            (time.perf_counter_ns() - started) // len(pairs))
+        state.counts["queries"] += len(pairs)
         hits = sum(bits)
         if hits:
-            metrics.count("related_hits", hits)
+            state.counts["related_hits"] += hits
     offset = 0
     for user_id, rsa_tokens, pair_count in state.pending_users:
         query_tokens = ["1" if bit else "0"
@@ -478,7 +485,7 @@ def _apply_mid_flight_update(state: _ShardState, cutoff: int) -> None:
     else:
         snapshot = state.service.publish(build_v2())
         state.epoch = state.service.epoch
-    state.metrics.count("list_updates")
+    state.counts["list_updates"] += 1
     if snapshot.version == base_version:
         # A rolled-back canary publish: the cluster kept serving the
         # old version, so there is nothing for a delta client to
@@ -491,7 +498,7 @@ def _apply_mid_flight_update(state: _ShardState, cutoff: int) -> None:
     delta = state.service.delta_since(base_version, snapshot.version)
     patched = apply_delta(build_v1(), delta)
     if membership_hash(patched) == snapshot.content_hash:
-        state.metrics.count("delta_applied")
+        state.counts["delta_applied"] += 1
 
 
 def _shard_tcp_front(state: _ShardState):
@@ -598,8 +605,7 @@ def run_shard(task: ShardTask) -> dict:
         for site in universe.member_sites:
             for host in (site, f"www.{site}", f"m.{site}"):
                 service.resolve_host(host)
-        state.metrics.count("warmup_resolutions",
-                            3 * len(universe.member_sites))
+        state.counts["warmup_resolutions"] += 3 * len(universe.member_sites)
 
     cutoff = None
     if scenario.update_at_fraction is not None and build_v2 is not None:
@@ -627,49 +633,37 @@ def run_shard(task: ShardTask) -> dict:
     _flush_fast(state)  # drain the fast path's tail buffer
 
     # The reference path (and the warm-up) resolves inside the service
-    # or its replicas, the fast path at the shard's PSL; fold both so
+    # or its replicas, the fast path at the shard's PSL; count both so
     # either driver reports its resolver traffic.
+    counts = state.counts
     backend_stats = state.backend.stats
-    state.metrics.count("resolver_hits",
-                        backend_stats.resolver_hits + state.resolver_hits)
-    state.metrics.count("resolver_misses",
-                        backend_stats.resolver_misses
-                        + state.resolver_misses)
+    counts["resolver_hits"] += (backend_stats.resolver_hits
+                                + state.resolver_hits)
+    counts["resolver_misses"] += (backend_stats.resolver_misses
+                                  + state.resolver_misses)
     if router is not None:
-        state.metrics.count(
-            "replica_catch_ups",
-            sum(replica.catch_ups for replica in router.replicas))
-        state.metrics.count(
-            "replica_deltas_applied",
-            sum(replica.deltas_applied for replica in router.replicas))
+        counts["replica_catch_ups"] += sum(
+            replica.catch_ups for replica in router.replicas)
+        counts["replica_deltas_applied"] += sum(
+            replica.deltas_applied for replica in router.replicas)
         resyncs = sum(replica.resyncs for replica in router.replicas)
         if resyncs:
-            state.metrics.count("replica_resyncs", resyncs)
-    for op, count in sorted(state.api_counter.requests.items()):
-        state.metrics.count(f"api_{op}_requests", count)
-    # The shard's unified registry: decision counters (the
-    # deterministic subset), the backend's serve/psl/queue/cluster
-    # report, and the API middleware — merged upstream exactly like
-    # digests.  Imported lazily: obs.registry imports this package's
-    # metrics module, so a top-level import here would be circular.
-    from repro.obs.registry import (
-        MetricsRegistry,
-        fold_api_counter,
-        fold_stats_report,
-        fold_workload_metrics,
-    )
-
+            counts["replica_resyncs"] += resyncs
+    # The shard's registry: the driver's counts (the deterministic
+    # subset marked), its latencies, and every layer's own metrics —
+    # merged upstream exactly like digests.
     registry = MetricsRegistry()
-    fold_workload_metrics(registry, state.metrics)
-    fold_stats_report(registry, state.backend.stats_report())
-    fold_api_counter(registry, state.api_counter)
+    for name, count in counts.items():
+        registry.count(f"workload.{name}", count,
+                       deterministic=name in DETERMINISTIC_WORKLOAD_COUNTERS)
+    for name, histogram in state.latencies.items():
+        registry.histogram(f"workload.latency.{name}").merge(histogram)
+    state.backend.write_metrics(registry)
+    state.api_counter.write_metrics(registry)
     if net_front is not None:
-        from repro.obs.registry import fold_net_snapshot
-
         harness, client = net_front
-        fold_net_snapshot(registry, harness.server.net_snapshot())
-        fold_net_snapshot(registry, client.net_snapshot(),
-                          namespace="net.client")
+        harness.server.write_metrics(registry)
+        client.write_metrics(registry)
         client.close()
         harness.stop()
     # The version the cluster actually *serves*: the router's acting
@@ -683,7 +677,6 @@ def run_shard(task: ShardTask) -> dict:
         version = snapshot.version if snapshot else 0
     return {
         "users": task.user_end - task.user_start,
-        "metrics": state.metrics.to_portable(),
         "registry": registry.to_portable(),
         "trace": tracer.summary().to_portable() if task.trace else None,
         "digest": combine_digests(state.digests),
@@ -741,15 +734,11 @@ def _resolve_executor(executor: str, shards: int) -> str:
 def _merge(scenario: Scenario, users: int, shards: int, executor: str,
            seed: int, outcomes: list[dict], wall_seconds: float,
            transport: str = "inproc") -> WorkloadResult:
-    from repro.obs.registry import MetricsRegistry  # cycle guard
-
-    metrics = WorkloadMetrics()
     registry = MetricsRegistry()
     trace: TraceSummary | None = None
     digests: list[int] = []
     snapshot_version = 0
     for outcome in outcomes:
-        metrics.merge(WorkloadMetrics.from_portable(outcome["metrics"]))
         registry.merge(MetricsRegistry.from_portable(outcome["registry"]))
         if outcome.get("trace") is not None:
             shard_trace = TraceSummary.from_portable(outcome["trace"])
@@ -762,9 +751,9 @@ def _merge(scenario: Scenario, users: int, shards: int, executor: str,
                                outcome["snapshot_version"])
     return WorkloadResult(
         scenario=scenario, users=users, shards=shards, executor=executor,
-        seed=seed, metrics=metrics, digest=combine_digests(digests),
+        seed=seed, registry=registry, digest=combine_digests(digests),
         wall_seconds=wall_seconds, snapshot_version=snapshot_version,
-        transport=transport, registry=registry, trace=trace,
+        transport=transport, trace=trace,
     )
 
 

@@ -1,168 +1,24 @@
-"""Workload metrics: throughput counters and mergeable latency histograms.
+"""Workload outcome digests: what makes two runs bit-comparable.
 
-The sharded driver partitions users across workers, so every metric here
-is designed around one requirement: *merge must lose nothing*.  Counters
-are plain sums; latencies go into :class:`LatencyHistogram`, a
-fixed-shape power-of-two-bucket histogram whose merge is element-wise
-addition, so percentiles computed after a merge are identical no matter
-how the traffic was partitioned.
+The sharded driver partitions users across workers, so the run digest
+must not depend on the partition: each user's outcome stream folds to
+one sha256, and the run digest is the XOR of all of them.  The run's
+counters and latency histograms live in its
+:class:`~repro.obs.registry.MetricsRegistry`
+(:attr:`repro.workload.driver.WorkloadResult.registry`).
 
-Two different execution paths feed the histograms (see
-:mod:`repro.workload.driver`): the serial reference path times every
-decision individually, while the sharded fast path samples — it times
-one decision batch per session and records the per-decision mean.  Both
-land in the same buckets; the sharded percentiles are therefore
-estimates over a sample, which is the standard load-generator trade
-(timing every operation at full throughput perturbs the measurement).
+:class:`~repro.obs.registry.LatencyHistogram` is re-exported from here
+only for callers that still import it by this path.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
-#: Histogram shape: bucket ``i`` holds latencies whose nanosecond value
-#: has bit_length ``i`` (i.e. the range ``[2**(i-1), 2**i)``), clamped
-#: at the top.  48 buckets cover ~1 ns .. ~39 hours.
-NUM_BUCKETS = 48
+from repro.obs.registry import LatencyHistogram
 
-
-class LatencyHistogram:
-    """A fixed-bucket nanosecond histogram with lossless merge.
-
-    Buckets are powers of two, so resolution is a factor of two —
-    coarse for single measurements, plenty for p50/p95/p99 over
-    thousands of decisions, and the fixed shape makes shard merging a
-    vector add.
-    """
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts: list[int] | None = None):
-        if counts is None:
-            self.counts = [0] * NUM_BUCKETS
-        else:
-            if len(counts) != NUM_BUCKETS:
-                raise ValueError(
-                    f"histogram shape mismatch: {len(counts)} buckets, "
-                    f"expected {NUM_BUCKETS}"
-                )
-            self.counts = list(counts)
-        self.total = sum(self.counts)
-
-    def record(self, ns: int) -> None:
-        """Record one latency observation (nanoseconds, >= 0)."""
-        index = ns.bit_length() if ns > 0 else 0
-        if index >= NUM_BUCKETS:
-            index = NUM_BUCKETS - 1
-        self.counts[index] += 1
-        self.total += 1
-
-    def merge(self, other: LatencyHistogram) -> None:
-        """Fold another histogram into this one (element-wise add)."""
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.total += other.total
-
-    def percentile(self, q: float) -> float:
-        """The latency (ns) at quantile ``q`` in [0, 1].
-
-        Returns the geometric midpoint of the bucket containing the
-        q-th observation (0.0 for an empty histogram).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.total == 0:
-            return 0.0
-        rank = max(1, round(q * self.total))
-        seen = 0
-        for i, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                if i == 0:
-                    return 0.5
-                # Bucket i covers [2**(i-1), 2**i): geometric midpoint.
-                return float(2 ** (i - 1)) * (2 ** 0.5)
-        return float(2 ** (NUM_BUCKETS - 1))  # pragma: no cover
-
-    def summary(self) -> dict[str, float]:
-        """p50/p95/p99 in nanoseconds, plus the observation count."""
-        return {
-            "count": float(self.total),
-            "p50_ns": self.percentile(0.50),
-            "p95_ns": self.percentile(0.95),
-            "p99_ns": self.percentile(0.99),
-        }
-
-
-@dataclass
-class WorkloadMetrics:
-    """All counters and histograms for one run (or one shard of one).
-
-    Attributes:
-        counters: Monotonic event counts (decisions, grants, queries...).
-        histograms: Latency histograms keyed by operation name
-            (``"rsa"`` for storage-access decisions, ``"query"`` for
-            service membership queries).
-    """
-
-    counters: dict[str, int] = field(default_factory=dict)
-    histograms: dict[str, LatencyHistogram] = field(default_factory=dict)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a named counter."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def record_latency(self, name: str, ns: int) -> None:
-        """Record one latency observation under an operation name."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = LatencyHistogram()
-        histogram.record(ns)
-
-    def merge(self, other: WorkloadMetrics) -> None:
-        """Fold a shard's metrics into this aggregate."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, histogram in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = LatencyHistogram()
-            mine.merge(histogram)
-
-    @property
-    def decisions(self) -> int:
-        """Total storage-access decisions made (the throughput unit)."""
-        return (self.counters.get("rsa_calls", 0)
-                + self.counters.get("rsa_for_calls", 0)
-                + self.counters.get("queries", 0))
-
-    # -- shard transport ------------------------------------------------------
-
-    def to_portable(self) -> dict:
-        """A picklable plain-data form (for process-shard transport)."""
-        return {
-            "counters": dict(self.counters),
-            "histograms": {name: list(h.counts)
-                           for name, h in self.histograms.items()},
-        }
-
-    @classmethod
-    def from_portable(cls, data: dict) -> WorkloadMetrics:
-        """Rebuild from :meth:`to_portable` output."""
-        return cls(
-            counters=dict(data["counters"]),
-            histograms={name: LatencyHistogram(counts)
-                        for name, counts in data["histograms"].items()},
-        )
-
-
-# -- outcome digests ----------------------------------------------------------
-#
-# Reproducibility is checked with a content digest over every decision
-# outcome.  Each user's session folds to one sha256; the run digest is
-# the XOR of all user digests, which makes it independent of execution
-# order and of how users were partitioned into shards.
+__all__ = ["LatencyHistogram", "combine_digests", "digest_hex",
+           "user_digest"]
 
 
 def user_digest(user_id: int, outcomes: list[str]) -> int:

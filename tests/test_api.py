@@ -41,7 +41,9 @@ from repro.api import (
 )
 from repro.cluster import Router
 from repro.data import build_rws_list
+from repro.obs import MetricsRegistry
 from repro.psl import PublicSuffixList
+from repro.rws import Validator
 from repro.rws.diff import ListDiff
 from repro.rws.model import (
     MemberRecord,
@@ -218,8 +220,27 @@ class TestDispatcherLifecycle:
         dispatcher.dispatch(QueryRequest("example.com", "other.com"))
         response = dispatcher.dispatch(StatsRequest())
         assert type(response) is StatsResponse
-        assert response.report["queries"] == 1.0
-        assert "psl_hits" in response.report
+        assert response.report["serve.queries"] == 1.0
+        assert "psl.hits" in response.report
+
+    def test_stats_report_counts_a_crashed_validation(self):
+        class CrashingValidator(Validator):
+            def validate(self, rws_set):
+                raise RuntimeError("validator crashed")
+
+        service = RwsService(validator=CrashingValidator(), workers=1)
+        service.publish(small_list())
+        try:
+            dispatcher = Dispatcher(service)
+            dispatcher.dispatch(SubmitRequest(rws_set=small_list().sets[1]))
+            service.drain()
+            report = dispatcher.dispatch(StatsRequest()).report
+            assert report["queue.errored"] == 1.0
+            assert report["queue.submitted"] == (
+                report["queue.passed"] + report["queue.rejected"]
+                + report["queue.errored"])
+        finally:
+            service.queue.shutdown()
 
     def test_unknown_request_type_is_malformed(self, dispatcher):
         response = dispatcher.dispatch(object())
@@ -243,7 +264,9 @@ class TestMiddleware:
         dispatcher.dispatch(StatsRequest())
         assert counter.requests == {"query": 2, "stats": 1}
         assert counter.errors == {"query": 1}
-        assert counter.snapshot()["query_errors"] == 1
+        registry = MetricsRegistry()
+        counter.write_metrics(registry)
+        assert registry.counter_value("api.errors.query") == 1
 
     def test_request_counter_sees_internal_errors(self, service):
         # Handler crashes convert to INTERNAL inside the chain, so the
@@ -261,7 +284,7 @@ class TestMiddleware:
         dispatcher = Dispatcher(service, middlewares=(recorder,))
         for _ in range(8):
             dispatcher.dispatch(QueryRequest("example.com", "other.com"))
-        histogram = recorder.metrics.histograms["api_query"]
+        histogram = recorder.registry.histograms["api.latency.query"]
         assert histogram.total == 8
         assert histogram.percentile(0.5) > 0
 
@@ -566,8 +589,8 @@ def responses(draw):
         )
     if kind == "stats":
         return StatsResponse(report=draw(st.dictionaries(
-            st.sampled_from(["queries", "related_hits", "publishes",
-                             "mean_query_ns"]),
+            st.sampled_from(["serve.queries", "serve.related_hits",
+                             "serve.publishes", "serve.query_ns"]),
             st.floats(min_value=0, max_value=1e9, allow_nan=False),
             max_size=4)))
     return ErrorResponse(error=draw(api_errors()),

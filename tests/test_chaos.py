@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import Dispatcher, StatsRequest
 from repro.chaos import (
     CHAOS_PLANS,
     ChaosRouter,
@@ -20,9 +21,11 @@ from repro.chaos import (
     chaos_plan,
     fault_roll,
 )
+from repro.data import build_rws_list
 from repro.rws import RelatedWebsiteSet, RwsList
 from repro.serve import RwsService
 from repro.workload import chaotic, get_scenario, run_serial, run_sharded
+from repro.workload.scenarios import _seed_v2
 
 CHAOS_SCENARIOS = ("replica-churn", "failover", "lossy-replication",
                    "canary-rollback")
@@ -135,9 +138,9 @@ class TestMembershipChurn:
         assert [r.replica_id for r in router._read_replicas()] == [0, 1, 2]
         assert offline.version == 2
         report = router.stats_report()
-        assert report["chaos_leaves"] == 1
-        assert report["chaos_rejoins"] == 1
-        assert report["chaos_bootstrap_deltas"] >= 1
+        assert report["chaos.leaves"] == 1
+        assert report["chaos.rejoins"] == 1
+        assert report["chaos.bootstrap_deltas"] >= 1
 
     def test_join_adds_a_routable_replica_mid_run(self, primary):
         plan = FaultPlan(name="t", joins=((101, 5, 0),))
@@ -149,7 +152,7 @@ class TestMembershipChurn:
         joiner = router.replicas[-1]
         assert joiner.replica_id == 101
         assert joiner.version == 2  # booted current, nothing pending
-        assert router.stats_report()["chaos_joins"] == 1
+        assert router.stats_report()["chaos.joins"] == 1
 
     def test_availability_integrates_missing_capacity(self, primary):
         plan = FaultPlan(name="t", leaves=((2, 0, -1),))
@@ -186,8 +189,8 @@ class TestFailover:
         assert rejoined.replica_id == 3
         assert rejoined.version == 2
         report = router.stats_report()
-        assert report["chaos_failovers"] == 1
-        assert report["chaos_rejoins"] == 1
+        assert report["chaos.failovers"] == 1
+        assert report["chaos.rejoins"] == 1
 
     def test_election_prefers_the_most_converged_replica(self, primary):
         # Replica 0 lags 10 ticks, so at the failure tick it still
@@ -200,6 +203,27 @@ class TestFailover:
         assert [r.version for r in router.replicas] == [1, 2, 2]
         router.advance(3)
         assert router.acting_primary_id == 1
+
+    def test_stats_report_names_the_served_epoch_after_failover(self):
+        # The failed primary still holds v1; the cluster serves v2
+        # through the promoted replica, and the report must say so.
+        primary = RwsService(workers=1)
+        primary.publish(build_rws_list())
+        try:
+            router = ChaosRouter(primary, 3,
+                                 plan=chaos_plan("failover", 100, 2),
+                                 lag=[2, 4, 6])
+            router.advance(50)
+            router.publish(_seed_v2())
+            router.advance(100)
+            assert primary.epoch.version == 1
+            report = Dispatcher(router).dispatch(StatsRequest()).report
+            assert report["serve.epoch"] == 2.0
+            assert report["serve.snapshot_version"] == 2.0
+            assert report["serve.index_sets"] == 42.0
+            assert report["cluster.replica_epoch_min"] == 2.0
+        finally:
+            primary.queue.shutdown()
 
     def test_governance_queue_survives_failover(self, primary):
         plan = FaultPlan(name="t", primary_failure=(1, -1))
@@ -217,18 +241,18 @@ class TestLossyBroadcast:
         router = ChaosRouter(primary, replicas=2, plan=plan)
         router.publish(grown_list(), published_clock=1)
         assert [r.version for r in router.replicas] == [1, 1]
-        assert router.stats_report()["chaos_drops"] == 2
+        assert router.stats_report()["chaos.drops"] == 2
         router.advance(4)  # the anti-entropy heartbeat fires
         assert [r.version for r in router.replicas] == [2, 2]
         report = router.stats_report()
-        assert report["resyncs"] == 2
+        assert report["cluster.resyncs"] == 2
 
     def test_duplicated_hops_are_ignored(self, primary):
         plan = FaultPlan(name="t", seed=5, duplicate_rate=1.0)
         router = ChaosRouter(primary, replicas=2, plan=plan)
         router.publish(grown_list(), published_clock=1)
         assert [r.version for r in router.replicas] == [2, 2]
-        assert router.stats_report()["chaos_duplicates"] == 2
+        assert router.stats_report()["chaos.duplicates"] == 2
         assert all(r.duplicates_ignored >= 1 for r in router.replicas)
 
     def test_reordered_hop_applies_late_but_correctly(self, primary):
@@ -243,7 +267,7 @@ class TestLossyBroadcast:
         router.advance(6)
         assert replica.version == 2
         assert replica.epoch.content_hash == primary.epoch.content_hash
-        assert router.stats_report()["chaos_reorders"] == 1
+        assert router.stats_report()["chaos.reorders"] == 1
 
     def test_version_gap_recovers_with_full_snapshot(self, primary):
         # Find a seed where hop 2 drops but hop 3 delivers for replica
@@ -279,8 +303,8 @@ class TestCanaryPublish:
         assert [r.version for r in router.replicas] == [1, 1, 1, 1]
         assert primary.store.latest.version == 2
         report = router.stats_report()
-        assert report["chaos_canary_rollbacks"] == 1
-        assert report["chaos_canary_promotes"] == 0
+        assert report["chaos.canary_rollbacks"] == 1
+        assert report["chaos.canary_promotes"] == 0
 
     def test_benign_candidate_promotes_everywhere(self, primary):
         plan = dataclasses.replace(self.ROLLBACK_PLAN,
@@ -291,8 +315,8 @@ class TestCanaryPublish:
         assert router.epoch.version == 2
         assert [r.version for r in router.replicas] == [2, 2, 2, 2]
         report = router.stats_report()
-        assert report["chaos_canary_promotes"] == 1
-        assert report["chaos_canary_rollbacks"] == 0
+        assert report["chaos.canary_promotes"] == 1
+        assert report["chaos.canary_rollbacks"] == 0
 
     def test_promote_under_failover_adopts_on_the_promoted_node(self,
                                                                 primary):
@@ -313,8 +337,8 @@ class TestCanaryPublish:
         served = router.publish(small_list(), published_clock=1)
         assert served.version == 1
         report = router.stats_report()
-        assert report["chaos_canary_promotes"] == 0
-        assert report["chaos_canary_rollbacks"] == 0
+        assert report["chaos.canary_promotes"] == 0
+        assert report["chaos.canary_rollbacks"] == 0
 
 
 class TestChaosWorkloads:

@@ -164,10 +164,10 @@ class TestServeCommand:
         assert "serving snapshot v1" in output
         assert "41 sets" in output
         assert "answered 100 membership queries" in output
-        assert "psl_hits" in output
+        assert "psl.hits" in output
         # The dispatcher's middleware counters ride along.
-        assert "api_batch_query" in output
-        assert "api_stats" in output
+        assert "api.requests.batch_query" in output
+        assert "api.requests.stats" in output
 
     def test_validate_pushes_sets_through_queue(self, capsys):
         assert main(["serve", "--queries", "10", "--validate"]) == 0
@@ -208,7 +208,7 @@ class TestApiCommand:
     def test_stats_request(self, capsys):
         assert main(["api", '{"op": "stats", "payload": {}}']) == 0
         envelope = json.loads(capsys.readouterr().out)
-        assert envelope["payload"]["report"]["index_sets"] == 41.0
+        assert envelope["payload"]["report"]["serve.index_sets"] == 41.0
 
     def test_unresolvable_host_error_shape(self, capsys):
         request = json.dumps({
@@ -347,8 +347,8 @@ class TestNetTransportFlags:
         assert "tcp server listening on 127.0.0.1:" in output
         assert "answered 50 membership queries" in output
         # The wire's own counters join the report table.
-        assert "net_requests" in output
-        assert "net_client_reconnects" in output
+        assert "net.requests" in output
+        assert "net.client.reconnects" in output
 
     def test_serve_tcp_bad_address_exits_two(self, capsys):
         assert main(["serve", "--tcp", "nonsense",

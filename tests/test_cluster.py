@@ -439,9 +439,9 @@ class TestDegradedMembership:
         for _ in range(6):
             router.query("example.com", "example-news.com")
         full = router.stats_report()
-        assert full["replicas"] == 3
-        assert full["active_replicas"] == 3
-        served_before = full["queries"]
+        assert full["cluster.replicas"] == 3
+        assert full["cluster.active_replicas"] == 3
+        served_before = full["serve.queries"]
         router.advance(8)  # replica 2 leaves mid-capture-interval
         for _ in range(4):
             router.query("other.com", "other-shop.com")
@@ -449,11 +449,11 @@ class TestDegradedMembership:
         degraded = router.stats_report()
         # The offline replica's served counters never vanish from the
         # merged report, and the active gauge reports the shrunk set.
-        assert degraded["replicas"] == 3
-        assert degraded["active_replicas"] == 2
-        assert degraded["queries"] == served_before + 4
-        assert degraded["chaos_leaves"] == 1
-        assert 0 < degraded["availability"] < 1
+        assert degraded["cluster.replicas"] == 3
+        assert degraded["cluster.active_replicas"] == 2
+        assert degraded["serve.queries"] == served_before + 4
+        assert degraded["chaos.leaves"] == 1
+        assert 0 < degraded["cluster.availability"] < 1
 
 
 class TestRouter:
@@ -549,12 +549,12 @@ class TestRouter:
         router.query("other.com", "other-shop.com")
         primary.query("example.com", "other.com")
         report = router.stats_report()
-        assert report["queries"] == 3
-        assert report["replicas"] == 2
-        assert report["epoch"] == 1
-        assert report["replica_epoch_min"] == 1
-        assert report["replica_epoch_max"] == 1
-        assert report["queue_submitted"] == 0
+        assert report["serve.queries"] == 3
+        assert report["cluster.replicas"] == 2
+        assert report["serve.epoch"] == 1
+        assert report["cluster.replica_epoch_min"] == 1
+        assert report["cluster.replica_epoch_max"] == 1
+        assert report["queue.submitted"] == 0
 
 
 class TestDispatcherOverRouter:
@@ -603,9 +603,9 @@ class TestDispatcherOverRouter:
         poll = dispatcher.dispatch(PollRequest(ticket=ticket))
         assert poll.terminal and poll.passed
         stats = dispatcher.dispatch(StatsRequest())
-        assert stats.report["replicas"] == 3
-        assert stats.report["epoch"] == 2
-        assert stats.report["replica_epoch_min"] == 1  # still lagging
+        assert stats.report["cluster.replicas"] == 3
+        assert stats.report["serve.epoch"] == 2
+        assert stats.report["cluster.replica_epoch_min"] == 1  # still lagging
 
 
 class TestPublishPath:

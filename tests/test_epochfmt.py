@@ -425,8 +425,8 @@ class TestServiceIntegration:
             second = service.encoded_epoch()
             assert first is second  # the served epoch's own bytes
             report = service.stats_report()
-            assert report["epoch_encodes"] == 1.0  # the publish
-            assert report["epoch_encode_ns"] > 0.0
+            assert report["epoch.encodes"] == 1.0  # the publish
+            assert report["epoch.encode_ns"] > 0.0
         finally:
             service.queue.shutdown()
 
@@ -449,11 +449,11 @@ class TestServiceIntegration:
             assert follower.epoch.index.related("example.com",
                                                 "shared.com")
             report = follower.stats_report()
-            assert report["epoch_loads"] == 1.0
-            assert report["epoch_load_ns"] > 0.0
+            assert report["epoch.loads"] == 1.0
+            assert report["epoch.load_ns"] > 0.0
             # The follower hands out the very buffer it adopted.
             assert follower.encoded_epoch(1) is buf
-            assert follower.stats_report()["epoch_encodes"] == 0.0
+            assert follower.stats_report()["epoch.encodes"] == 0.0
         finally:
             primary.queue.shutdown()
             follower.queue.shutdown()
@@ -510,15 +510,15 @@ class TestReplicaResync:
                 primary="new.com", associated=["new-blog.com"],
                 rationales={"new-blog.com": "Same publisher."}))
             primary.publish(grown)
-            encodes = primary.stats_report()["epoch_encodes"]
+            encodes = primary.stats_report()["epoch.encodes"]
             for replica in replicas:
                 assert replica.resync()
                 assert replica.version == 2
                 assert replica.epoch_loads == 1
                 assert replica.epoch_load_ns > 0
-                assert replica.stats_report()["epoch_loads"] == 1.0
+                assert replica.stats_report()["epoch.loads"] == 1.0
             # The publish's own encode serves the whole fleet.
-            assert primary.stats_report()["epoch_encodes"] == encodes
+            assert primary.stats_report()["epoch.encodes"] == encodes
             # Resynced replicas answer from the loaded buffer index.
             for replica in replicas:
                 verdict = replica.query("new.com", "new-blog.com")
@@ -580,10 +580,10 @@ class TestOneRepresentation:
                 assert epoch.version == snapshot.version, route
                 assert epoch.index.related("new.com", "new-blog.com"), route
             for service in (primary, follower):
-                encodes = service.stats_report()["epoch_encodes"]
+                encodes = service.stats_report()["epoch.encodes"]
                 buf = service.encoded_epoch()
                 assert buf is service.epoch.buffer
-                assert service.stats_report()["epoch_encodes"] == encodes
+                assert service.stats_report()["epoch.encodes"] == encodes
         finally:
             primary.queue.shutdown()
             follower.queue.shutdown()

@@ -455,7 +455,7 @@ class TestFaultInjection:
             ["counters"].get("publishes", 0) == 1)
         probe = TcpApiClient(host, port)
         stats = probe.dispatch(StatsRequest())
-        assert stats.report["snapshot_version"] == 2  # seed v1 + 1
+        assert stats.report["serve.snapshot_version"] == 2  # seed v1 + 1
         probe.close()
         client.close()
 
@@ -472,7 +472,7 @@ class TestFaultInjection:
         assert client.net_snapshot()["counters"]["faults_injected"] == 1
         probe = TcpApiClient(host, port)
         stats = probe.dispatch(StatsRequest())
-        assert stats.report["snapshot_version"] == 1
+        assert stats.report["serve.snapshot_version"] == 1
         assert harness.server.net_snapshot()["counters"].get(
             "publishes", 0) == 0
         probe.close()
@@ -495,10 +495,10 @@ class TestFaultInjection:
         client.close()
 
     def test_counters_fold_under_net_client_namespace(self, harness):
-        """The workload driver folds client snapshots via
-        ``fold_net_snapshot(..., namespace="net.client")`` — retries,
+        """The workload driver writes the client's counters with
+        ``client.write_metrics`` under ``net.client.*`` — retries,
         backoff, and injected faults must all surface there."""
-        from repro.obs import MetricsRegistry, fold_net_snapshot
+        from repro.obs import MetricsRegistry
 
         host, port = harness.server.address
         client = TcpApiClient(
@@ -507,8 +507,7 @@ class TestFaultInjection:
                 "before" if op == "stats" and attempt == 0 else None))
         client.dispatch(StatsRequest())
         registry = MetricsRegistry()
-        fold_net_snapshot(registry, client.net_snapshot(),
-                          namespace="net.client")
+        client.write_metrics(registry)
         portable = registry.to_portable()
         assert portable["counters"]["net.client.retries"] == 1
         assert portable["counters"]["net.client.faults_injected"] == 1
@@ -534,7 +533,7 @@ class TestDrainOnPublish:
         assert type(published) is PublishResponse
         assert type(after) is QueryResponse
         assert after.verdict.related is True
-        assert stats.report["snapshot_version"] == published.version
+        assert stats.report["serve.snapshot_version"] == published.version
 
     def test_publish_storm_never_tears_a_batch(self, service):
         """Extends the ``test_serve.py`` epoch-storm pattern onto real
@@ -683,15 +682,19 @@ class TestSerialDispatch:
 
 class TestObservability:
     def test_net_snapshot_folds_into_registry(self, harness):
-        from repro.obs import MetricsRegistry, fold_net_snapshot
+        """Both ends write what their snapshots hold into one registry;
+        ``drain_waits`` stays in the server's snapshot only."""
+        from repro.obs import MetricsRegistry
 
         host, port = harness.server.address
         with TcpApiClient(host, port) as client:
             client.dispatch(StatsRequest())
         registry = MetricsRegistry()
-        fold_net_snapshot(registry, harness.server.net_snapshot())
-        fold_net_snapshot(registry, client.net_snapshot(),
-                          namespace="net.client")
+        harness.server.write_metrics(registry)
+        client.write_metrics(registry)
+        snapshot = harness.server.net_snapshot()
+        assert snapshot["counters"]["drain_waits"] == 0
+        assert "net.drain_waits" not in registry.counters
         assert registry.counters["net.requests"] == 1
         assert registry.counters["net.client.requests"] == 1
         assert registry.gauges["net.window"] == harness.server.window

@@ -8,11 +8,24 @@ digest.
 """
 
 import json
+import random
 import threading
 
-from repro.api import BatchQueryRequest, Dispatcher
+from repro.api import (
+    BatchQueryRequest,
+    Dispatcher,
+    LatencyRecorder,
+    PollRequest,
+    QueryRequest,
+    RequestCounter,
+    ResolveRequest,
+    StatsRequest,
+    SubmitRequest,
+)
+from repro.chaos import ChaosRouter, chaos_plan
 from repro.cluster import Router
 from repro.data import build_rws_list
+from repro.net import RwsTcpServer, ServerThread, TcpApiClient
 from repro.obs import (
     DETERMINISTIC_WORKLOAD_COUNTERS,
     METRICS_SCHEMA,
@@ -22,14 +35,8 @@ from repro.obs import (
     TRACE_SCHEMA,
     Tracer,
     TraceSummary,
-    fold_api_counter,
-    fold_psl_stats,
-    fold_queue_stats,
-    fold_stats_report,
-    fold_workload_metrics,
     load_snapshot,
     metrics_snapshot,
-    registry_for_backend,
     render_metrics_lines,
     render_trace_lines,
     trace_snapshot,
@@ -37,10 +44,17 @@ from repro.obs import (
 )
 from repro.obs.trace import span_id
 from repro.psl import PublicSuffixList
+from repro.rws import RelatedWebsiteSet
 from repro.serve import RwsService
 from repro.workload import replicated, run_workload
-from repro.workload.metrics import WorkloadMetrics
 from repro.workload.scenarios import _seed_v2
+
+
+def own_psl_service() -> RwsService:
+    """A seed-list service with its own PSL, so ``psl.*`` is its own."""
+    service = RwsService(psl=PublicSuffixList(), workers=1)
+    service.publish(build_rws_list())
+    return service
 
 
 class TestMetricsRegistry:
@@ -109,80 +123,506 @@ class TestMetricsRegistry:
         assert ab.counters == ba.counters
 
 
-class TestRegistryAdapters:
-    def test_fold_psl_stats_namespaces_and_gauges(self):
-        registry = MetricsRegistry()
-        fold_psl_stats(registry, {"hits": 10, "misses": 2,
-                                  "size": 12, "maxsize": 4096})
-        assert registry.counter_value("psl.hits") == 10
-        assert registry.counter_value("psl.misses") == 2
-        assert registry.gauges["psl.size"] == 12.0
-        assert registry.gauges["psl.maxsize"] == 4096.0
+class TestComponentMetrics:
+    """Each component writes its own metrics under their final names."""
 
-    def test_fold_queue_stats(self):
-        from repro.serve.queue import QueueStats
+    def test_service_writes_psl_cache_as_counters_and_gauges(self):
+        service = own_psl_service()
+        try:
+            for _ in range(2):
+                service.query("www.timesinternet.in", "indiatimes.com")
+            registry = service.stats_registry()
+            cache = service.psl.cache_stats()
+            assert registry.counter_value("psl.hits") == cache["hits"] == 2
+            assert registry.counter_value("psl.misses") == cache["misses"]
+            assert registry.gauges["psl.size"] == float(cache["size"])
+            assert registry.gauges["psl.maxsize"] == 4096.0
+        finally:
+            service.queue.shutdown()
 
-        registry = MetricsRegistry()
-        fold_queue_stats(registry, QueueStats(submitted=4, passed=3,
-                                              rejected=1, errored=0))
-        assert registry.counter_value("queue.submitted") == 4
-        assert registry.counter_value("queue.passed") == 3
-        assert registry.counter_value("queue.rejected") == 1
+    def test_service_writes_all_four_queue_counters(self):
+        service = own_psl_service()
+        try:
+            for rws_set in build_rws_list().sets[:3]:
+                service.submit(rws_set)
+            service.submit(RelatedWebsiteSet(
+                primary="brand-new.com", associated=["brand-new-news.com"]))
+            service.drain()
+            counters = service.stats_registry().counters
+            assert counters["queue.submitted"] == 4
+            assert counters["queue.passed"] == 3
+            assert counters["queue.rejected"] == 1
+            assert counters["queue.errored"] == 0
+        finally:
+            service.queue.shutdown()
 
-    def test_fold_api_counter(self):
-        from repro.api import Dispatcher, QueryRequest, RequestCounter
-
-        service = RwsService()
-        service.publish(build_rws_list())
+    def test_request_counter_writes_api_namespace(self):
+        service = own_psl_service()
         try:
             counter = RequestCounter()
             dispatcher = Dispatcher(service, middlewares=(counter,))
             dispatcher.dispatch(QueryRequest("timesinternet.in",
                                              "indiatimes.com"))
+            dispatcher.dispatch(QueryRequest("com", "indiatimes.com"))
             registry = MetricsRegistry()
-            fold_api_counter(registry, counter)
-            assert registry.counter_value("api.requests.query") == 1
+            counter.write_metrics(registry)
+            assert registry.counters == {"api.requests.query": 2,
+                                         "api.errors.query": 1}
         finally:
             service.queue.shutdown()
 
-    def test_fold_workload_metrics_marks_deterministic(self):
-        metrics = WorkloadMetrics()
-        metrics.count("queries", 5)
-        metrics.count("resolver_hits", 9)
-        metrics.record_latency("rsa", 2000)
-        registry = MetricsRegistry()
-        fold_workload_metrics(registry, metrics)
-        assert registry.deterministic_counters() == \
-            {"workload.queries": 5}
-        assert registry.counter_value("workload.resolver_hits") == 9
+    def test_workload_registry_marks_deterministic_counters(self):
+        result = run_workload("steady", 30, seed=2)
+        registry = result.registry
+        deterministic = registry.deterministic_counters()
+        assert deterministic["workload.queries"] == result.count("queries")
+        assert set(deterministic) <= {
+            f"workload.{name}" for name in DETERMINISTIC_WORKLOAD_COUNTERS}
+        assert registry.counter_value("workload.resolver_hits") \
+            == result.count("resolver_hits") > 0
+        assert "workload.resolver_hits" not in deterministic
         assert "workload.latency.rsa" in registry.histograms
         assert "queries" in DETERMINISTIC_WORKLOAD_COUNTERS
 
-    def test_fold_stats_report_namespaces(self):
-        registry = MetricsRegistry()
-        fold_stats_report(registry, {
-            "queries": 12.0, "epoch": 3.0, "psl_hits": 7.0,
-            "queue_submitted": 2.0, "replicas": 4.0,
-            "replica_catch_ups": 1.0,
-        })
-        assert registry.counter_value("serve.queries") == 12
-        assert registry.gauges["serve.epoch"] == 3.0
-        assert registry.counter_value("psl.hits") == 7
-        assert registry.counter_value("queue.submitted") == 2
-        assert registry.gauges["cluster.replicas"] == 4.0
-        assert registry.counter_value("cluster.replica_catch_ups") == 1
+    def test_router_writes_fleet_under_cluster_namespace(self):
+        primary = own_psl_service()
+        try:
+            router = Router(primary, 4, lag=1)
+            router.query("timesinternet.in", "indiatimes.com")
+            router.publish(_seed_v2())
+            router.advance(1)
+            registry = router.stats_registry()
+            assert registry.counter_value("serve.queries") == 1
+            assert registry.gauges["serve.epoch"] == 2.0
+            assert registry.counter_value("psl.hits") \
+                == primary.psl.cache_stats()["hits"]
+            assert registry.counter_value("queue.submitted") == 0
+            assert registry.gauges["cluster.replicas"] == 4.0
+            assert registry.counter_value("cluster.replica_catch_ups") == 4
+        finally:
+            primary.queue.shutdown()
 
-    def test_registry_for_backend_covers_service_report(self):
-        service = RwsService()
-        service.publish(build_rws_list())
+    def test_service_registry_covers_serve_namespace(self):
+        service = own_psl_service()
         try:
             service.query("timesinternet.in", "indiatimes.com")
-            registry = registry_for_backend(service)
+            registry = service.stats_registry()
             assert registry.counter_value("serve.queries") == 1
             assert registry.gauges["serve.epoch"] == 1.0
             assert registry.gauges["serve.index_sets"] == 41.0
+            assert service.stats_report() == registry.as_flat_dict()
         finally:
             service.queue.shutdown()
+
+
+# -- the committed name map ---------------------------------------------------
+#
+# One line per metric: name, kind, and value.  ``*`` leaves a value
+# unpinned: a timing, or (in the workload runs, which share the
+# process-wide default PSL) a count that depends on what the process
+# resolved before.
+
+_SCHEMA_SERVICE = """
+api.errors.poll                  counter    1
+api.errors.query                 counter    1
+api.latency.batch_query          histogram  2
+api.latency.poll                 histogram  1
+api.latency.query                histogram  20
+api.latency.resolve              histogram  1
+api.latency.stats                histogram  1
+api.latency.submit               histogram  3
+api.requests.batch_query         counter    2
+api.requests.poll                counter    1
+api.requests.query               counter    20
+api.requests.resolve             counter    1
+api.requests.stats               counter    1
+api.requests.submit              counter    3
+epoch.encode_ns                  counter    *
+epoch.encodes                    counter    1
+epoch.load_ns                    counter    *
+epoch.loads                      counter    0
+psl.errors                       counter    1
+psl.hits                         counter    57
+psl.maxsize                      gauge      4096
+psl.misses                       counter    39
+psl.size                         gauge      39
+queue.errored                    counter    0
+queue.passed                     counter    3
+queue.rejected                   counter    0
+queue.submitted                  counter    3
+serve.epoch                      gauge      1
+serve.index_sets                 gauge      41
+serve.index_sites                gauge      173
+serve.publishes                  counter    1
+serve.queries                    counter    40
+serve.query_ns                   counter    *
+serve.related_hits               counter    5
+serve.resolver_errors            counter    1
+serve.resolver_hits              counter    43
+serve.resolver_misses            counter    38
+serve.snapshot_version           gauge      1
+"""
+
+_SCHEMA_ROUTER = """
+cluster.duplicates_ignored       counter    0
+cluster.replica_catch_ups        counter    2
+cluster.replica_deltas_applied   counter    2
+cluster.replica_epoch_max        gauge      2
+cluster.replica_epoch_min        gauge      1
+cluster.replica_pending_updates  gauge      1
+cluster.replicas                 gauge      3
+cluster.resyncs                  counter    0
+epoch.encode_ns                  counter    *
+epoch.encodes                    counter    2
+epoch.load_ns                    counter    *
+epoch.loads                      counter    0
+psl.errors                       counter    9
+psl.hits                         counter    194
+psl.maxsize                      gauge      4096
+psl.misses                       counter    39
+psl.size                         gauge      39
+queue.errored                    counter    0
+queue.passed                     counter    0
+queue.rejected                   counter    0
+queue.submitted                  counter    0
+serve.epoch                      gauge      2
+serve.index_sets                 gauge      42
+serve.index_sites                gauge      176
+serve.publishes                  counter    2
+serve.queries                    counter    80
+serve.query_ns                   counter    *
+serve.related_hits               counter    10
+serve.resolver_errors            counter    7
+serve.resolver_hits              counter    131
+serve.resolver_misses            counter    31
+serve.snapshot_version           gauge      2
+"""
+
+_SCHEMA_REPLICA = """
+cluster.duplicates_ignored       counter    0
+cluster.replica                  gauge      2
+cluster.replica_catch_ups        counter    0
+cluster.replica_deltas_applied   counter    0
+cluster.replica_pending_updates  gauge      1
+cluster.resyncs                  counter    0
+epoch.load_ns                    counter    *
+epoch.loads                      counter    0
+serve.epoch                      gauge      1
+serve.index_sets                 gauge      41
+serve.index_sites                gauge      173
+serve.publishes                  counter    0
+serve.queries                    counter    18
+serve.query_ns                   counter    *
+serve.related_hits               counter    1
+serve.resolver_errors            counter    3
+serve.resolver_hits              counter    29
+serve.resolver_misses            counter    9
+serve.snapshot_version           gauge      1
+"""
+
+_SCHEMA_CHAOS = """
+chaos.bootstrap_deltas           counter    1
+chaos.bootstrap_snapshots        counter    0
+chaos.canary_promotes            counter    0
+chaos.canary_rollbacks           counter    0
+chaos.drops                      counter    0
+chaos.duplicates                 counter    0
+chaos.failovers                  counter    1
+chaos.joins                      counter    0
+chaos.leaves                     counter    0
+chaos.rejoins                    counter    1
+chaos.reorders                   counter    0
+cluster.active_replicas          gauge      4
+cluster.availability             gauge      1
+cluster.duplicates_ignored       counter    0
+cluster.replica_catch_ups        counter    4
+cluster.replica_deltas_applied   counter    4
+cluster.replica_epoch_max        gauge      2
+cluster.replica_epoch_min        gauge      2
+cluster.replica_pending_updates  gauge      0
+cluster.replicas                 gauge      4
+cluster.resyncs                  counter    0
+epoch.encode_ns                  counter    *
+epoch.encodes                    counter    2
+epoch.load_ns                    counter    *
+epoch.loads                      counter    1
+psl.errors                       counter    7
+psl.hits                         counter    196
+psl.maxsize                      gauge      4096
+psl.misses                       counter    39
+psl.size                         gauge      39
+queue.errored                    counter    0
+queue.passed                     counter    0
+queue.rejected                   counter    0
+queue.submitted                  counter    0
+serve.epoch                      gauge      2
+serve.index_sets                 gauge      42
+serve.index_sites                gauge      176
+serve.publishes                  counter    1
+serve.queries                    counter    80
+serve.query_ns                   counter    *
+serve.related_hits               counter    11
+serve.resolver_errors            counter    7
+serve.resolver_hits              counter    140
+serve.resolver_misses            counter    22
+serve.snapshot_version           gauge      2
+"""
+
+_SCHEMA_TCP = """
+epoch.encode_ns                  counter    *
+epoch.encodes                    counter    1
+epoch.load_ns                    counter    *
+epoch.loads                      counter    0
+net.backpressure_stalls          counter    0
+net.client.backoff_ms            counter    0
+net.client.faults_injected       counter    0
+net.client.reconnects            counter    1
+net.client.requests              counter    25
+net.client.responses             counter    25
+net.client.retries               counter    0
+net.client.transport_errors      counter    0
+net.connections_closed           counter    1
+net.connections_opened           counter    1
+net.connections_peak             gauge      1
+net.connections_rejected         counter    0
+net.frames_in                    counter    26
+net.frames_out                   counter    26
+net.idle_timeouts                counter    0
+net.malformed                    counter    0
+net.max_connections              gauge      64
+net.pipeline_depth_peak          gauge      1
+net.publishes                    counter    0
+net.request_ns                   histogram  25
+net.requests                     counter    25
+net.responses                    counter    25
+net.window                       gauge      32
+psl.errors                       counter    3
+psl.hits                         counter    43
+psl.maxsize                      gauge      4096
+psl.misses                       counter    35
+psl.size                         gauge      35
+queue.errored                    counter    0
+queue.passed                     counter    0
+queue.rejected                   counter    0
+queue.submitted                  counter    0
+serve.epoch                      gauge      1
+serve.index_sets                 gauge      41
+serve.index_sites                gauge      173
+serve.publishes                  counter    1
+serve.queries                    counter    40
+serve.query_ns                   counter    *
+serve.related_hits               counter    9
+serve.resolver_errors            counter    6
+serve.resolver_hits              counter    43
+serve.resolver_misses            counter    38
+serve.snapshot_version           gauge      1
+"""
+
+#: ``steady``, 60 users, seed 3, serial: one query dispatch per
+#: decision, each timed.
+_SCHEMA_WORKLOAD = """
+api.requests.query               counter    369
+epoch.encode_ns                  counter    *
+epoch.encodes                    counter    0
+epoch.load_ns                    counter    *
+epoch.loads                      counter    1
+psl.errors                       counter    *
+psl.hits                         counter    *
+psl.maxsize                      gauge      *
+psl.misses                       counter    *
+psl.size                         gauge      *
+queue.errored                    counter    0
+queue.passed                     counter    0
+queue.rejected                   counter    0
+queue.submitted                  counter    0
+serve.epoch                      gauge      1
+serve.index_sets                 gauge      41
+serve.index_sites                gauge      173
+serve.publishes                  counter    1
+serve.queries                    counter    369
+serve.query_ns                   counter    *
+serve.related_hits               counter    108
+serve.resolver_errors            counter    0
+serve.resolver_hits              counter    *
+serve.resolver_misses            counter    *
+serve.snapshot_version           gauge      1
+workload.latency.query           histogram  369
+workload.latency.rsa             histogram  369
+workload.page_visits             counter    185
+workload.queries                 counter    369
+workload.related_hits            counter    108
+workload.resolver_hits           counter    *
+workload.resolver_misses         counter    *
+workload.rsa_calls               counter    369
+workload.rsa_denied              counter    296
+workload.rsa_for_calls           counter    5
+workload.rsa_granted             counter    78
+"""
+
+#: The same run on three inline shards: one batch dispatch per flush
+#: (latency sampled once per flush, rSA latency one in 32), and one
+#: epoch load and one publish count per shard.
+_SCHEMA_SHARDED = """
+api.requests.batch_query         counter    9
+epoch.encode_ns                  counter    *
+epoch.encodes                    counter    0
+epoch.load_ns                    counter    *
+epoch.loads                      counter    3
+psl.errors                       counter    *
+psl.hits                         counter    *
+psl.maxsize                      gauge      *
+psl.misses                       counter    *
+psl.size                         gauge      *
+queue.errored                    counter    0
+queue.passed                     counter    0
+queue.rejected                   counter    0
+queue.submitted                  counter    0
+serve.epoch                      gauge      1
+serve.index_sets                 gauge      41
+serve.index_sites                gauge      173
+serve.publishes                  counter    3
+serve.queries                    counter    369
+serve.query_ns                   counter    *
+serve.related_hits               counter    108
+serve.resolver_errors            counter    0
+serve.resolver_hits              counter    *
+serve.resolver_misses            counter    *
+serve.snapshot_version           gauge      1
+workload.latency.query           histogram  9
+workload.latency.rsa             histogram  10
+workload.page_visits             counter    185
+workload.queries                 counter    369
+workload.related_hits            counter    108
+workload.resolver_hits           counter    *
+workload.resolver_misses         counter    *
+workload.rsa_calls               counter    369
+workload.rsa_denied              counter    296
+workload.rsa_for_calls           counter    5
+workload.rsa_granted             counter    78
+"""
+
+
+def _schema_table(text: str) -> dict[str, tuple[str, float | None]]:
+    table = {}
+    for line in text.strip().splitlines():
+        name, kind, value = line.split()
+        table[name] = (kind, None if value == "*" else float(value))
+    return table
+
+
+def assert_schema(registry: MetricsRegistry, expected_text: str) -> None:
+    """The registry's exact name → (kind, value) map, ``*`` unpinned."""
+    expected = _schema_table(expected_text)
+    actual = {name: ("counter", float(value))
+              for name, value in registry.counters.items()}
+    actual.update((name, ("gauge", value))
+                  for name, value in registry.gauges.items())
+    actual.update((name, ("histogram", float(histogram.total)))
+                  for name, histogram in registry.histograms.items())
+    for name, (kind, value) in expected.items():
+        if value is None and name in actual:
+            actual[name] = (actual[name][0], None)
+    assert actual == expected
+
+
+def _schema_drive(dispatcher, seed: int) -> None:
+    """Seeded reads, a bad host, a resolve and an unknown ticket."""
+    rng = random.Random(seed)
+    members = [record.site for record in build_rws_list().all_members()]
+    hosts = (members[:30] + [f"www.{site}" for site in members[:8]]
+             + ["bad..host", "com", "unlisted-site.org"])
+    pairs = [(rng.choice(hosts), rng.choice(hosts)) for _ in range(40)]
+    for host_a, host_b in pairs[:20]:
+        dispatcher.dispatch(QueryRequest(host_a, host_b))
+    dispatcher.dispatch(BatchQueryRequest(pairs=pairs[20:30]))
+    dispatcher.dispatch(BatchQueryRequest(pairs=pairs[30:], detail=False))
+    dispatcher.dispatch(ResolveRequest(host="www.timesinternet.in"))
+    dispatcher.dispatch(PollRequest(ticket="sub-none"))
+
+
+class TestOneSchema:
+    """The committed name map: every layer's registry, name by name.
+
+    Each stack serves seeded traffic; each table pins every metric's
+    kind and every value that is not a timing.  Services get their own
+    PSL, so ``psl.*`` counts only their traffic.
+    """
+
+    def test_service_behind_counter_and_latency_recorder(self):
+        service = own_psl_service()
+        try:
+            counter, latency = RequestCounter(), LatencyRecorder()
+            dispatcher = Dispatcher(service,
+                                    middlewares=(counter, latency))
+            _schema_drive(dispatcher, 1)
+            for rws_set in build_rws_list().sets[:3]:
+                dispatcher.dispatch(SubmitRequest(rws_set=rws_set))
+            service.drain()
+            dispatcher.dispatch(StatsRequest())
+            registry = service.stats_registry()
+            counter.write_metrics(registry)
+            registry.merge(latency.registry)
+            assert_schema(registry, _SCHEMA_SERVICE)
+        finally:
+            service.queue.shutdown()
+
+    def test_router_and_one_replica(self):
+        primary = own_psl_service()
+        try:
+            router = Router(primary, 3, lag=[0, 2, 4], policy="rendezvous")
+            dispatcher = Dispatcher(router)
+            _schema_drive(dispatcher, 2)
+            router.advance(10)
+            router.publish(_seed_v2())
+            router.advance(12)  # replica 2 still owes its hop
+            _schema_drive(dispatcher, 3)
+            assert_schema(router.stats_registry(), _SCHEMA_ROUTER)
+            assert_schema(router.replicas[2].stats_registry(),
+                          _SCHEMA_REPLICA)
+        finally:
+            primary.queue.shutdown()
+
+    def test_chaos_router_under_failover(self):
+        primary = own_psl_service()
+        try:
+            router = ChaosRouter(primary, 3,
+                                 plan=chaos_plan("failover", 100, 2),
+                                 lag=[2, 4, 6])
+            dispatcher = Dispatcher(router)
+            _schema_drive(dispatcher, 4)
+            router.advance(50)
+            router.publish(_seed_v2())
+            router.advance(100)
+            _schema_drive(dispatcher, 5)
+            assert_schema(router.stats_registry(), _SCHEMA_CHAOS)
+        finally:
+            primary.queue.shutdown()
+
+    def test_tcp_server_and_client(self):
+        service = own_psl_service()
+        harness = ServerThread(RwsTcpServer(service))
+        try:
+            client = TcpApiClient(*harness.start())
+            _schema_drive(client, 6)
+            client.dispatch(StatsRequest())
+            client.close()
+            harness.stop()  # every server count is final
+            registry = harness.server.stats_registry()
+            client.write_metrics(registry)
+            assert_schema(registry, _SCHEMA_TCP)
+        finally:
+            service.queue.shutdown()
+
+    def test_workload_serial_and_sharded(self):
+        deterministic = sorted(f"workload.{name}" for name
+                               in DETERMINISTIC_WORKLOAD_COUNTERS)
+        serial = run_workload("steady", 60, seed=3).registry
+        sharded = run_workload("steady", 60, shards=3, seed=3,
+                               executor="inline").registry
+        assert_schema(serial, _SCHEMA_WORKLOAD)
+        assert_schema(sharded, _SCHEMA_SHARDED)
+        assert sorted(serial.deterministic_counters()) == deterministic
+        assert sharded.digest_hex() == serial.digest_hex()
 
 
 class TestTracerDeterminism:

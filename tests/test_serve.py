@@ -515,10 +515,10 @@ class TestRwsService:
         finally:
             sys.setswitchinterval(old_interval)
         report = self.service.stats_report()
-        assert report["queries"] == per_thread * threads_n
-        assert report["related_hits"] == per_thread * threads_n
-        assert report["publishes"] == 40 + 1  # setup publish included
-        assert report["queue_passed"] == 8
+        assert report["serve.queries"] == per_thread * threads_n
+        assert report["serve.related_hits"] == per_thread * threads_n
+        assert report["serve.publishes"] == 40 + 1  # setup publish included
+        assert report["queue.passed"] == 8
 
     def test_stats_report_counters(self):
         self.service.query_batch([
@@ -527,12 +527,13 @@ class TestRwsService:
             ("other.com", "example.com"),
         ])
         report = self.service.stats_report()
-        assert report["queries"] == 3
-        assert report["related_hits"] == 2
-        assert report["resolver_hits"] > 0  # repeated hosts hit the LRU
-        assert report["index_sets"] == 2
-        assert report["snapshot_version"] == 2 or report["snapshot_version"] == 1
-        assert report["mean_query_ns"] > 0
+        assert report["serve.queries"] == 3
+        assert report["serve.related_hits"] == 2
+        assert report["serve.resolver_hits"] > 0  # repeated hosts hit the LRU
+        assert report["serve.index_sets"] == 2
+        assert (report["serve.snapshot_version"] == 2
+                or report["serve.snapshot_version"] == 1)
+        assert report["serve.query_ns"] > 0
 
 
 class TestEpoch:
@@ -746,8 +747,8 @@ class TestEpoch:
         assert folded.queries == per_thread * threads_n
         assert folded.related_hits == per_thread * threads_n
         report = service.stats_report()
-        assert report["queries"] == per_thread * threads_n
-        assert report["epoch"] == 1.0
+        assert report["serve.queries"] == per_thread * threads_n
+        assert report["serve.epoch"] == 1.0
 
     def test_epoch_compile_and_bootstrap_helpers(self):
         store = SnapshotStore()

@@ -4,13 +4,12 @@ import pytest
 
 from repro.cli import main
 from repro.data import build_rws_list
+from repro.obs import LatencyHistogram
 from repro.workload import (
     LIST_PROFILES,
     SCENARIOS,
-    LatencyHistogram,
     SessionGenerator,
     SiteUniverse,
-    WorkloadMetrics,
     ZipfSampler,
     combine_digests,
     get_scenario,
@@ -85,8 +84,8 @@ class TestDigestInvariance:
                                   executor="inline")
             assert sharded.digest == serial.digest
             assert sharded.decisions == serial.decisions
-            assert (sharded.metrics.counters["rsa_granted"]
-                    == serial.metrics.counters["rsa_granted"])
+            assert (sharded.count("rsa_granted")
+                    == serial.count("rsa_granted"))
 
     def test_digest_identical_with_thread_executor(self):
         serial = run_serial("bulk", 80, seed=5)
@@ -105,9 +104,9 @@ class TestDigestInvariance:
                               executor="inline")
         assert serial.digest == sharded.digest
         assert serial.snapshot_version == sharded.snapshot_version == 2
-        assert serial.metrics.counters["delta_applied"] >= 1
+        assert serial.count("delta_applied") >= 1
         # Every shard at/above the cutoff re-publishes and re-verifies.
-        assert sharded.metrics.counters["delta_applied"] >= 1
+        assert sharded.count("delta_applied") >= 1
 
 
 class TestReplicatedExecution:
@@ -139,7 +138,7 @@ class TestReplicatedExecution:
                                       seed=seed, executor="inline")
                 assert sharded.digest == serial.digest, (seed, shards)
             assert serial.snapshot_version == 2
-            assert serial.metrics.counters["replica_catch_ups"] >= 1
+            assert serial.count("replica_catch_ups") >= 1
         threaded = run_sharded("stale-replica", 60, 4, seed=4,
                                executor="thread")
         assert threaded.digest == run_serial("stale-replica", 60,
@@ -156,8 +155,8 @@ class TestReplicatedExecution:
         # Stale replicas keep answering "related" for the taken-down
         # conglomerate set, so the lagged run sees at least as many
         # related hits.
-        assert (lagged.metrics.counters["related_hits"]
-                >= converged.metrics.counters["related_hits"])
+        assert (lagged.count("related_hits")
+                >= converged.count("related_hits"))
 
     def test_replicated_helper_round_trips(self):
         scenario = replicated("steady", 2, lag=3, policy="round-robin")
@@ -182,12 +181,11 @@ class TestScenarios:
         for name in SCENARIOS:
             result = run_workload(name, 30, seed=2)
             assert result.decisions > 0
-            assert result.metrics.counters["queries"] > 0
+            assert result.count("queries") > 0
 
     def test_abusive_scenario_denies_probes(self):
         result = run_serial("abusive", 150, seed=8)
-        counters = result.metrics.counters
-        assert counters["rsa_denied"] > counters["rsa_granted"]
+        assert result.count("rsa_denied") > result.count("rsa_granted")
 
     def test_takedown_flips_decisions_after_update(self):
         # Same traffic, but the abusive set is removed halfway: the
@@ -196,22 +194,22 @@ class TestScenarios:
         kept = run_serial("abusive", 200, seed=6)
         takedown = run_serial("takedown", 200, seed=6)
         assert takedown.snapshot_version == 2
-        assert (takedown.metrics.counters["rsa_granted"]
-                < kept.metrics.counters["rsa_granted"])
+        assert (takedown.count("rsa_granted")
+                < kept.count("rsa_granted"))
 
     def test_cache_scenarios_bracket_resolver_behaviour(self):
         cold = run_serial("cold-cache", 60, seed=3)
         warm = run_serial("warm-cache", 60, seed=3)
-        assert cold.metrics.counters.get("resolver_hits", 0) == 0
-        assert warm.metrics.counters["warmup_resolutions"] > 0
-        assert warm.metrics.counters["resolver_hits"] > 0
+        assert cold.count("resolver_hits") == 0
+        assert warm.count("warmup_resolutions") > 0
+        assert warm.count("resolver_hits") > 0
 
     def test_cold_cache_honoured_on_sharded_path(self):
         # The fast path's shard-local resolver must respect the
         # cold-cache knob too, not just the service's LRU.
         cold = run_sharded("cold-cache", 60, 2, seed=3, executor="inline")
-        assert cold.metrics.counters.get("resolver_hits", 0) == 0
-        assert cold.metrics.counters["resolver_misses"] > 0
+        assert cold.count("resolver_hits") == 0
+        assert cold.count("resolver_misses") > 0
         assert cold.digest == run_serial("cold-cache", 60, seed=3).digest
 
     def test_single_task_run_reports_inline_executor(self):
@@ -248,19 +246,6 @@ class TestMetrics:
             histogram.percentile(1.5)
         with pytest.raises(ValueError):
             LatencyHistogram([1, 2, 3])
-
-    def test_metrics_merge_and_portability(self):
-        one = WorkloadMetrics()
-        one.count("queries", 5)
-        one.record_latency("query", 1_000)
-        two = WorkloadMetrics()
-        two.count("queries", 7)
-        two.count("rsa_calls", 2)
-        two.record_latency("query", 2_000)
-        one.merge(WorkloadMetrics.from_portable(two.to_portable()))
-        assert one.counters["queries"] == 12
-        assert one.decisions == 14
-        assert one.histograms["query"].total == 2
 
     def test_combine_digests_is_order_independent(self):
         digests = [3, 1 << 200, 17]
