@@ -37,42 +37,54 @@ map.
 
 __version__ = "1.4.0"
 
-from repro.api import ApiError, Dispatcher, ErrorCode
-from repro.cluster import Replica, Router
-from repro.obs import (
-    MetricsRegistry,
-    NULL_TRACER,
-    StageProfiler,
-    Tracer,
-    TraceSummary,
-)
-from repro.psl import PublicSuffixList, default_psl
-from repro.rws import RelatedWebsiteSet, RwsList, Validator
-from repro.serve import Epoch, MembershipIndex, RwsService
-from repro.workload import SCENARIOS, Scenario, WorkloadResult, run_workload
 
-__all__ = [
-    "ApiError",
-    "Dispatcher",
-    "Epoch",
-    "ErrorCode",
-    "MetricsRegistry",
-    "MembershipIndex",
-    "NULL_TRACER",
-    "PublicSuffixList",
-    "RelatedWebsiteSet",
-    "Replica",
-    "Router",
-    "RwsList",
-    "RwsService",
-    "SCENARIOS",
-    "Scenario",
-    "StageProfiler",
-    "TraceSummary",
-    "Tracer",
-    "Validator",
-    "WorkloadResult",
-    "__version__",
-    "default_psl",
-    "run_workload",
-]
+def lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """A package façade's PEP 562 ``__getattr__``, ``__dir__`` and ``__all__``.
+
+    ``exports`` maps each defining submodule to the public names the
+    package re-exports from it.  A name's submodule is imported on
+    first access and the value cached in ``namespace`` (the package's
+    ``globals()``).  So importing one submodule loads only its own
+    imports, which keeps the server's import closure to the code that
+    serves (``tests/test_import_closure.py`` pins it by module name).
+    """
+    package = namespace["__name__"]
+    origins = {name: module for module, names in exports.items()
+               for name in names}
+
+    def __getattr__(name: str):
+        module = origins.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        import importlib
+
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(origins))
+
+    return __getattr__, __dir__, sorted(origins)
+
+
+_EXPORTS = {
+    "repro.api.dispatcher": ("Dispatcher",),
+    "repro.api.envelopes": ("ApiError", "ErrorCode"),
+    "repro.cluster.replica": ("Replica",),
+    "repro.cluster.router": ("Router",),
+    "repro.obs.profile": ("StageProfiler",),
+    "repro.obs.registry": ("MetricsRegistry",),
+    "repro.obs.trace": ("NULL_TRACER", "Tracer", "TraceSummary"),
+    "repro.psl.lookup": ("PublicSuffixList", "default_psl"),
+    "repro.rws.model": ("RelatedWebsiteSet", "RwsList"),
+    "repro.rws.validation": ("Validator",),
+    "repro.serve.epoch": ("Epoch",),
+    "repro.serve.index": ("MembershipIndex",),
+    "repro.serve.service": ("RwsService",),
+    "repro.workload.driver": ("WorkloadResult", "run_workload"),
+    "repro.workload.scenarios": ("SCENARIOS", "Scenario"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

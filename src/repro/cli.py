@@ -50,11 +50,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import EXPERIMENTS, run_experiment
-from repro.reporting import render_cdf, render_comparison, render_table
+# Every subcommand imports what it needs when it runs, so a serving
+# subcommand never loads the paper-analysis stack.
 
 
 def _cmd_experiments(_args: argparse.Namespace) -> int:
+    from repro.analysis import EXPERIMENTS
+
     for experiment_id in sorted(EXPERIMENTS):
         doc = EXPERIMENTS[experiment_id].__doc__ or ""
         first_line = doc.strip().splitlines()[0] if doc.strip() else ""
@@ -63,6 +65,9 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis import run_experiment
+    from repro.reporting import render_cdf, render_comparison, render_table
+
     for experiment_id in args.ids:
         try:
             result = run_experiment(experiment_id)
@@ -107,12 +112,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    from repro.reporting import rows_to_csv
+    from repro.analysis.surveychar import survey_scalars, table1
+    from repro.reporting import render_comparison, render_table, rows_to_csv
     from repro.survey import conduct_study
 
     dataset = conduct_study()
-    from repro.analysis.surveychar import survey_scalars, table1
-
     result = table1(dataset)
     print(render_table(result.headers, result.rows, title=result.title))
     print(render_comparison(survey_scalars(dataset)))
@@ -129,6 +133,9 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_governance(_args: argparse.Namespace) -> int:
+    from repro.analysis import run_experiment
+    from repro.reporting import render_comparison, render_table
+
     result = run_experiment("T3")
     print(render_table(result.headers, result.rows, title=result.title))
     print(render_comparison(run_experiment("F5")))
@@ -136,6 +143,9 @@ def _cmd_governance(_args: argparse.Namespace) -> int:
 
 
 def _cmd_list_stats(_args: argparse.Namespace) -> int:
+    from repro.analysis import run_experiment
+    from repro.reporting import render_comparison
+
     print(render_comparison(run_experiment("A1")))
     return 0
 

@@ -20,32 +20,15 @@ reconstructed here (see DESIGN.md "Substitutions"):
   deterministic tier-1 variant).
 """
 
-from repro.data.builders import (
-    build_category_database,
-    build_rws_history,
-    build_rws_list,
-    build_site_catalog,
-)
-from repro.data.rws_seed import RWS_SEED_SETS, SNAPSHOT_DATE
-from repro.data.sites import BrandingLevel, SiteCatalog, SiteSpec
-from repro.data.synthetic import (
-    build_small_synthetic_list,
-    build_synthetic_list,
-)
-from repro.data.toplist import TOP_LIST_SIZE, build_top_list
+from repro import lazy_exports
 
-__all__ = [
-    "BrandingLevel",
-    "RWS_SEED_SETS",
-    "SNAPSHOT_DATE",
-    "SiteCatalog",
-    "SiteSpec",
-    "TOP_LIST_SIZE",
-    "build_category_database",
-    "build_rws_history",
-    "build_rws_list",
-    "build_site_catalog",
-    "build_small_synthetic_list",
-    "build_synthetic_list",
-    "build_top_list",
-]
+_EXPORTS = {
+    "repro.data.builders": ("build_category_database", "build_rws_history",
+                            "build_rws_list", "build_site_catalog"),
+    "repro.data.rws_seed": ("RWS_SEED_SETS", "SNAPSHOT_DATE"),
+    "repro.data.sites": ("BrandingLevel", "SiteCatalog", "SiteSpec"),
+    "repro.data.synthetic": ("build_small_synthetic_list",
+                             "build_synthetic_list"),
+    "repro.data.toplist": ("TOP_LIST_SIZE", "build_top_list"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

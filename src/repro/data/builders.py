@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from repro.categorize import Category, CategoryDatabase, merge_category
+from typing import TYPE_CHECKING
+
 from repro.data.rws_seed import RWS_SEED_SETS, SNAPSHOT_DATE, SeedSet
 from repro.data.sites import SiteCatalog, SiteSpec
-from repro.data.toplist import build_top_list
 from repro.rws.history import RwsHistory, parse_iso_date
 from repro.rws.model import RelatedWebsiteSet, RwsList
+
+if TYPE_CHECKING:
+    from repro.categorize import CategoryDatabase
 
 
 def _rationale_for(spec: SiteSpec, org: str, role: str) -> str:
@@ -90,6 +93,8 @@ def build_site_catalog(
         for spec in seed.all_specs():
             catalog.add(spec)
     if include_top_list:
+        from repro.data.toplist import build_top_list
+
         for spec in build_top_list():
             catalog.add(spec)
     return catalog
@@ -102,6 +107,8 @@ def build_category_database(catalog: SiteCatalog | None = None) -> CategoryDatab
     so lookups for them return UNKNOWN (no keyword fallback for
     catalogued-unknown sites, mirroring unindexed ThreatSeeker entries).
     """
+    from repro.categorize import CategoryDatabase, merge_category
+
     catalog = catalog or build_site_catalog()
     database = CategoryDatabase()
     for spec in catalog.specs():
@@ -133,5 +140,3 @@ def survey_eligible_sites(
             eligible[seed.primary.domain] = specs
     return eligible
 
-
-_ = Category  # Re-exported type referenced in annotations of callers.

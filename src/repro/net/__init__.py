@@ -35,40 +35,14 @@ design avoids.  So: ``repro.netsim`` is the synthetic-web test double,
 other.
 """
 
-from repro.net.client import (
-    IDEMPOTENT_OPS,
-    NetClientError,
-    TcpApiClient,
-)
-from repro.net.frame import (
-    PREFIX_BYTES,
-    FrameDecoder,
-    FrameError,
-    encode_frame,
-)
-from repro.net.server import (
-    DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_CONNECTIONS,
-    DEFAULT_WINDOW,
-    SERVER_NAME,
-    RwsTcpServer,
-    ServerThread,
-    hello_message,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_IDLE_TIMEOUT",
-    "DEFAULT_MAX_CONNECTIONS",
-    "DEFAULT_WINDOW",
-    "FrameDecoder",
-    "FrameError",
-    "IDEMPOTENT_OPS",
-    "NetClientError",
-    "PREFIX_BYTES",
-    "RwsTcpServer",
-    "SERVER_NAME",
-    "ServerThread",
-    "TcpApiClient",
-    "encode_frame",
-    "hello_message",
-]
+_EXPORTS = {
+    "repro.net.client": ("IDEMPOTENT_OPS", "NetClientError", "TcpApiClient"),
+    "repro.net.frame": ("PREFIX_BYTES", "FrameDecoder", "FrameError",
+                        "encode_frame"),
+    "repro.net.server": ("DEFAULT_IDLE_TIMEOUT", "DEFAULT_MAX_CONNECTIONS",
+                         "DEFAULT_WINDOW", "SERVER_NAME", "RwsTcpServer",
+                         "ServerThread", "hello_message"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

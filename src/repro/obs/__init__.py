@@ -28,67 +28,19 @@ shard counts, and executors):
 # ``repro.obs.registry`` at module top (both stdlib-only), so this
 # package __init__ must stay weightless: eagerly importing ``profile``
 # here would import ``repro.serve`` and close an import cycle back
-# into it.  Re-exports resolve lazily via PEP 562 instead.
+# into it.
+
+from repro import lazy_exports
 
 _EXPORTS = {
-    # repro.obs.trace (stdlib-only — safe from any layer)
-    "NULL_TRACER": "trace",
-    "NullTracer": "trace",
-    "Span": "trace",
-    "Tracer": "trace",
-    "TraceSummary": "trace",
-    "span_id": "trace",
-    # repro.obs.registry
-    "DETERMINISTIC_WORKLOAD_COUNTERS": "registry",
-    "LatencyHistogram": "registry",
-    "MetricsRegistry": "registry",
-    # repro.obs.profile
-    "StageProfiler": "profile",
-    # repro.obs.export
-    "METRICS_SCHEMA": "export",
-    "TRACE_SCHEMA": "export",
-    "load_snapshot": "export",
-    "metrics_snapshot": "export",
-    "render_metrics_lines": "export",
-    "render_trace_lines": "export",
-    "trace_snapshot": "export",
-    "write_snapshot": "export",
+    "repro.obs.trace": ("NULL_TRACER", "NullTracer", "Span", "Tracer",
+                        "TraceSummary", "span_id"),
+    "repro.obs.registry": ("DETERMINISTIC_WORKLOAD_COUNTERS",
+                           "LatencyHistogram", "MetricsRegistry"),
+    "repro.obs.profile": ("StageProfiler",),
+    "repro.obs.export": ("METRICS_SCHEMA", "TRACE_SCHEMA", "load_snapshot",
+                         "metrics_snapshot", "render_metrics_lines",
+                         "render_trace_lines", "trace_snapshot",
+                         "write_snapshot"),
 }
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f"repro.obs.{module_name}")
-    value = getattr(module, name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
-__all__ = [
-    "DETERMINISTIC_WORKLOAD_COUNTERS",
-    "LatencyHistogram",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "Span",
-    "StageProfiler",
-    "TRACE_SCHEMA",
-    "TraceSummary",
-    "Tracer",
-    "load_snapshot",
-    "metrics_snapshot",
-    "render_metrics_lines",
-    "render_trace_lines",
-    "span_id",
-    "trace_snapshot",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -105,9 +105,12 @@ def render_metrics_lines(registry: MetricsRegistry) -> list[str]:
     lines = [f"{'metric':{width}s}  value",
              f"{'-' * width}  {'-' * 10}"]
     lines.extend(f"{name:{width}s}  {value}" for name, value in rows)
-    lines.append(f"registry digest {registry.digest_hex()} "
-                 f"({len(registry.deterministic_counters())} "
-                 f"deterministic counters)")
+    # With no deterministic counter there is nothing to identify: the
+    # sha256 of the empty payload would only look like a checksum.
+    deterministic = len(registry.deterministic_counters())
+    digest = registry.digest_hex() if deterministic else "none"
+    lines.append(f"registry digest {digest} "
+                 f"({deterministic} deterministic counters)")
     return lines
 
 

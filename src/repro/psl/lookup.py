@@ -36,6 +36,7 @@ validity check, the same-set predicate — so the resolution core is a
 
 from __future__ import annotations
 
+import copy
 import functools
 import re
 import threading
@@ -270,6 +271,21 @@ class PublicSuffixList:
             self._cache_hits = 0
             self._cache_misses = 0
             self._cache_errors = 0
+
+    def counting_view(self) -> PublicSuffixList:
+        """This list with hit/miss/error counters of its own.
+
+        The view resolves with the same compiled rules into the same
+        cache under the same lock (it sweeps with a hand of its own),
+        but its counters start at zero and count only its own lookups.
+        So a caller that shares the process-wide :func:`default_psl`
+        cache, like a workload shard, reports exactly the lookups it
+        made, even while other threads resolve through the same cache.
+        :meth:`cache_clear` on either side detaches the two.
+        """
+        view = copy.copy(self)
+        view._cache_hits = view._cache_misses = view._cache_errors = 0
+        return view
 
     # -- cache internals ------------------------------------------------------
 

@@ -20,46 +20,19 @@ RWS proposal the paper describes:
   the error taxonomy of Table 3.
 """
 
-from repro.rws.model import (
-    MemberRecord,
-    RelatedWebsiteSet,
-    RwsList,
-    SiteRole,
-)
-from repro.rws.schema import SchemaError, parse_rws_json, serialize_rws_json
-from repro.rws.suggestions import Suggestion, remediation_text, suggest_fixes
-from repro.rws.validation import (
-    CheckCode,
-    Finding,
-    Severity,
-    ValidationReport,
-    Validator,
-)
-from repro.rws.wellknown import (
-    WELL_KNOWN_PATH,
-    member_well_known_document,
-    parse_well_known,
-    primary_well_known_document,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CheckCode",
-    "Finding",
-    "MemberRecord",
-    "RelatedWebsiteSet",
-    "RwsList",
-    "SchemaError",
-    "Severity",
-    "SiteRole",
-    "Suggestion",
-    "ValidationReport",
-    "Validator",
-    "WELL_KNOWN_PATH",
-    "member_well_known_document",
-    "parse_rws_json",
-    "parse_well_known",
-    "primary_well_known_document",
-    "remediation_text",
-    "serialize_rws_json",
-    "suggest_fixes",
-]
+_EXPORTS = {
+    "repro.rws.model": ("MemberRecord", "RelatedWebsiteSet", "RwsList",
+                        "SiteRole"),
+    "repro.rws.schema": ("SchemaError", "parse_rws_json",
+                         "serialize_rws_json"),
+    "repro.rws.suggestions": ("Suggestion", "remediation_text",
+                              "suggest_fixes"),
+    "repro.rws.validation": ("CheckCode", "Finding", "Severity",
+                             "ValidationReport", "Validator"),
+    "repro.rws.wellknown": ("WELL_KNOWN_PATH", "member_well_known_document",
+                            "parse_well_known",
+                            "primary_well_known_document"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -34,14 +34,16 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.netsim.client import Client, FetchError
 from repro.psl import PublicSuffixList, default_psl
 from repro.psl.lookup import DomainError
 from repro.rws.model import RelatedWebsiteSet, RwsList
 from repro.rws.schema import SchemaError
 from repro.rws.wellknown import WELL_KNOWN_PATH, parse_well_known, well_known_matches
 
-if TYPE_CHECKING:  # circular at runtime: repro.serve builds on this module
+if TYPE_CHECKING:
+    # repro.serve builds on this module (circular at runtime), and only
+    # the network rules need netsim: they import it when they fetch.
+    from repro.netsim.client import Client
     from repro.serve.index import MembershipIndex
 
 
@@ -333,6 +335,8 @@ class Validator:
 
     def _fetch_well_known(self, site: str) -> tuple[str | None, Finding | None]:
         """Fetch a member's well-known file; (body, finding-on-error)."""
+        from repro.netsim.client import FetchError
+
         assert self.client is not None
         url = f"https://{site}{WELL_KNOWN_PATH}"
         try:
@@ -394,6 +398,8 @@ class Validator:
 
     def _check_service_headers(self, submission: RelatedWebsiteSet,
                                report: ValidationReport) -> None:
+        from repro.netsim.client import FetchError
+
         assert self.client is not None
         for site in submission.service:
             try:

@@ -622,8 +622,9 @@ class RwsService(EpochShell):
         :class:`PublicSuffixList` instance; with the default
         :func:`default_psl` singleton they are process-wide (shared
         with every other subsystem using that PSL), not per-service.
-        Construct the service with its own ``PublicSuffixList()`` for
-        isolated counters.
+        Construct the service with ``default_psl().counting_view()``
+        for counters of its own over the shared cache, or with its own
+        ``PublicSuffixList()`` for an isolated cache too.
         """
         registry.count("epoch.encodes", self._epoch_encodes)
         registry.count("epoch.encode_ns", self._epoch_encode_ns)

@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.rws.diff import (
     ListDiff,
@@ -37,8 +37,10 @@ from repro.rws.diff import (
     membership_key,
     membership_keys,
 )
-from repro.rws.history import RwsHistory
 from repro.rws.model import MemberRecord, RelatedWebsiteSet, RwsList, SiteRole
+
+if TYPE_CHECKING:
+    from repro.rws.history import RwsHistory
 
 
 class StaleSnapshotError(ValueError):
@@ -194,6 +196,8 @@ class SnapshotStore:
         Args:
             dates: Mapping from version number to its ISO snapshot date.
         """
+        from repro.rws.history import RwsHistory
+
         history = RwsHistory()
         for snapshot in self.snapshots:
             if snapshot.version in dates:

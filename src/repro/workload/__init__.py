@@ -27,52 +27,18 @@ Entry point::
         --users 100000 --shards 4 --seed 7
 """
 
-from repro.workload.driver import (
-    ShardTask,
-    WorkloadResult,
-    chaotic,
-    replicated,
-    run_serial,
-    run_shard,
-    run_sharded,
-    run_workload,
-)
-from repro.workload.generator import (
-    EmbedCall,
-    PageVisit,
-    Session,
-    SessionGenerator,
-    SiteUniverse,
-    ZipfSampler,
-)
-from repro.workload.metrics import combine_digests, digest_hex, user_digest
-from repro.workload.scenarios import (
-    LIST_PROFILES,
-    SCENARIOS,
-    Scenario,
-    get_scenario,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EmbedCall",
-    "LIST_PROFILES",
-    "PageVisit",
-    "SCENARIOS",
-    "Scenario",
-    "Session",
-    "SessionGenerator",
-    "ShardTask",
-    "SiteUniverse",
-    "WorkloadResult",
-    "ZipfSampler",
-    "chaotic",
-    "combine_digests",
-    "digest_hex",
-    "get_scenario",
-    "replicated",
-    "run_serial",
-    "run_shard",
-    "run_sharded",
-    "run_workload",
-    "user_digest",
-]
+_EXPORTS = {
+    "repro.workload.driver": ("ShardTask", "WorkloadResult", "chaotic",
+                              "replicated", "run_serial", "run_shard",
+                              "run_sharded", "run_workload"),
+    "repro.workload.generator": ("EmbedCall", "PageVisit", "Session",
+                                 "SessionGenerator", "SiteUniverse",
+                                 "ZipfSampler"),
+    "repro.workload.metrics": ("combine_digests", "digest_hex",
+                               "user_digest"),
+    "repro.workload.scenarios": ("LIST_PROFILES", "SCENARIOS", "Scenario",
+                                 "get_scenario"),
+}
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -543,9 +543,12 @@ def run_shard(task: ShardTask) -> dict:
     started = time.perf_counter()
     build_v1, build_v2 = LIST_PROFILES[scenario.list_profile]
     # The shard's only host cache is its PSL's: a cold-cache scenario
-    # gets a cache-disabled one, so both driver paths stay cold.
+    # gets a cache-disabled one, so both driver paths stay cold.  A
+    # warm shard shares the process-wide cache through a view whose
+    # counters hold only this shard's lookups, so ``psl.*`` merges
+    # across shards without counting a lookup twice on any executor.
     psl = (PublicSuffixList(cache_size=0) if scenario.cold_cache
-           else default_psl())
+           else default_psl().counting_view())
     service = RwsService(psl=psl)
     if task.encoded is not None:
         # O(size) spin-up: the shard serves the pre-encoded epoch's

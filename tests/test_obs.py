@@ -9,6 +9,7 @@ digest.
 
 import json
 import random
+import re
 import threading
 
 from repro.api import (
@@ -999,6 +1000,27 @@ class TestExport:
                    for line in lines)
         assert any(line.startswith("registry digest ")
                    for line in lines)
+
+    def test_render_metrics_lines_prints_no_digest_without_determinism(self):
+        # A serving stack's registry has no deterministic counter, and
+        # the sha256 of an empty payload would read like a checksum.
+        service = own_psl_service()
+        for _ in range(3):
+            service.query("www.timesinternet.in", "indiatimes.com")
+        registry = service.stats_registry()
+        assert registry.deterministic_counters() == {}
+        lines = render_metrics_lines(registry)
+        assert lines[-1] == "registry digest none (0 deterministic counters)"
+        assert not any(re.search(r"\b[0-9a-f]{64}\b", line)
+                       for line in lines)
+
+    def test_render_metrics_lines_prints_a_workload_registry_digest(self):
+        registry = run_workload("steady", 20, seed=5).registry
+        deterministic = len(registry.deterministic_counters())
+        assert deterministic > 0
+        assert render_metrics_lines(registry)[-1] == (
+            f"registry digest {registry.digest_hex()} "
+            f"({deterministic} deterministic counters)")
 
     def test_render_trace_lines(self):
         tracer = Tracer(seed=4)

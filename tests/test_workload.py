@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.data import build_rws_list
 from repro.obs import LatencyHistogram
+from repro.psl import PublicSuffixList, default_psl
 from repro.workload import (
     LIST_PROFILES,
     SCENARIOS,
@@ -250,6 +251,32 @@ class TestMetrics:
     def test_combine_digests_is_order_independent(self):
         digests = [3, 1 << 200, 17]
         assert combine_digests(digests) == combine_digests(digests[::-1])
+
+    def test_psl_counters_count_each_lookup_once_on_every_executor(
+            self, monkeypatch):
+        # The truth is the shared cache's own counters over the same
+        # run, with every shard resolving through it directly.
+        psl = default_psl()
+        with monkeypatch.context() as patch:
+            patch.setattr(PublicSuffixList, "counting_view",
+                          lambda self: self)
+            before = psl.cache_stats()
+            run_sharded("steady", 60, 3, seed=3, executor="inline")
+            after = psl.cache_stats()
+        served = sum(after[key] - before[key]
+                     for key in ("hits", "misses", "errors"))
+        assert served > 0
+        digests = set()
+        for executor in ("inline", "thread", "process"):
+            # Twice: a repeat must not count the previous run's lookups.
+            for _ in range(2):
+                result = run_sharded("steady", 60, 3, seed=3,
+                                     executor=executor)
+                counters = result.registry.counters
+                assert counters["psl.hits"] + counters["psl.misses"] \
+                    + counters["psl.errors"] == served, executor
+                digests.add(result.registry.digest_hex())
+        assert len(digests) == 1
 
 
 class TestDriver:
