@@ -12,7 +12,14 @@ accumulated several hops applies **one squashed delta**
 (:func:`~repro.serve.snapshot.squash_deltas`) rather than replaying
 the chain.  This is the paper's real deployment shape: millions of
 browser instances converge on a list update at different times, each
-patching its local copy and encoding and loading its own index.
+patching and verifying its local copy.  Once the patched copy matches
+the delta's target hash, the replica serves the primary's own copy of
+that version, which every delta's source store holds: a new view over
+the primary's held buffer when the primary still serves it (no
+encode), else an encode of the primary's stored snapshot.  The patched
+copy itself is never served: the hash does not see set order, and the
+copy appends re-added sets at the end, so it would answer for a site
+listed in two sets from a different set than the primary does.
 
 Lag is measured on a deterministic logical clock (the workload driver
 advances it with the global user index), never wall time, so staleness
@@ -342,13 +349,16 @@ class Replica(EpochShell):
         delta = squash_deltas(fresh)
         epoch = self._epoch
         epoch.require_version(delta.from_version)
-        patched = apply_delta(epoch.rws_list, delta)
-        snapshot = ListSnapshot(version=delta.to_version,
-                                content_hash=delta.to_hash,
-                                rws_list=patched)
-        # The replica encodes and loads its *own* epoch from the
-        # patched copy — the client-side rebuild every browser pays.
-        self._epoch = Epoch.compile(snapshot, epoch.psl)
+        # Verifies the hop: the patched copy must hash to both ends.
+        apply_delta(epoch.rws_list, delta)
+        # Every delta comes from the primary's store, which only
+        # appends, so it holds the target version.
+        snapshot = self.primary.store.get(delta.to_version)
+        served = self.primary.epoch
+        if served.snapshot is snapshot and served.buffer is not None:
+            self._epoch = Epoch.over(served.buffer, snapshot, epoch.psl)
+        else:
+            self._epoch = Epoch.compile(snapshot, epoch.psl)
         self.catch_ups += 1
         self.deltas_applied += len(fresh)
 

@@ -6,11 +6,11 @@ from typing import TYPE_CHECKING
 
 from repro.data.rws_seed import RWS_SEED_SETS, SNAPSHOT_DATE, SeedSet
 from repro.data.sites import SiteCatalog, SiteSpec
-from repro.rws.history import RwsHistory, parse_iso_date
 from repro.rws.model import RelatedWebsiteSet, RwsList
 
 if TYPE_CHECKING:
     from repro.categorize import CategoryDatabase
+    from repro.rws.history import RwsHistory
 
 
 def _rationale_for(spec: SiteSpec, org: str, role: str) -> str:
@@ -56,6 +56,8 @@ def build_rws_history(seeds: tuple[SeedSet, ...] = RWS_SEED_SETS) -> RwsHistory:
     A set appears in every snapshot from its ``intro_month`` onward, so
     the composition series (Figure 7) ramps as the paper's does.
     """
+    from repro.rws.history import RwsHistory, parse_iso_date
+
     history = RwsHistory()
     months = sorted({seed.intro_month for seed in seeds})
     if not months:

@@ -21,9 +21,9 @@ This is the unit the whole serving stack moves:
 * :class:`~repro.serve.service.RwsService` holds the *current* epoch
   and swaps it atomically on publish (the thin stateful shell);
 * :class:`~repro.cluster.Replica` catches up to the primary's epochs
-  by loading the primary's buffer or applying
-  :class:`~repro.serve.snapshot.SnapshotDelta` chains and encoding
-  its own;
+  by loading the primary's buffer, or by verifying
+  :class:`~repro.serve.snapshot.SnapshotDelta` chains against its own
+  copy and then serving the primary's copy of the version;
 * :class:`~repro.browser.engine.Browser` adopts an epoch the way
   Chrome consumes a component-updater payload
   (:meth:`~repro.browser.engine.Browser.adopt_epoch`).
@@ -110,7 +110,18 @@ class Epoch:
         The epoch keeps ``snapshot`` itself (and the index hands back
         its list's own sets), so nothing is rebuilt from the buffer.
         """
-        buf = encode_list(snapshot.rws_list, snapshot=snapshot)
+        return cls.over(encode_list(snapshot.rws_list, snapshot=snapshot),
+                        snapshot, psl)
+
+    @classmethod
+    def over(cls, buf: bytes, snapshot: ListSnapshot,
+             psl: PublicSuffixList) -> Epoch:
+        """Serve ``buf``, an encoding of ``snapshot`` made in-process.
+
+        A new index view over the buffer, with no encode and no CRC
+        check; the epoch keeps ``snapshot`` itself, as :meth:`compile`
+        does.
+        """
         index = MembershipIndex(buf, sets=tuple(snapshot.rws_list.sets),
                                 verify=False)
         return cls(index=index, snapshot=snapshot, psl=psl, buffer=buf)

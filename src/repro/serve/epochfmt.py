@@ -66,14 +66,22 @@ Design notes:
   reconstructed list reproduces :func:`~repro.serve.snapshot.membership_hash`
   bit-for-bit.  Rationales and contacts are **not** carried: they are
   deliberately outside membership identity (see ``membership_hash``).
-* Encoding runs on every publish, so its transient heap is kept near
-  twice the buffer: columns grow as ``array("I")`` / ``bytearray``
-  (per-string columns alongside the string table, no id-keyed dicts),
-  and the output is assembled by one join under a running CRC.
+* Encoding runs on every publish, so its peak heap, the returned
+  buffer included, stays within 1.5x that buffer (1.3x on 20k- and
+  100k-domain lists; small lists pay a fixed overhead on top).
+  Strings are interned through the ``str_hash`` table itself, sized
+  from an upper bound on the string count and probed against the
+  list's own ``str`` objects, so no str-to-id dict or per-string int
+  is built; the table is rebuilt at the exact capacity only when the
+  bound lands on a larger power of two.  Columns grow as
+  ``array("I")`` / ``bytearray``, and the sections stream into one
+  ``BytesIO`` under a running CRC, each column dropped once written,
+  so the output is never copied.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import sys
 import zlib
@@ -169,73 +177,62 @@ def _require_little_endian() -> None:
 # Encoding
 
 
-class _StringTable:
-    """Dense first-encounter string ids, grown with their wire columns.
+def _hash_capacity(n_strings: int) -> int:
+    """The string table's capacity: at least ``2 * n_strings``, a power
+    of two, never below 8."""
+    cap = 8
+    while cap < 2 * n_strings:
+        cap <<= 1
+    return cap
 
-    Adding a string appends its UTF-8 bytes to ``blob``, its end offset,
-    its CRC (the hash-table probe start), and zeroed ``entry`` /
-    ``primary_set`` slots that the list encoder fills in place.
+
+def _list_sections(rws_list: RwsList) -> tuple[list, int, int]:
+    """The 15 wire sections of ``rws_list`` in section-index order,
+    with the list version's and as-of date's string ids + 1 (0 = none).
+
+    Ids are dense in first-encounter order and enter ``str_hash`` in
+    that order, so the table equals an id-ordered fill at the same
+    capacity (see the module's design notes).
     """
+    # Every string is a row's site, a ccTLD row's variant key, the list
+    # version or its as-of date, so this bounds the string count
+    # without building any set's rows.
+    bound = 2
+    for rws_set in rws_list.sets:
+        bound += 1 + len(rws_set.associated) + len(rws_set.service)
+        for variants in rws_set.cctlds.values():
+            bound += 1 + len(variants)
+    mask = _hash_capacity(bound) - 1
+    str_hash = array("I", [0]) * (mask + 1)
+    texts: list[str] = []
+    crcs = array("I")
+    blob = bytearray()
+    str_offsets = array("I", [0])
+    str_entry = array("I")
+    str_set = array("I")
 
-    __slots__ = ("_ids", "blob", "offsets", "crcs", "entry", "primary_set")
+    crc32 = zlib.crc32
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self.blob = bytearray()
-        self.offsets = array("I", [0])
-        self.crcs = array("I")
-        self.entry = array("I")
-        self.primary_set = array("I")
-
-    def add(self, text: str) -> int:
-        sid = self._ids.get(text)
-        if sid is None:
-            sid = len(self.crcs)
-            raw = text.encode("utf-8")
-            self._ids[text] = sid
-            self.blob += raw
-            self.offsets.append(len(self.blob))
-            self.crcs.append(zlib.crc32(raw))
-            self.entry.append(0)
-            self.primary_set.append(0)
+    def add(text: str) -> int:
+        raw = text.encode()
+        crc = crc32(raw)
+        slot = crc & mask
+        value = str_hash[slot]
+        while value:
+            if texts[value - 1] == text:
+                return value - 1
+            slot = (slot + 1) & mask
+            value = str_hash[slot]
+        sid = len(texts)
+        texts.append(text)
+        str_hash[slot] = sid + 1
+        crcs.append(crc)
+        blob.extend(raw)
+        str_offsets.append(len(blob))
+        str_entry.append(0)
+        str_set.append(0)
         return sid
 
-    def __len__(self) -> int:
-        return len(self.crcs)
-
-    def hash_table(self) -> tuple[array, int]:
-        """The open-addressed id table and its power-of-two capacity."""
-        cap = 8
-        while cap < 2 * len(self.crcs):
-            cap <<= 1
-        mask = cap - 1
-        table = array("I", bytes(4 * cap))
-        for sid, crc in enumerate(self.crcs):
-            slot = crc & mask
-            while table[slot]:
-                slot = (slot + 1) & mask
-            table[slot] = sid + 1
-        return table, cap
-
-
-def encode_list(rws_list: RwsList, *,
-                snapshot: ListSnapshot | None = None) -> bytes:
-    """Serialize a list to the binary wire format.
-
-    ``snapshot``, when given, is the published snapshot of
-    ``rws_list``: its version and content hash go in the header and
-    the buffer loads back as that snapshot's epoch.
-
-    Encoding is O(list size) Python work and runs once per publish;
-    only the *load* side needs to be allocation-free.  It walks each
-    set's :meth:`~repro.rws.model.RelatedWebsiteSet.member_rows`, whose
-    role codes are the wire's, so no per-member record is built.
-    """
-    _require_little_endian()
-    strings = _StringTable()
-    add = strings.add
-    str_entry = strings.entry
-    str_set = strings.primary_set
     set_primary = array("I")
     set_rec_start = array("I", [0])
     rec_site = array("I")
@@ -256,7 +253,7 @@ def encode_list(rws_list: RwsList, *,
         if not str_set[pid]:
             str_set[pid] = set_idx + 1
         for site, code, variant_of in rws_set.member_rows():
-            sid = add(site)
+            sid = add(site) if code else pid  # row 0 is the primary's
             vid = add(variant_of) + 1 if variant_of else 0
             rec_site.append(sid)
             rec_role.append(code)
@@ -272,40 +269,73 @@ def encode_list(rws_list: RwsList, *,
 
     list_version_id = add(rws_list.version) + 1
     as_of_id = add(rws_list.as_of) + 1 if rws_list.as_of else 0
-
-    str_hash, hash_cap = strings.hash_table()
-    sections = (  # in section-index order (see the module docstring)
-        strings.offsets, strings.blob, str_hash, str_entry, str_set,
+    del add, texts
+    cap = _hash_capacity(len(crcs))
+    if cap != len(str_hash):  # the bound overshot: rebuild in id order
+        str_hash = array("I", [0]) * cap
+        mask = cap - 1
+        for sid, crc in enumerate(crcs, 1):
+            slot = crc & mask
+            while str_hash[slot]:
+                slot = (slot + 1) & mask
+            str_hash[slot] = sid
+    sections = [
+        str_offsets, blob, str_hash, str_entry, str_set,
         entry_site, entry_primary, entry_variant, entry_role, entry_set,
         set_primary, set_rec_start, rec_site, rec_role, rec_variant,
-    )
+    ]
+    return sections, list_version_id, as_of_id
+
+
+def encode_list(rws_list: RwsList, *,
+                snapshot: ListSnapshot | None = None) -> bytes:
+    """Serialize a list to the binary wire format.
+
+    ``snapshot``, when given, is the published snapshot of
+    ``rws_list``: its version and content hash go in the header and
+    the buffer loads back as that snapshot's epoch.
+
+    Encoding is O(list size) Python work and runs once per publish;
+    only the *load* side needs to be allocation-free.  It walks each
+    set's :meth:`~repro.rws.model.RelatedWebsiteSet.member_rows`, whose
+    role codes are the wire's, so no per-member record is built.  The
+    sections stream into one ``BytesIO`` under a running CRC, each
+    column dropped once written, and ``getvalue()`` hands that buffer
+    out without a second copy.
+    """
+    _require_little_endian()
+    sections, list_version_id, as_of_id = _list_sections(rws_list)
     table: list[int] = []
-    parts: list = []
     offset = _DATA_START
     for section in sections:
         size = memoryview(section).nbytes
-        table.extend((offset, size))
-        parts.append(section)
-        pad = -size % 4
-        if pad:
-            parts.append(bytes(pad))
-        offset += size + pad
-    total_len = offset + _TRAILER.size
-
+        table += (offset, size)
+        offset += size + -size % 4
     header = _HEADER.pack(
         EPOCH_MAGIC, EPOCH_FORMAT_VERSION,
         _FLAG_SNAPSHOT if snapshot is not None else 0,
         snapshot.version if snapshot is not None else 0,
         bytes.fromhex(snapshot.content_hash) if snapshot is not None
         else bytes(32),
-        list_version_id, as_of_id, len(strings), hash_cap,
-        len(entry_site), len(set_primary), len(rec_site), total_len)
-    parts[:0] = (header, _SECTION_TABLE.pack(*table))
+        list_version_id, as_of_id, len(sections[_S_STR_ENTRY]),
+        len(sections[_S_STR_HASH]), len(sections[_S_ENTRY_SITE]),
+        len(sections[_S_SET_PRIMARY]), len(sections[_S_REC_SITE]),
+        offset + _TRAILER.size)
+    out = io.BytesIO()
     crc = 0
-    for part in parts:
+    for part in (header, _SECTION_TABLE.pack(*table)):
+        out.write(part)
         crc = zlib.crc32(part, crc)
-    parts.append(_TRAILER.pack(crc))
-    return b"".join(parts)
+    for idx, size in enumerate(table[1::2]):
+        section, sections[idx] = sections[idx], None
+        out.write(section)
+        crc = zlib.crc32(section, crc)
+        if size % 4:
+            pad = bytes(-size % 4)
+            out.write(pad)
+            crc = zlib.crc32(pad, crc)
+    out.write(_TRAILER.pack(crc))
+    return out.getvalue()
 
 
 def encode_epoch(epoch: "Epoch") -> bytes:

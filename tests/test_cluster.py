@@ -88,7 +88,7 @@ class TestReplica:
         replica = router.replicas[0]
         router.publish(grown_list())
         assert replica.version == 2
-        assert replica.epoch is not primary.epoch  # its own compilation
+        assert replica.epoch is not primary.epoch  # its own view
         assert replica.epoch.content_hash == primary.epoch.content_hash
         assert replica.query("new.com", "new-blog.com").related
 
@@ -670,3 +670,50 @@ class TestPublishPath:
         assert diff.removed_sets == [rws_list.sets[0].primary]
         assert diff.added_sets == ["added.com"]
         assert 0 < len(built) <= delta_records
+
+    # x.com is listed in both sets, so the first set in list order
+    # answers for it.  A replica's patched copy appends a re-added set
+    # at the end and hashes the same as the primary's list.
+    SET_A = RelatedWebsiteSet(primary="a.com", associated=["x.com"])
+    SET_B = RelatedWebsiteSet(primary="b.com", associated=["x.com"])
+    RE_ADDED = ([SET_A, SET_B], [SET_B], [SET_A, SET_B])
+
+    @pytest.mark.parametrize("lag", [0, [0, 2]], ids=["lag-0", "lag-0-2"])
+    def test_replicas_answer_as_the_primary_after_a_set_is_re_added(
+            self, service, lag):
+        router = Router(service, replicas=2, lag=lag)
+        for step, sets in enumerate(self.RE_ADDED, 1):
+            router.publish(RwsList(sets=sets))
+            router.advance(3 * step)
+        assert service.query("a.com", "x.com").related
+        for replica in router.replicas:
+            assert replica.version == 3
+            assert replica.query("a.com", "x.com").related
+            assert not replica.query("b.com", "x.com").related
+            # The primary's own buffer, in an epoch of the replica's.
+            assert replica.epoch is not service.epoch
+            assert replica.epoch.buffer is service.epoch.buffer
+
+    def test_a_lagging_replica_serves_the_primary_s_stored_version(
+            self, service):
+        # The replica reaches v2 ([B]), then applies v2 -> v3 alone
+        # while the primary serves v4, so it encodes the primary's
+        # stored v3, not its patched copy [B, A].
+        router = Router(service, replicas=1, lag=4)
+        replica = router.replicas[0]
+        for clock, sets in enumerate(self.RE_ADDED[:2]):
+            router.publish(RwsList(sets=sets), published_clock=clock)
+        router.advance(5)
+        assert replica.version == 2
+        router.publish(RwsList(sets=self.RE_ADDED[2]), published_clock=6)
+        router.publish(RwsList(sets=[*self.RE_ADDED[2], RelatedWebsiteSet(
+            primary="c.com", associated=["c-news.com"])]),
+            published_clock=10)
+        assert (service.epoch.version, replica.version) == (4, 3)
+        assert replica.query("a.com", "x.com").related
+        assert not replica.query("b.com", "x.com").related
+        assert replica.epoch.snapshot is service.store.get(3)
+        router.advance(14)
+        assert replica.version == 4
+        assert replica.query("a.com", "x.com").related
+        assert replica.epoch.buffer is service.epoch.buffer

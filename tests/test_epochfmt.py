@@ -22,9 +22,11 @@ Four concerns, matching the format's claims:
   encoder's transient heap stays within a fixed multiple of its
   output.
 * **Publish path** — the membership hash and the encoded buffer are
-  pinned bit for bit, and the hash, the list diff and the
-  encode/load round trip agree with reference formulas built from
-  :class:`~repro.rws.MemberRecord` objects on drawn lists.
+  pinned bit for bit, the hash, the list diff and the encode/load
+  round trip agree with reference formulas built from
+  :class:`~repro.rws.MemberRecord` objects on drawn lists, the
+  encoder's bytes equal a plain dict-based reference encoder's, and
+  a publish's encode peaks within 1.5x the buffer it returns.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.rws.diff import ListDiff, diff_lists
 from repro.serve import (
     Epoch,
     EpochFormatError,
+    ListSnapshot,
     MembershipIndex,
     RwsService,
     SnapshotStore,
@@ -61,7 +64,12 @@ from repro.serve import (
     load_epoch,
     membership_hash,
 )
-from repro.serve.epochfmt import encode_list, epoch_stat
+from repro.serve.epochfmt import (
+    EPOCH_FORMAT_VERSION,
+    EPOCH_MAGIC,
+    encode_list,
+    epoch_stat,
+)
 from repro.workload import run_serial, run_sharded
 
 
@@ -684,6 +692,26 @@ class TestPublishPathPins:
             129_308,
             "a41c0fc05764a156653637352bfd7c0d05a7a172a8bf0c7b08d6d87c3facecb2",
         ),
+        # Pinned before the encoder interned through its own hash table.
+        "synthetic-20000": (
+            lambda: build_synthetic_list(20_000, seed=3),
+            (991, 13315, 2778, 2916),
+            "aea5da2b6ee120d13df65fd834580a3e5df2238298a95a748ed2d8e1834d0ce5",
+            1_388_960,
+            "2d88423e1287b466d71c9b4b941d3fb3499d3869f0385810b003ff8178b6c1fb",
+        ),
+        "tricky-old": (
+            lambda: TRICKY_PAIR[0], (2, 3, 1, 2),
+            "321d987307cb5d9ad1957c92f19c127b0d48b28185b5138b402ca564c325ac24",
+            568,
+            "98bcaf616cbd7325e1c71f34dec9340a1336912cef2de124abe33fa06abded53",
+        ),
+        "tricky-new": (
+            lambda: TRICKY_PAIR[1], (2, 1, 1, 0),
+            "f133a10dafad7d6924ca29a9bca11b01b58653677f78fc70d9c5ab179b5a3adb",
+            412,
+            "f468c481a0ac4852714d15ecbd6aafe92ae8aafda2f53074b8286b2b0c418e57",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(PINS))
@@ -697,6 +725,37 @@ class TestPublishPathPins:
                           snapshot=SnapshotStore().publish(rws_list))
         assert len(buf) == size
         assert hashlib.sha256(buf).hexdigest() == buffer_sha
+
+
+def heap_peak(call) -> tuple[int, bytes]:
+    """``call()``'s peak traced heap above the baseline, and its bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        buf = call()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    return peak, buf
+
+
+class TestPublishHeap:
+    """A publish's encode peaks near the buffer it returns."""
+
+    def test_encode_and_compile_peak_within_one_and_a_half_buffers(self):
+        # Deterministic: tracemalloc counts bytes, not time.  Interning
+        # through the wire's own hash table and streaming the sections
+        # leaves no str-to-id dict, per-string int or joined copy; the
+        # dict-and-join encoder peaked at 2.82x on this list.
+        rws_list = build_synthetic_list(20_000, seed=3)
+        snapshot = SnapshotStore().publish(rws_list)
+        psl = default_psl()
+        for call in (lambda: encode_list(rws_list, snapshot=snapshot),
+                     lambda: Epoch.compile(snapshot, psl).buffer):
+            peak, buf = heap_peak(call)
+            assert len(buf) == 1_388_960
+            assert peak <= 1.5 * len(buf), peak / len(buf)
 
 
 # Few labels over a non-ASCII alphabet, so sites collide often: inside
@@ -806,6 +865,87 @@ def reference_diff(old: RwsList, new: RwsList) -> ListDiff:
                     changed_sets=sorted(changed))
 
 
+def reference_encode(rws_list: RwsList,
+                     snapshot: ListSnapshot | None = None) -> bytes:
+    """The wire layout of the format's docstring, built plainly: a
+    str-to-id dict, the hash table filled in id order after the walk,
+    and one join under the CRC."""
+    ids: dict[str, int] = {}
+
+    def add(text: str) -> int:
+        return ids.setdefault(text, len(ids))
+
+    str_entry: dict[int, int] = {}
+    str_set: dict[int, int] = {}
+    entries: list[tuple[int, int, int, int, int]] = []
+    records: list[tuple[int, int, int]] = []
+    set_primary: list[int] = []
+    set_rec_start = [0]
+    for set_idx, rws_set in enumerate(rws_list.sets):
+        pid = add(rws_set.primary)
+        set_primary.append(pid)
+        str_set.setdefault(pid, set_idx + 1)
+        for site, code, variant_of in rws_set.member_rows():
+            sid = add(site)
+            vid = add(variant_of) + 1 if variant_of else 0
+            records.append((sid, code, vid))
+            if sid not in str_entry:
+                entries.append((sid, pid, vid, code, set_idx))
+                str_entry[sid] = len(entries)
+        set_rec_start.append(len(records))
+    list_version_id = add(rws_list.version) + 1
+    as_of_id = add(rws_list.as_of) + 1 if rws_list.as_of else 0
+
+    raws = [text.encode("utf-8") for text in ids]  # in id order
+    offsets = [0]
+    for raw in raws:
+        offsets.append(offsets[-1] + len(raw))
+    cap = 8
+    while cap < 2 * len(raws):
+        cap <<= 1
+    table = [0] * cap
+    for sid, raw in enumerate(raws):
+        slot = zlib.crc32(raw) & (cap - 1)
+        while table[slot]:
+            slot = (slot + 1) & (cap - 1)
+        table[slot] = sid + 1
+
+    def u32(values: list[int]) -> bytes:
+        return struct.pack(f"<{len(values)}I", *values)
+
+    def column(rows: list[tuple], field: int) -> list[int]:
+        return [row[field] for row in rows]
+
+    sections = [
+        u32(offsets), b"".join(raws), u32(table),
+        u32([str_entry.get(sid, 0) for sid in range(len(raws))]),
+        u32([str_set.get(sid, 0) for sid in range(len(raws))]),
+        u32(column(entries, 0)), u32(column(entries, 1)),
+        u32(column(entries, 2)), bytes(column(entries, 3)),
+        u32(column(entries, 4)),
+        u32(set_primary), u32(set_rec_start),
+        u32(column(records, 0)), bytes(column(records, 1)),
+        u32(column(records, 2)),
+    ]
+    section_table: list[int] = []
+    parts: list[bytes] = []
+    offset = 76 + 15 * 8  # the header, then the section table
+    for section in sections:
+        section_table += (offset, len(section))
+        parts.append(section + bytes(-len(section) % 4))
+        offset += len(parts[-1])
+    header = struct.pack(
+        "<4sHHI32sIIIIIIII", EPOCH_MAGIC, EPOCH_FORMAT_VERSION,
+        0x2 if snapshot is not None else 0,
+        snapshot.version if snapshot is not None else 0,
+        bytes.fromhex(snapshot.content_hash) if snapshot is not None
+        else bytes(32),
+        list_version_id, as_of_id, len(raws), cap, len(entries),
+        len(set_primary), len(records), offset + 4)
+    body = b"".join([header, u32(section_table), *parts])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestPublishPathReference:
     """Row-walk consumers against record-based reference formulas."""
 
@@ -835,6 +975,16 @@ class TestPublishPathReference:
             assert diff == reference_diff(before, after)
             assert diff.is_empty == (membership_hash(before)
                                      == membership_hash(after))
+
+    @PROPERTY_SETTINGS
+    @given(list_pairs())
+    @example(TRICKY_PAIR)
+    def test_encoder_matches_reference(self, pair):
+        for rws_list in pair:
+            snapshot = SnapshotStore().publish(rws_list)
+            assert encode_list(rws_list) == reference_encode(rws_list)
+            assert encode_list(rws_list, snapshot=snapshot) \
+                == reference_encode(rws_list, snapshot)
 
     @PROPERTY_SETTINGS
     @given(list_pairs())

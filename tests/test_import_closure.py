@@ -85,6 +85,14 @@ class TestServingClosure:
         assert loaded_repro_modules("import repro.cli") == [
             "repro", "repro.cli"]
 
+    def test_seed_list_builder_leaves_the_list_history_unloaded(self):
+        # A server launcher builds the seed list; only
+        # build_rws_history needs the history module.
+        loaded = loaded_repro_modules(
+            "from repro.data import build_rws_list\nbuild_rws_list()\n")
+        assert "repro.data.builders" in loaded
+        assert "repro.rws.history" not in loaded
+
 
 @pytest.fixture(params=FACADES)
 def facade(request):
