@@ -37,6 +37,18 @@ map.
 
 __version__ = "1.4.0"
 
+# Every SHA-256 in the package: the interpreter's builtin, so that no
+# serving process maps OpenSSL's libcrypto, which ``hashlib`` loads
+# only to compute it.  Same algorithm, so every hash and digest is
+# unchanged.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:  # an interpreter built without the builtin
+        from hashlib import sha256
+
 
 def lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
     """A package façade's PEP 562 ``__getattr__``, ``__dir__`` and ``__all__``.

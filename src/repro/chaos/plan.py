@@ -26,10 +26,11 @@ and the scenario's lag stagger; :func:`chaos_plan` materialises one.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+from repro import sha256
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def fault_roll(seed: int, kind: str, replica_id: int, hop: int) -> float:
     in — the property a stateful ``random.Random`` cannot give once
     shards replay different slices of the clock.
     """
-    digest = hashlib.sha256(
+    digest = sha256(
         f"{seed}|{kind}|{replica_id}|{hop}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 

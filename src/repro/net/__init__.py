@@ -9,13 +9,14 @@ documents on a socket:
   UTF-8 JSON payload) with an incremental, split-agnostic decoder and
   a hard frame-size ceiling shared with the codec's
   :data:`~repro.api.codec.MAX_WIRE_BYTES`;
-* :mod:`repro.net.server` — the asyncio :class:`RwsTcpServer`:
-  hello-based version negotiation, then every request decoded,
-  dispatched, encoded and written inline on the event loop, one
-  protocol callback per socket read, in arrival order — so pipelined responses come back in request order and a
-  publish never overlaps a read, by construction — with a per-read
-  window and ``RATE_LIMITED`` pushback, idle timeouts, and a
-  connection cap; plus :class:`ServerThread` for synchronous callers;
+* :mod:`repro.net.server` — the :class:`RwsTcpServer` on one
+  :mod:`selectors` loop: hello-based version negotiation, then every
+  request decoded, dispatched, encoded and written inline on the
+  loop, one socket read at a time, in arrival order — so pipelined
+  responses come back in request order and a publish never overlaps a
+  read, by construction — with a per-read window and ``RATE_LIMITED``
+  pushback, idle timeouts, and a connection cap; plus
+  :class:`ServerThread` for synchronous callers;
 * :mod:`repro.net.client` — :class:`TcpApiClient` (sync, pooled,
   dispatcher-compatible ``dispatch()``, retry-with-backoff on
   idempotent reads, and ``pipeline()`` bursts for tests and

@@ -1,4 +1,4 @@
-"""The asyncio TCP server: the API wire codec on a real socket.
+"""The TCP server: the API wire codec on a real socket.
 
 :class:`RwsTcpServer` frames :mod:`repro.api.codec` JSON documents
 over length-prefixed TCP (:mod:`repro.net.frame`) and routes them
@@ -7,11 +7,14 @@ backend (an :class:`~repro.serve.service.RwsService` or a
 :class:`~repro.cluster.Router`, duck-typed exactly as the dispatcher
 takes them) is unchanged behind the socket.
 
-Every request is served inline on the event loop.  Each connection is
-an :class:`asyncio.Protocol` whose ``data_received`` callback decodes,
-dispatches, encodes and writes the complete frames of one socket read,
-in arrival order, before the loop reads that connection again; a
-request costs that one callback and creates no Task or timer.
+Every request is served inline on one :mod:`selectors` loop over
+non-blocking sockets.  When a connection is readable the loop reads
+up to :data:`READ_BYTES` from it, then decodes, dispatches and
+encodes the complete frames of that read, in arrival order, into the
+connection's outbox, which one ``send()`` writes before the loop
+selects again; a request costs that one read and creates no thread,
+task or timer.  The loop needs neither :mod:`asyncio` nor OpenSSL, so
+a server process maps neither (``tests/test_import_closure.py``).
 Dispatch is pure Python under the GIL, so threads would buy no
 parallelism; serial dispatch instead gives the two wire guarantees by
 construction.
@@ -26,17 +29,24 @@ construction.
 * **backpressure** — the frames one read completes are in flight
   together; past ``window`` of them, the rest are answered at once,
   in order, with ``RATE_LIMITED`` pushback instead of being served.
-  While a connection's unsent answers are over the transport's
-  high-water mark the server stops reading it, so the kernel's TCP
-  window holds back a peer that does not read its answers.
+  What the socket does not take waits in the outbox for
+  ``EVENT_WRITE``; while more than :data:`HIGH_WATER` bytes wait, the
+  server stops reading the connection (until at most
+  :data:`LOW_WATER` remain), so the kernel's TCP window holds back a
+  peer that does not read its answers.
 * **publish ordering** — a ``publish`` runs alone on the loop, so it
   never overlaps a read, and any request answered after it (on any
   connection) sees the published epoch.  ``drain_waits`` stays in
   :meth:`~RwsTcpServer.net_snapshot` and always reads 0.
-* **idle timeout / connection cap** — connections with no partial
-  frame buffered close after ``idle_timeout`` quiet seconds, timed by
-  one timer per connection that re-arms itself from the last read;
-  connects past ``max_connections`` are refused at hello.
+* **idle timeout / connection cap** — each connection has one idle
+  deadline, ``idle_timeout`` after its last read, and the loop waits
+  in ``select`` no longer than the earliest one.  At its deadline a
+  connection with no partial frame buffered and reading not paused
+  closes; any other gets another full period.  Connects past
+  ``max_connections`` are refused at hello.
+
+A framing error is answered, after the frames that completed ahead
+of it, and the connection closes once its outbox is flushed.
 
 ``net.*`` observability: :meth:`RwsTcpServer.write_metrics` writes
 the wire's counters, gauges and request-latency histogram into a
@@ -47,15 +57,16 @@ the wire's counters, gauges and request-latency histogram into a
 order, so net traces are deterministic for serial single-connection
 traffic; concurrent arrival order is the scheduler's).
 
-:class:`ServerThread` runs a server on a private event loop in a
-daemon thread for synchronous callers (the CLI, the workload driver's
-TCP transport, tests).
+:class:`ServerThread` runs a server's loop in a daemon thread for
+synchronous callers (the CLI, the workload driver's TCP transport,
+tests).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import selectors
+import socket
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -96,6 +107,18 @@ DEFAULT_IDLE_TIMEOUT = 30.0
 #: Default concurrent-connection cap.
 DEFAULT_MAX_CONNECTIONS = 64
 
+#: Bytes one read takes from a socket: the frames it completes are the
+#: ones the ``window`` counts.
+READ_BYTES = 256 * 1024
+
+#: Unsent bytes above which a connection is no longer read, and at or
+#: below which reading resumes.
+HIGH_WATER = 64 * 1024
+LOW_WATER = 16 * 1024
+
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
+
 
 def hello_message(api_version: int = API_VERSION) -> str:
     """The client's opening hello document."""
@@ -113,7 +136,10 @@ def _hello_refusal(error: ApiError) -> str:
 
 
 class RwsTcpServer:
-    """An asyncio TCP front-end over a dispatcher (or bare backend).
+    """A TCP front-end over a dispatcher (or bare backend).
+
+    :meth:`start` binds; :meth:`serve_forever` then answers
+    connections in the calling thread until :meth:`stop`.
 
     Args:
         backend: An :class:`RwsService` or :class:`Router` to wrap in
@@ -163,10 +189,15 @@ class RwsTcpServer:
             message=f"pipelining window ({window}) exceeded",
             detail={"window": str(window)},
         ))
-        self._server: asyncio.base_events.Server | None = None
+        self._selector: selectors.BaseSelector | None = None
+        self._listener: socket.socket | None = None
+        #: :meth:`stop` writes one byte here to wake the loop.
+        self._wake: socket.socket | None = None
+        self._stopping = False
+        #: Accepted connections, until closed; refused ones never join.
         self._connections: set[_Connection] = set()
         self._request_seq = 0
-        # Touched only on the event-loop thread.
+        # Touched only on the loop thread.
         self._counters: dict[str, int] = {
             "connections_opened": 0, "connections_closed": 0,
             "connections_rejected": 0, "frames_in": 0, "frames_out": 0,
@@ -182,30 +213,100 @@ class RwsTcpServer:
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind and begin accepting; returns the bound (host, port)."""
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self.host, self.port)
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+    def start(self) -> tuple[str, int]:
+        """Bind and listen; returns the bound (host, port)."""
+        family, _, _, _, address = socket.getaddrinfo(
+            self.host or None, self.port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        listener = socket.create_server(address, family=family,
+                                        backlog=100)
+        listener.setblocking(False)
+        woken, self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, _READ, self._accept)
+        # The loop only needs to wake; it then sees ``_stopping``.
+        self._selector.register(woken, _READ, lambda _mask: None)
+        self._listener = listener
+        self.host, self.port = listener.getsockname()[:2]
         return self.host, self.port
 
-    async def stop(self) -> None:
-        """Stop accepting and close live connections."""
-        if self._server is not None:
-            self._server.close()
+    def serve_forever(self) -> None:
+        """Answer connections in this thread until :meth:`stop`, then
+        close the listener and every connection."""
+        select = self._selector.select
+        try:
+            while not self._stopping:
+                for key, mask in select(self._expire_idle()):
+                    key.data(mask)
+        finally:
             for connection in list(self._connections):
-                connection.transport.close()
-            await self._server.wait_closed()
-            self._server = None
+                connection.drop()
+            # The listener, the wake-up socket and refused connections.
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake.close()
+
+    def stop(self) -> None:
+        """Make :meth:`serve_forever` return; callable from any thread."""
+        self._stopping = True
+        try:
+            self._wake.send(b"\0")
+        except OSError:  # the loop has already closed it
+            pass
 
     @property
     def address(self) -> tuple[str, int]:
         """The bound (host, port) — meaningful after :meth:`start`."""
         return self.host, self.port
 
+    def _accept(self, _mask: int) -> None:
+        try:
+            sock, _peer = self._listener.accept()
+        except OSError:  # the peer gave up already
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = _Connection(self, sock)
+        if len(self._connections) >= self.max_connections:
+            self._counters["connections_rejected"] += 1
+            self._send(connection, _hello_refusal(ApiError(
+                code=ErrorCode.RATE_LIMITED,
+                message=f"connection limit ({self.max_connections}) "
+                        f"reached")))
+            connection.close()  # flushes the refusal first
+            return
+        self._connections.add(connection)
+        self._counters["connections_opened"] += 1
+        self._gauges["connections_peak"] = max(
+            self._gauges["connections_peak"], float(len(self._connections)))
+
+    def _expire_idle(self) -> float | None:
+        """Close the connections quiet past their deadline; the seconds
+        until the next deadline (None while no connection is open).
+
+        A connection holding a partial frame, or not reading because
+        its answers are backed up, is not idle: it gets another full
+        period.
+        """
+        if not self._connections:
+            return None
+        now = time.monotonic()
+        earliest = None
+        for connection in list(self._connections):
+            if connection.deadline <= now:
+                if connection.decoder.idle and connection.reading:
+                    self._counters["idle_timeouts"] += 1
+                    connection.close()
+                    continue
+                connection.deadline = now + self.idle_timeout
+            if earliest is None or connection.deadline < earliest:
+                earliest = connection.deadline
+        return None if earliest is None else earliest - now
+
     # -- request handling -----------------------------------------------------
 
-    def _hello(self, transport: asyncio.Transport,
+    def _hello(self, connection: _Connection,
                payload: bytes) -> int | None:
         """Answer the hello; the negotiated version, or None to close."""
         try:
@@ -216,12 +317,12 @@ class RwsTcpServer:
             version = negotiate_version(document.get("api_version"))
         except ValueError as exc:  # bad JSON or UTF-8, or a WireError
             self._counters["malformed"] += 1
-            self._send(transport, _hello_refusal(
+            self._send(connection, _hello_refusal(
                 exc.error if isinstance(exc, WireError)
                 else ApiError(code=ErrorCode.MALFORMED,
                               message=f"invalid hello JSON: {exc}")))
             return None
-        self._send(transport, json.dumps({
+        self._send(connection, json.dumps({
             "kind": "hello", "ok": True, "api_version": version,
             "max_frame_bytes": self.max_frame_bytes,
             "window": self.window, "server": SERVER_NAME,
@@ -273,9 +374,9 @@ class RwsTcpServer:
             self._counters["publishes"] += 1
         return self.dispatcher.dispatch(request)
 
-    def _send(self, transport: asyncio.Transport, text: str,
+    def _send(self, connection: _Connection, text: str,
               version: int = API_VERSION) -> None:
-        """Write one frame; a response over the frame limit is answered
+        """Queue one frame; a response over the frame limit is answered
         with the ``MALFORMED`` error its :class:`FrameError` carries."""
         try:
             frame = encode_frame(text, self.max_frame_bytes)
@@ -283,7 +384,7 @@ class RwsTcpServer:
             frame = encode_frame(encode_response(
                 ErrorResponse(error=exc.error), version=version),
                 self.max_frame_bytes)
-        transport.write(frame)
+        connection.outbox += frame
         self._counters["frames_out"] += 1
 
     # -- observability --------------------------------------------------------
@@ -316,53 +417,57 @@ class RwsTcpServer:
         }
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection, answered one socket read per callback.
+class _Connection:
+    """One client connection on the server's selector.
 
-    :meth:`data_received` writes the answers to every frame a read
-    completed before it returns, so the loop reads the connection
-    again only after all of them are written.  Reading pauses while
-    the transport's write buffer is over its high-water mark
-    (:meth:`pause_writing`), and one timer per connection enforces the
-    idle timeout, re-arming itself from the time of the last read.
+    A read answers every frame it completed into :attr:`outbox` before
+    the outbox is flushed, so the loop reads the connection again only
+    after all of them are queued.  The connection selects
+    ``EVENT_WRITE`` only while the outbox holds bytes the socket did
+    not take, and ``EVENT_READ`` unless its outbox is backed up past
+    :data:`HIGH_WATER` or it is closing.
     """
 
-    def __init__(self, server: RwsTcpServer):
+    def __init__(self, server: RwsTcpServer, sock: socket.socket):
         self.server = server
-        self.transport: asyncio.Transport | None = None
+        self.sock = sock
         self.decoder = FrameDecoder(server.max_frame_bytes)
+        self.outbox = bytearray()
         self.version: int | None = None  # set by the hello frame
         self.first = True
-        self.loop = asyncio.get_running_loop()
-        self.last_read = 0.0
-        #: Armed only for accepted connections, never for refused ones.
-        self.idle_timer: asyncio.TimerHandle | None = None
+        self.reading = True
+        self.closing = False
+        self.deadline = time.monotonic() + server.idle_timeout
+        self.events = _READ
+        server._selector.register(sock, _READ, self.on_event)
 
-    def connection_made(self, transport: asyncio.Transport) -> None:
-        self.transport = transport
-        server = self.server
-        if len(server._connections) >= server.max_connections:
-            server._counters["connections_rejected"] += 1
-            server._send(transport, _hello_refusal(ApiError(
-                code=ErrorCode.RATE_LIMITED,
-                message=f"connection limit ({server.max_connections}) "
-                        f"reached")))
-            transport.close()  # flushes the refusal first
-            return
-        server._connections.add(self)
-        server._counters["connections_opened"] += 1
-        server._gauges["connections_peak"] = max(
-            server._gauges["connections_peak"],
-            float(len(server._connections)))
-        self.last_read = self.loop.time()
-        self.idle_timer = self.loop.call_later(server.idle_timeout,
-                                               self._idle_check)
+    def on_event(self, mask: int) -> None:
+        try:
+            if mask & _READ:
+                self._read()
+            else:
+                self._flush()
+        except Exception:  # one connection's fault must not stop the loop
+            import traceback
 
-    def data_received(self, data: bytes) -> None:
+            traceback.print_exc()
+            if self.sock.fileno() != -1:
+                self.drop()
+
+    def _read(self) -> None:
         """Answer the frames one socket read completed, in order."""
-        self.last_read = self.loop.time()
+        try:
+            data = self.sock.recv(READ_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            self.drop()
+            return
+        if not data:  # the peer closed its end
+            self.close()
+            return
         server = self.server
-        transport = self.transport
+        self.deadline = time.monotonic() + server.idle_timeout
         counters = server._counters
         framing_error = None
         try:
@@ -372,9 +477,9 @@ class _Connection(asyncio.Protocol):
         frames = self.decoder.frames()
         counters["frames_in"] += len(frames)
         if self.version is None and frames:
-            self.version = server._hello(transport, frames.pop(0))
+            self.version = server._hello(self, frames.pop(0))
             if self.version is None:
-                transport.close()
+                self.close()
                 return
         version = self.version
         if frames:
@@ -389,54 +494,67 @@ class _Connection(asyncio.Protocol):
                 counters["backpressure_stalls"] += 1
                 text = encode_response(server._pushback, version=version)
             counters["responses"] += 1
-            server._send(transport, text, version)
+            server._send(self, text, version)
         if framing_error is not None:
             # Framing is unrecoverable: frames that completed ahead of
             # the poison pill were answered above; answer the error
             # once, after them, and close.
             counters["malformed"] += 1
-            server._send(transport, encode_response(
+            server._send(self, encode_response(
                 ErrorResponse(error=framing_error.error),
                 version=API_VERSION))
-            transport.close()
+            self.close()
+            return
+        self._flush()
 
-    def pause_writing(self) -> None:
-        self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self.transport.resume_reading()
-        self.last_read = self.loop.time()  # the quiet period restarts
-
-    def connection_lost(self, exc: Exception | None) -> None:
-        if self.idle_timer is not None:
-            self.idle_timer.cancel()
-            self.server._connections.discard(self)
-            self.server._counters["connections_closed"] += 1
-
-    def _idle_check(self) -> None:
-        """Close the connection once ``idle_timeout`` passes quietly.
-
-        A connection holding a partial frame, or not reading because
-        its answers are backed up, is not idle: it gets another full
-        period.
-        """
-        timeout = self.server.idle_timeout
-        remaining = self.last_read + timeout - self.loop.time()
-        if remaining <= 0:
-            if self.decoder.idle and self.transport.is_reading():
-                self.server._counters["idle_timeouts"] += 1
-                self.transport.close()
+    def _flush(self) -> None:
+        """Send what the socket takes; select for the rest."""
+        outbox = self.outbox
+        if outbox:
+            try:
+                del outbox[:self.sock.send(outbox)]
+            except BlockingIOError:
+                pass
+            except OSError:  # the peer is gone
+                self.drop()
                 return
-            remaining = timeout
-        self.idle_timer = self.loop.call_later(remaining, self._idle_check)
+        if self.closing:
+            if not outbox:
+                self.drop()
+                return
+        elif self.reading:
+            self.reading = len(outbox) <= HIGH_WATER
+        elif len(outbox) <= LOW_WATER:
+            self.reading = True
+            # The quiet period restarts.
+            self.deadline = time.monotonic() + self.server.idle_timeout
+        events = (_READ if self.reading else 0) | (_WRITE if outbox else 0)
+        if events != self.events:
+            self.events = events
+            self.server._selector.modify(self.sock, events, self.on_event)
+
+    def close(self) -> None:
+        """Stop reading; close once the outbox is flushed."""
+        self.closing = True
+        self.reading = False
+        self._flush()
+
+    def drop(self) -> None:
+        """Close now, unsent bytes and all."""
+        server = self.server
+        server._selector.unregister(self.sock)
+        self.sock.close()
+        if self in server._connections:
+            server._connections.remove(self)
+            server._counters["connections_closed"] += 1
 
 
 class ServerThread:
-    """A server on a private event loop in a daemon thread.
+    """A server's loop in a daemon thread.
 
     The synchronous-world adapter: the CLI's ``serve --tcp``, the
-    workload driver's TCP transport, and the tests all run the asyncio
-    server through this.
+    workload driver's TCP transport, and the tests all run the server
+    through this.
 
     Usage::
 
@@ -448,32 +566,23 @@ class ServerThread:
 
     def __init__(self, server: RwsTcpServer):
         self.server = server
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True,
+        self._thread = threading.Thread(target=server.serve_forever,
+                                        daemon=True,
                                         name="repro-net-server")
-        self._started = threading.Event()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
 
     def start(self) -> tuple[str, int]:
-        """Start the loop and the server; returns the bound address."""
+        """Bind the server and start its loop; returns the bound
+        address."""
+        address = self.server.start()
         self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self.server.start(),
-                                                  self._loop)
-        address = future.result(timeout=10)
-        self._started.set()
         return address
 
     def stop(self) -> None:
-        """Stop the server, the loop, and join the thread."""
-        if self._started.is_set():
-            asyncio.run_coroutine_threadsafe(
-                self.server.stop(), self._loop).result(timeout=10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
+        """Stop the loop, which closes every socket, and join the
+        thread."""
+        if self._thread.is_alive():
+            self.server.stop()
+            self._thread.join(timeout=10)
 
     def __enter__(self) -> "ServerThread":
         self.start()

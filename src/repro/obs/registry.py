@@ -40,14 +40,16 @@ never enter the digest.
 
 Like every mergeable structure here, the registry travels between
 process shards via :meth:`to_portable`/:meth:`from_portable`.  This
-module imports nothing from ``repro``, so any layer may import it.
+module imports nothing from ``repro`` but the root package's
+``sha256``, so any layer may import it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Mapping
+
+from repro import sha256
 
 #: Histogram shape: bucket ``i`` holds latencies whose nanosecond value
 #: has bit_length ``i`` (i.e. the range ``[2**(i-1), 2**i)``), clamped
@@ -300,7 +302,7 @@ class MetricsRegistry:
             f"{name}={value}"
             for name, value in sorted(self.deterministic_counters().items())
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
 
 class MetricsSource:

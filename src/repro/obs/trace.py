@@ -33,10 +33,11 @@ budget in ``benchmarks/test_bench_obs.py``).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
+
+from repro import sha256
 
 
 def span_id(seed: int, request_index: int, seq: int, name: str) -> str:
@@ -47,7 +48,7 @@ def span_id(seed: int, request_index: int, seq: int, name: str) -> str:
     the same logical span, no matter the shard layout.
     """
     payload = f"{seed}|{request_index}|{seq}|{name}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(slots=True)
@@ -310,7 +311,7 @@ class Tracer:
 
     def _record(self, ctx: _RequestContext, span: Span) -> None:
         digest = int.from_bytes(
-            hashlib.sha256(span.digest_payload(self.seed)).digest(), "big")
+            sha256(span.digest_payload(self.seed)).digest(), "big")
         ctx.digest ^= digest
         ctx.spans.append(span)
 

@@ -24,12 +24,12 @@ carries them best-effort (via :class:`MemberRecord`) for changed ones.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
+from repro import sha256
 from repro.rws.diff import (
     ListDiff,
     MembershipKey,
@@ -63,16 +63,20 @@ def membership_hash(rws_list: RwsList) -> str:
     consults, and changing only them neither mints a new version nor
     invalidates client copies.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     update = digest.update
     # Keys sort by primary first, so hashing one primary's sets at a
     # time keeps the canonical order while holding only that primary's
     # keys: a list-wide key set raised the peak RSS of a 100k-domain
-    # publish.
+    # publish.  One joined update per primary hashes the same bytes as
+    # one update per fact in a twentieth of the calls (synthetic lists),
+    # which offsets the builtin SHA-256's slower compression.
     by_primary = sorted(rws_list.sets, key=_primary)
     for _, group in groupby(by_primary, key=_primary):
-        for primary, role, site in sorted(set(membership_keys(group))):
-            update(f"{primary}\x1f{role}\x1f{site}\x1e".encode("utf-8"))
+        update("".join([
+            f"{primary}\x1f{role}\x1f{site}\x1e"
+            for primary, role, site in sorted(set(membership_keys(group)))
+        ]).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -20,10 +20,10 @@ here explicitly:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 
+from repro import sha256
 from repro.data.sites import BrandingLevel, SiteSpec
 
 # Superset of content tags; each site samples its own small pool, so
@@ -65,7 +65,7 @@ _MEMBER_STREAM_NOISE = 0.08
 
 def _seed_for(domain: str) -> int:
     """A stable per-domain seed (independent of PYTHONHASHSEED)."""
-    digest = hashlib.sha256(domain.encode("ascii")).digest()
+    digest = sha256(domain.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -76,7 +76,7 @@ def _class_vocabulary(domain: str, size: int) -> list[str]:
     no classes at all, which drives style similarity to ~0 for
     unrelated pairs.
     """
-    tag = hashlib.sha256(domain.encode("ascii")).hexdigest()[:6]
+    tag = sha256(domain.encode("ascii")).hexdigest()[:6]
     stems = ("wrap", "row", "col", "card", "item", "box", "head", "body",
              "foot", "list", "link", "text", "media", "meta", "cta", "grid")
     vocabulary = []

@@ -514,7 +514,7 @@ def _shard_tcp_front(state: _ShardState):
     """
     # Imported lazily: repro.net imports repro.api, which this module
     # already feeds; keeping the import local also spares inproc runs
-    # the asyncio machinery entirely.
+    # the server and client modules entirely.
     from repro.net.client import TcpApiClient
     from repro.net.server import RwsTcpServer, ServerThread
 

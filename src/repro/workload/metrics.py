@@ -13,8 +13,7 @@ only for callers that still import it by this path.
 
 from __future__ import annotations
 
-import hashlib
-
+from repro import sha256
 from repro.obs.registry import LatencyHistogram
 
 __all__ = ["LatencyHistogram", "combine_digests", "digest_hex",
@@ -24,7 +23,7 @@ __all__ = ["LatencyHistogram", "combine_digests", "digest_hex",
 def user_digest(user_id: int, outcomes: list[str]) -> int:
     """One user's outcome stream folded to a 256-bit integer."""
     payload = f"{user_id}|" + "\x1f".join(outcomes)
-    return int.from_bytes(hashlib.sha256(payload.encode("utf-8")).digest(),
+    return int.from_bytes(sha256(payload.encode("utf-8")).digest(),
                           "big")
 
 

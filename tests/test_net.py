@@ -9,7 +9,6 @@ real sockets), the serial event-loop dispatch model, and
 transport-equivalence of workload digests.
 """
 
-import asyncio
 import json
 import socket
 import threading
@@ -21,6 +20,7 @@ from repro.api import (
     API_VERSION,
     BatchQueryRequest,
     BatchQueryResponse,
+    Dispatcher,
     ErrorCode,
     ErrorResponse,
     PublishRequest,
@@ -372,6 +372,36 @@ class TestMalformedTraffic:
             assert counters["responses"] == counters["requests"] == 4
 
 
+    def test_a_fault_serving_one_connection_spares_the_others(
+            self, service, capsys):
+        """An answer the server fails to encode closes that connection
+        and prints the traceback; the loop serves the next one."""
+
+        class Unencodable:
+            def __init__(self, dispatcher):
+                self.service = dispatcher.service
+                self.inner = dispatcher
+
+            def dispatch(self, request):
+                if type(request) is StatsRequest:
+                    return object()  # no response envelope
+                return self.inner.dispatch(request)
+
+        with ServerThread(RwsTcpServer(
+                dispatcher=Unencodable(Dispatcher(service)))) as harness:
+            host, port = harness.server.address
+            with TcpApiClient(host, port, retries=0) as client:
+                with pytest.raises(NetClientError):
+                    client.dispatch(StatsRequest())
+            with TcpApiClient(host, port, retries=0) as client:
+                assert client.dispatch(QueryRequest(
+                    host_a="alpha-news.com", host_b="alpha.com")
+                ).verdict.related
+            counters = harness.server.net_snapshot()["counters"]
+        assert counters["connections_opened"] == 2
+        assert "AttributeError" in capsys.readouterr().err
+
+
 class TestRetry:
     def _kill_pooled_socket(self, client: TcpApiClient) -> None:
         """Sabotage the pooled connection so the next send/read fails."""
@@ -631,33 +661,29 @@ class TestSerialDispatch:
         assert after.verdict.related is True
         assert owned == ["repro-net-server"]
 
-    def test_serial_requests_create_no_tasks(self, service):
-        """A request costs the server no asyncio Task: after the
-        connection's first request, 100 more serial round trips on it
-        create none (counted by a task factory on the server's loop)."""
-        created: list[str] = []
-
-        def counting_factory(loop, coro, **kwargs):
-            created.append(getattr(coro, "__qualname__", repr(coro)))
-            return asyncio.Task(coro, loop=loop, **kwargs)
-
-        def on_loop(loop, call, *args):
-            done = threading.Event()
-            loop.call_soon_threadsafe(lambda: (call(*args), done.set()))
-            assert done.wait(5)
-
+    def test_serial_requests_leave_three_sockets_selected(self, service):
+        """A request costs the server no socket of its own: after 100
+        serial round trips on one connection, the server's selector
+        holds exactly the listener, the wake-up socket and that
+        connection, and stopping the server closes every one."""
         with ServerThread(RwsTcpServer(service)) as harness:
-            loop = harness._loop
-            host, port = harness.server.address
+            server = harness.server
+            host, port = server.address
             with TcpApiClient(host, port) as client:
-                client.dispatch(StatsRequest())
-                on_loop(loop, loop.set_task_factory, counting_factory)
                 responses = [client.dispatch(QueryRequest(
                     host_a="alpha-news.com", host_b="alpha.com"))
                     for _ in range(100)]
-                on_loop(loop, loop.set_task_factory, None)
+                selected = [key.fileobj for key
+                            in server._selector.get_map().values()]
+                (connection,) = server._connections
         assert all(r.verdict.related for r in responses)
-        assert created == []
+        assert len(selected) == 3
+        woken = [sock for sock in selected
+                 if sock not in (server._listener, connection.sock)]
+        assert len(woken) == 1
+        assert woken[0].family == socket.AF_UNIX  # the socketpair's end
+        assert [sock.fileno() for sock in selected + [server._wake]] \
+            == [-1] * 4
 
     def test_bursts_within_window_are_never_pushed_back(self, service):
         """The compliant side of the window: bursts of ``window``
