@@ -16,9 +16,9 @@ are pinned:
   is bit-identical to the serial single-service run, and a router
   under either policy answers a fixed pair workload exactly as one
   service does (rendezvous splitting included).
-* **propagation cost** — the per-publish replica catch-up (delta
-  apply + index recompile per replica) stays a bounded one-off,
-  benchmarked so the trajectory file tracks it.
+* **propagation cost** — the per-publish replica catch-up (a version
+  check, then the primary's stored snapshot served per replica) stays
+  a bounded one-off, benchmarked so the trajectory file tracks it.
 
 The measurement functions are plain callables (no fixtures) so the
 ``python -m benchmarks.run`` trajectory harness can reuse them.
@@ -185,7 +185,7 @@ def test_bench_router_batch_reads(benchmark):
 
 
 def test_bench_replica_catch_up(benchmark):
-    """One publish propagated: delta broadcast + squashed catch-up."""
+    """One publish propagated: hop broadcast + lagged catch-up."""
     lists = (build_rws_list(), _seed_v2())
 
     def propagate() -> int:

@@ -15,7 +15,7 @@ not at all, and rollouts are staged and sometimes rolled back.
   ``canary-rollback``).
 * :mod:`repro.chaos.router` — :class:`ChaosRouter`: a
   :class:`~repro.cluster.router.Router` that executes a plan —
-  membership churn with delta-or-snapshot bootstraps, deterministic
+  membership churn with hop-or-snapshot bootstraps, deterministic
   primary failover, lossy broadcast delivery with gap-triggered
   resyncs, and canary publishes gated by a seeded verdict-divergence
   probe.

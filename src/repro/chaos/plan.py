@@ -44,8 +44,8 @@ class FaultPlan:
         leaves: ``(replica_id, leave_clock, rejoin_clock)`` triples —
             the replica drops out of routing (losing any in-flight
             broadcasts) at ``leave_clock`` and rejoins at
-            ``rejoin_clock`` (-1: never), bootstrapping via a squashed
-            delta chain or a full snapshot.
+            ``rejoin_clock`` (-1: never), bootstrapping with one hop
+            from the version it serves, or a full snapshot.
         joins: ``(replica_id, join_clock, lag)`` triples — a brand-new
             replica joins mid-workload with the given propagation lag,
             bootstrapping from the acting primary's snapshot.

@@ -7,12 +7,13 @@ every fault fires at a planned logical-clock tick or by a stateless
 hash of (seed, replica, hop), never by wall time or arrival order:
 
 * **membership churn** — replicas leave (losing in-flight broadcasts)
-  and rejoin, new replicas join mid-workload; joiners bootstrap via a
-  squashed delta chain from the store when their base version allows
-  it, or a full authoritative snapshot otherwise.  Routing reroutes
-  atomically because every read takes one consistent view of the
-  joined set (:meth:`_read_replicas`); under the ``rendezvous`` policy
-  it stays a function of query content and current membership alone.
+  and rejoin, new replicas join mid-workload; a joiner that serves
+  some version catches up with one hop from it to the serving
+  version, and one that serves none adopts the full authoritative
+  snapshot.  Routing reroutes atomically because every read takes one
+  consistent view of the joined set (:meth:`_read_replicas`); under
+  the ``rendezvous`` policy it stays a function of query content and
+  current membership alone.
 * **primary failover** — at the planned tick a deterministic election
   (max served version, ties to the lowest replica id) promotes a
   replica to the write role: publishes mint versions in the shared
@@ -51,12 +52,7 @@ from repro.rws.model import RwsList
 from repro.serve.epoch import Epoch
 from repro.serve.index import MembershipIndex
 from repro.serve.service import RwsService
-from repro.serve.snapshot import (
-    ListSnapshot,
-    SnapshotDelta,
-    StaleSnapshotError,
-    squash_deltas,
-)
+from repro.serve.snapshot import ListSnapshot
 
 from repro.chaos.plan import FaultPlan, fault_roll
 
@@ -290,10 +286,10 @@ class ChaosRouter(Router):
         """Bring a joiner up to the serving version.
 
         A rejoiner (or a joiner booted from a stale primary epoch)
-        catches up via the store's per-hop deltas squashed into one
-        patch; when the chain cannot be built, it adopts the full
-        authoritative snapshot.  Either way it starts clean — no
-        stale pending hops.
+        catches up with one hop from the version it serves to the
+        stored serving version; a joiner that serves no version yet
+        adopts the full authoritative snapshot.  Either way it starts
+        clean — no stale pending hops.
         """
         replica.drop_pending()
         target = self._serving_snapshot()
@@ -306,18 +302,12 @@ class ChaosRouter(Router):
                 self._counters["bootstrap_snapshots"] += 1
             return
         if replica.version > 0:
-            try:
-                store = self.primary.store
-                chain = [store.delta(version, version + 1)
-                         for version in range(replica.version,
-                                              target.version)]
-                replica.receive(squash_deltas(chain),
-                                published_clock=self._clock - replica.lag)
-                replica.sync()
-                self._counters["bootstrap_deltas"] += 1
-                return
-            except StaleSnapshotError:
-                pass  # hole in the chain: full snapshot below
+            replica.receive(self.primary.store.get(target.version),
+                            base_version=replica.version,
+                            published_clock=self._clock - replica.lag)
+            replica.sync()
+            self._counters["bootstrap_deltas"] += 1
+            return
         replica.adopt(target)
         self._counters["bootstrap_snapshots"] += 1
 
@@ -372,23 +362,19 @@ class ChaosRouter(Router):
             snapshot = self.primary.publish(rws_list)
             if snapshot.version == before:
                 return snapshot
-        update: SnapshotDelta | ListSnapshot
-        if before == 0:
-            update = snapshot
-        else:
-            update = self.primary.store.delta(before, snapshot.version)
+        base_version = before or None  # a first publish is adopted whole
         for replica in self._active:
             if replica is self._acting:
                 continue
-            self._deliver(replica, update, clock, snapshot.version)
+            self._deliver(replica, snapshot, base_version, clock)
         return snapshot
 
-    def _deliver(self, replica: Replica,
-                 update: SnapshotDelta | ListSnapshot, clock: int,
-                 hop: int) -> None:
-        """One broadcast delivery through the lossy transport model."""
+    def _deliver(self, replica: Replica, snapshot: ListSnapshot,
+                 base_version: int | None, clock: int) -> None:
+        """One broadcast hop through the lossy transport model."""
         plan = self.plan
         replica_id = replica.replica_id
+        hop = snapshot.version
         if plan.drop_rate and fault_roll(plan.seed, "drop",
                                          replica_id, hop) < plan.drop_rate:
             self._counters["drops"] += 1
@@ -407,12 +393,14 @@ class ChaosRouter(Router):
             if self._tracer.live:
                 self._tracer.emit("chaos.reorder", replica=replica_id,
                                   hop=hop, delay=delay)
-        replica.receive(update, published_clock=clock + delay)
+        replica.receive(snapshot, base_version=base_version,
+                        published_clock=clock + delay)
         if plan.duplicate_rate and fault_roll(
                 plan.seed, "duplicate", replica_id,
                 hop) < plan.duplicate_rate:
             self._counters["duplicates"] += 1
-            replica.receive(update, published_clock=clock + delay)
+            replica.receive(snapshot, base_version=base_version,
+                            published_clock=clock + delay)
             if self._tracer.live:
                 self._tracer.emit("chaos.duplicate", replica=replica_id,
                                   hop=hop)
@@ -448,13 +436,11 @@ class ChaosRouter(Router):
         # primary adopts it rather than republishing content the store
         # would deduplicate into a no-op.
         self._acting.adopt(candidate)
-        update: SnapshotDelta | ListSnapshot = store.delta(
-            serving.version, candidate.version)
         staged = set(id(replica) for replica in canaries)
         for replica in self._active:
             if id(replica) in staged or replica is self._acting:
                 continue
-            self._deliver(replica, update, clock, candidate.version)
+            self._deliver(replica, candidate, serving.version, clock)
         return candidate
 
     def _probe_divergence(self, serving: ListSnapshot,

@@ -1,4 +1,4 @@
-"""Replicated serving: epochs propagated by delta behind one front-end.
+"""Replicated serving: epochs propagated by version behind one front-end.
 
 The paper's deployment is not one server — it is millions of browser
 instances, each holding a versioned copy of the RWS list and
@@ -8,10 +8,10 @@ serving core:
 
 * :mod:`repro.cluster.replica` — :class:`Replica`: the lock-free
   :class:`~repro.serve.service.EpochShell` read surface over an epoch
-  that advances by applying the primary's
-  :class:`~repro.serve.snapshot.SnapshotDelta` broadcasts after a
-  configurable propagation lag, squashing accumulated hops into one
-  patch (:func:`~repro.serve.snapshot.squash_deltas`);
+  that advances to the primary's broadcast versions (each a stored
+  :class:`~repro.serve.snapshot.ListSnapshot` and the version it was
+  published over) after a configurable propagation lag, serving the
+  last of several accumulated hops in one step;
 * :mod:`repro.cluster.router` — :class:`Router`: the cluster
   front-end that spreads query/batch traffic across replicas
   (round-robin or rendezvous-hash routing) while pinning publishes

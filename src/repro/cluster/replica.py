@@ -1,25 +1,21 @@
-"""Read replicas: the primary's epochs, delivered by delta, with lag.
+"""Read replicas: the primary's epochs, adopted by version, with lag.
 
 A :class:`Replica` is the same lock-free
 :class:`~repro.serve.service.EpochShell` read surface as the primary
 :class:`~repro.serve.service.RwsService`, but its epoch advances by
 *catching up* instead of by local publishes: the
-:class:`~repro.cluster.router.Router` broadcasts one
-:class:`~repro.serve.snapshot.SnapshotDelta` per publish, each replica
-holds the broadcast until its configured propagation lag has elapsed
-on the cluster's logical clock, and a lagging replica that has
-accumulated several hops applies **one squashed delta**
-(:func:`~repro.serve.snapshot.squash_deltas`) rather than replaying
-the chain.  This is the paper's real deployment shape: millions of
-browser instances converge on a list update at different times, each
-patching and verifying its local copy.  Once the patched copy matches
-the delta's target hash, the replica serves the primary's own copy of
-that version, which every delta's source store holds: a new view over
-the primary's held buffer when the primary still serves it (no
-encode), else an encode of the primary's stored snapshot.  The patched
-copy itself is never served: the hash does not see set order, and the
-copy appends re-added sets at the end, so it would answer for a site
-listed in two sets from a different set than the primary does.
+:class:`~repro.cluster.router.Router` broadcasts one hop per publish
+(the primary's stored :class:`~repro.serve.snapshot.ListSnapshot` and
+the version it was published over), each replica holds the broadcast
+until its configured propagation lag has elapsed on the cluster's
+logical clock, and a lagging replica that has accumulated several hops
+checks that they chain from the version it serves and then serves the
+last one, skipping the versions in between.  This is the paper's real
+deployment shape: millions of browser instances converge on a list
+update at different times.  The replica serves the primary's own copy
+of the version, so it answers exactly as the primary does: a new view
+over the primary's held buffer when the primary still serves that
+version (no encode), else an encode of the stored snapshot.
 
 Lag is measured on a deterministic logical clock (the workload driver
 advances it with the global user index), never wall time, so staleness
@@ -30,7 +26,7 @@ Delivery is **not** assumed reliable or ordered: a lossy transport
 (modelled by :mod:`repro.chaos`) may drop, duplicate, or reorder the
 broadcast hops.  Catch-up therefore sorts due updates by target
 version, silently skips hops the replica has already applied
-(:attr:`Replica.duplicates_ignored`), and refuses to misapply across a
+(:attr:`Replica.duplicates_ignored`), and refuses to jump across a
 missing hop — a version gap raises the structured
 :class:`ReplicationGapError` naming exactly what the replica has and
 what it needs, so a supervisor can recover with a full-snapshot
@@ -45,17 +41,16 @@ import time
 from repro.obs.registry import MetricsRegistry
 from repro.serve.epoch import Epoch
 from repro.serve.service import EpochShell, RwsService
-from repro.serve.snapshot import (
-    ListSnapshot,
-    SnapshotDelta,
-    StaleSnapshotError,
-    apply_delta,
-    squash_deltas,
-)
+from repro.serve.snapshot import ListSnapshot, StaleSnapshotError
+
+#: One broadcast hop: the version the primary published it over (None
+#: for the first publish, which is adopted whole) and the stored
+#: snapshot it published.
+Hop = tuple[int | None, ListSnapshot]
 
 
 class ReplicationGapError(StaleSnapshotError):
-    """A delta chain skips over a hop this replica never received.
+    """A hop chain skips over a hop this replica never received.
 
     Applying it anyway would silently misrepresent list membership, so
     catch-up stops and reports the exact gap instead.  The chaos
@@ -65,31 +60,31 @@ class ReplicationGapError(StaleSnapshotError):
     Attributes:
         replica_id: The replica that detected the gap.
         have_version: The snapshot version the replica serves.
-        need_version: The base version the next pending delta expects.
+        need_version: The base version the next pending hop expects.
     """
 
     def __init__(self, replica_id: int, have_version: int,
                  need_version: int):
         super().__init__(
             f"replica {replica_id} serves v{have_version} but the next "
-            f"delta needs base v{need_version}: broadcast hop(s) lost")
+            f"hop needs base v{need_version}: broadcast hop(s) lost")
         self.replica_id = replica_id
         self.have_version = have_version
         self.need_version = need_version
 
 
 class Replica(EpochShell):
-    """One read replica converging on the primary's snapshots by delta.
+    """One read replica converging on the primary's snapshots.
 
     A freshly constructed replica boots from the primary's *current*
     epoch (the full-snapshot bootstrap every component-updater client
-    performs once), then follows per-publish deltas delivered through
+    performs once), then follows per-publish hops delivered through
     :meth:`receive`.
 
     Args:
         replica_id: Stable identity (rendezvous routing hashes it).
         primary: The service whose snapshots this replica follows.
-        lag: Propagation delay in logical-clock ticks: a delta
+        lag: Propagation delay in logical-clock ticks: a hop
             published at clock ``t`` becomes applicable at
             ``t + lag``.  0 means the replica converges inside the
             router's publish call.
@@ -106,11 +101,10 @@ class Replica(EpochShell):
         self._shell_init(primary.psl)
         self._trace_node = f"replica-{replica_id}"
         self._epoch = primary.epoch  # full-snapshot bootstrap
-        #: (due_clock, payload) queue; payloads are deltas, or a full
-        #: ListSnapshot when the hop has no delta base (first publish).
-        self._pending: list[tuple[int, SnapshotDelta | ListSnapshot]] = []
+        #: (due_clock, hop) queue.
+        self._pending: list[tuple[int, Hop]] = []
         self._clock = 0
-        #: Catch-up bookkeeping: how many squashed applications ran,
+        #: Catch-up bookkeeping: how many epoch swaps catch-up made,
         #: and how many broadcast hops they covered.
         self.catch_ups = 0
         self.deltas_applied = 0
@@ -143,19 +137,22 @@ class Replica(EpochShell):
 
     # -- propagation ----------------------------------------------------------
 
-    def receive(self, update: SnapshotDelta | ListSnapshot, *,
+    def receive(self, snapshot: ListSnapshot, *, base_version: int | None,
                 published_clock: int) -> None:
         """Accept one broadcast publish, applicable after this lag.
 
         Args:
-            update: The per-hop delta (or the full snapshot when the
-                replica's bootstrap epoch has no delta base).
+            snapshot: The version the primary published, as its store
+                holds it.
+            base_version: The version it was published over; None for
+                the first publish, which is adopted as a full snapshot.
             published_clock: The cluster clock when the primary
-                published; the update applies at
+                published; the hop applies at
                 ``published_clock + self.lag``.
         """
         with self._sync_lock:
-            self._pending.append((published_clock + self.lag, update))
+            self._pending.append((published_clock + self.lag,
+                                  (base_version, snapshot)))
 
     def has_due(self, clock: int) -> bool:
         """True when advancing to ``clock`` would apply an update.
@@ -168,26 +165,27 @@ class Replica(EpochShell):
     def advance(self, clock: int) -> bool:
         """Advance the logical clock, applying every due update.
 
-        Contiguous due delta hops are squashed into one application; a
-        due full-snapshot bootstrap adopts the snapshot directly.
-        Redelivered hops are skipped (:attr:`duplicates_ignored`).
+        A contiguous run of due hops is one application, which serves
+        the run's last version; a due first-publish hop adopts its
+        snapshot directly.  Redelivered hops are skipped
+        (:attr:`duplicates_ignored`).
 
         Returns:
             True when the replica's epoch changed.
 
         Raises:
-            ReplicationGapError: When a due delta's base version is
+            ReplicationGapError: When a due hop's base version is
                 ahead of this replica — a hop was lost in transit.
                 Updates due before the gap have been applied; recover
                 with :meth:`resync`.
         """
         with self._sync_lock:
             self._clock = max(self._clock, clock)
-            due = [update for when, update in self._pending
+            due = [hop for when, hop in self._pending
                    if when <= self._clock]
             if not due:
                 return False
-            self._pending = [(when, update) for when, update
+            self._pending = [(when, hop) for when, hop
                              in self._pending if when > self._clock]
             return self._apply_updates(due)
 
@@ -205,7 +203,7 @@ class Replica(EpochShell):
         with self._sync_lock:
             if not self._pending:
                 return False
-            due = [update for _, update in self._pending]
+            due = [hop for _, hop in self._pending]
             self._pending.clear()
             return self._apply_updates(due)
 
@@ -260,35 +258,32 @@ class Replica(EpochShell):
 
     # -- catch-up internals (caller holds _sync_lock) -------------------------
 
-    def _apply_updates(self,
-                       due: list[SnapshotDelta | ListSnapshot]) -> bool:
-        """Apply drained updates, tolerating loss artefacts.
+    def _apply_updates(self, due: list[Hop]) -> bool:
+        """Apply drained hops, tolerating loss artefacts.
 
-        Updates are ordered by target version (a lossy transport may
-        deliver hops out of order), already-applied hops are skipped,
-        and contiguous delta runs squash into one application.  Returns
-        True when the epoch changed.
+        Hops are ordered by target version (a lossy transport may
+        deliver them out of order), already-applied hops are skipped,
+        and each contiguous run is one application.  Returns True when
+        the epoch changed.
         """
-        ordered = sorted(due, key=lambda update: (
-            update.version if isinstance(update, ListSnapshot)
-            else update.to_version))
+        ordered = sorted(due, key=lambda hop: hop[1].version)
         before = self._epoch.version
-        chain: list[SnapshotDelta] = []
-        for update in ordered:
-            if isinstance(update, SnapshotDelta):
-                chain.append(update)
+        chain: list[Hop] = []
+        for base_version, snapshot in ordered:
+            if base_version is not None:
+                chain.append((base_version, snapshot))
                 continue
             self._apply_chain(chain)
             chain = []
-            if update.version <= self._epoch.version:
+            if snapshot.version <= self._epoch.version:
                 self.duplicates_ignored += 1
             else:
-                self._adopt(update)
+                self._adopt(snapshot)
         self._apply_chain(chain)
         return self._epoch.version != before
 
     def _adopt(self, snapshot: ListSnapshot) -> None:
-        """Adopt a full snapshot (the no-delta-base bootstrap hop).
+        """Adopt a full snapshot (a first-publish hop, say).
 
         Prefers the primary's binary-encoded epoch
         (:meth:`~repro.serve.service.RwsService.encoded_epoch`) — an
@@ -319,8 +314,8 @@ class Replica(EpochShell):
         self.catch_ups += 1
         self.deltas_applied += 1
 
-    def _apply_chain(self, chain: list[SnapshotDelta]) -> None:
-        """Apply a delta run as one squashed patch.
+    def _apply_chain(self, chain: list[Hop]) -> None:
+        """Serve the last version of a hop run.
 
         Hops whose target the replica already serves (duplicates, or
         stale redeliveries after a resync) are dropped; the surviving
@@ -330,35 +325,29 @@ class Replica(EpochShell):
         if not chain:
             return
         current = self._epoch.version
-        fresh: list[SnapshotDelta] = []
+        fresh: list[Hop] = []
         covered: set[int] = set()
-        for delta in chain:
-            if delta.to_version <= current or delta.to_version in covered:
+        for base_version, snapshot in chain:
+            if snapshot.version <= current or snapshot.version in covered:
                 self.duplicates_ignored += 1
                 continue
-            covered.add(delta.to_version)
-            fresh.append(delta)
+            covered.add(snapshot.version)
+            fresh.append((base_version, snapshot))
         if not fresh:
             return
         expected = current
-        for delta in fresh:
-            if delta.from_version != expected:
+        for base_version, snapshot in fresh:
+            if base_version != expected:
                 raise ReplicationGapError(self.replica_id, expected,
-                                          delta.from_version)
-            expected = delta.to_version
-        delta = squash_deltas(fresh)
-        epoch = self._epoch
-        epoch.require_version(delta.from_version)
-        # Verifies the hop: the patched copy must hash to both ends.
-        apply_delta(epoch.rws_list, delta)
-        # Every delta comes from the primary's store, which only
-        # appends, so it holds the target version.
-        snapshot = self.primary.store.get(delta.to_version)
+                                          base_version)
+            expected = snapshot.version
+        snapshot = fresh[-1][1]
+        psl = self._epoch.psl
         served = self.primary.epoch
         if served.snapshot is snapshot and served.buffer is not None:
-            self._epoch = Epoch.over(served.buffer, snapshot, epoch.psl)
+            self._epoch = Epoch.over(served.buffer, snapshot, psl)
         else:
-            self._epoch = Epoch.compile(snapshot, epoch.psl)
+            self._epoch = Epoch.compile(snapshot, psl)
         self.catch_ups += 1
         self.deltas_applied += len(fresh)
 

@@ -24,11 +24,13 @@ Two routing policies ship:
   behaviour).
 
 Propagation: :meth:`publish` publishes to the primary, broadcasts the
-per-hop delta to every replica stamped with the cluster's logical
-clock, and immediately applies whatever is due (a zero-lag cluster
-therefore converges inside the publish call).  :meth:`advance` moves
-the clock — the workload driver feeds it the global user index — and
-lagging replicas apply their accumulated hops as one squashed delta.
+hop (the stored snapshot and the version it was published over) to
+every replica stamped with the cluster's logical clock, and
+immediately applies whatever is due (a zero-lag cluster therefore
+converges inside the publish call).  :meth:`advance` moves the clock —
+the workload driver feeds it the global user index — and a lagging
+replica that holds several due hops serves the last one.  No broadcast
+carries a diff: deltas are for clients (:meth:`delta_since`).
 """
 
 from __future__ import annotations
@@ -165,11 +167,7 @@ class Router(MetricsSource):
         snapshot = self.primary.publish(rws_list)
         if snapshot.version == before:
             return snapshot
-        update: SnapshotDelta | ListSnapshot
-        if before == 0:
-            update = snapshot  # no delta base: broadcast the snapshot
-        else:
-            update = self.primary.store.delta(before, snapshot.version)
+        base_version = before or None  # a first publish is adopted whole
         # A publish stamped at `clock` means the cluster has reached
         # that instant: advance to it so zero-lag replicas converge
         # inside this call even when the stamp is ahead of the
@@ -178,7 +176,8 @@ class Router(MetricsSource):
         if clock > self._clock:
             self._clock = clock
         for replica in self._read_replicas():
-            replica.receive(update, published_clock=clock)
+            replica.receive(snapshot, base_version=base_version,
+                            published_clock=clock)
             replica.advance(self._clock)
         return snapshot
 

@@ -13,8 +13,9 @@ scans and synchronous validation; this package is the serving layer:
   always a view over a binary epoch buffer (built from a list by
   encoding it and loading the result);
 * :mod:`repro.serve.snapshot` — versioned, content-hashed list
-  snapshots with component-updater-style deltas
-  (:class:`SnapshotStore`, :func:`apply_delta`);
+  snapshots (:class:`SnapshotStore`), which the cluster's replicas
+  follow by version, and the component-updater-style deltas clients
+  patch their copies with (:func:`apply_delta`);
 * :mod:`repro.serve.queue` — :class:`ValidationQueue`, the
   submit → poll → report governance front-end over
   :class:`~repro.rws.validation.Validator` with a worker pool;
@@ -55,7 +56,6 @@ from repro.serve.snapshot import (
     StaleSnapshotError,
     apply_delta,
     membership_hash,
-    squash_deltas,
 )
 
 __all__ = [
@@ -80,5 +80,4 @@ __all__ = [
     "encode_epoch",
     "load_epoch",
     "membership_hash",
-    "squash_deltas",
 ]

@@ -21,16 +21,15 @@ This is the unit the whole serving stack moves:
 * :class:`~repro.serve.service.RwsService` holds the *current* epoch
   and swaps it atomically on publish (the thin stateful shell);
 * :class:`~repro.cluster.Replica` catches up to the primary's epochs
-  by loading the primary's buffer, or by verifying
-  :class:`~repro.serve.snapshot.SnapshotDelta` chains against its own
-  copy and then serving the primary's copy of the version;
+  by version: it loads the primary's buffer, takes a new view over the
+  buffer the primary serves, or encodes the primary's stored snapshot;
 * :class:`~repro.browser.engine.Browser` adopts an epoch the way
   Chrome consumes a component-updater payload
   (:meth:`~repro.browser.engine.Browser.adopt_epoch`).
 
 Version checks live here too: :meth:`Epoch.require_version` is how a
-reader (or a delta application) asserts it is looking at the base it
-thinks it is, raising :class:`StaleSnapshotError` otherwise.
+version-pinned reader asserts it is looking at the base it thinks it
+is, raising :class:`StaleSnapshotError` otherwise.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ class Epoch:
     def require_version(self, version: int) -> None:
         """Assert this epoch serves exactly ``version``.
 
-        The stale-base check a delta application (or any
-        version-pinned read) performs against the epoch it captured.
+        The stale-base check a version-pinned read performs against
+        the epoch it captured.
 
         Raises:
             StaleSnapshotError: When the epoch serves a different

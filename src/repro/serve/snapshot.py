@@ -15,6 +15,12 @@ re-downloading the whole list.  This module reproduces that contract:
   replays it on a client's copy, refusing to patch a stale or diverged
   base (:class:`StaleSnapshotError`) and verifying the result hash.
 
+Deltas are the client contract: the API's delta request and the
+workload's v1 client use them.  The cluster's replicas share the
+primary's store, so they follow it by version and serve its stored
+snapshots (:mod:`repro.cluster.replica`); no broadcast carries a
+delta.
+
 Rationales, contact fields, ccTLD variant-of attributions, and
 within-subset declaration order are not part of the membership
 identity (the browser never consults them), so deltas neither carry
@@ -27,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro import sha256
 from repro.rws.diff import (
     ListDiff,
-    MembershipKey,
     diff_lists,
     membership_key,
     membership_keys,
@@ -207,95 +212,6 @@ class SnapshotStore:
             if snapshot.version in dates:
                 history.add(dates[snapshot.version], snapshot.rws_list)
         return history
-
-
-def squash_deltas(deltas: Sequence[SnapshotDelta]) -> SnapshotDelta:
-    """Fold a contiguous delta chain into one equivalent delta.
-
-    A replica lagging N publishes behind receives N per-hop deltas from
-    the primary's broadcast; applying them one by one costs N list
-    rebuilds and N hash verifications.  Squashing composes the chain's
-    membership operations — adds cancelled by later removes, removes
-    cancelled by later re-adds, set additions cancelled by later
-    withdrawals — into a single delta whose application is
-    membership-equivalent to replaying the chain (the property test in
-    ``tests/test_cluster.py`` pins squashed ≡ chained ≡ direct).
-
-    Member *metadata* (rationales, contacts) rides deltas best-effort
-    and is not part of the membership identity, so a squashed delta may
-    preserve the base's metadata where a replayed chain would carry an
-    intermediate hop's — the hashes, and everything the browser
-    consults, are identical.
-
-    Args:
-        deltas: At least one delta; each hop's ``to_version``/``to_hash``
-            must match the next hop's base.
-
-    Raises:
-        ValueError: For an empty chain.
-        StaleSnapshotError: For a non-contiguous chain.
-    """
-    if not deltas:
-        raise ValueError("cannot squash an empty delta chain")
-    if len(deltas) == 1:
-        return deltas[0]
-    for previous, current in zip(deltas, deltas[1:]):
-        if (previous.to_version != current.from_version
-                or previous.to_hash != current.from_hash):
-            raise StaleSnapshotError(
-                f"delta chain is not contiguous: hop to v{previous.to_version} "
-                f"({previous.to_hash[:12]}…) does not feed hop from "
-                f"v{current.from_version} ({current.from_hash[:12]}…)"
-            )
-
-    added: dict[MembershipKey, MemberRecord] = {}
-    removed: dict[MembershipKey, MemberRecord] = {}
-    added_sets: set[str] = set()
-    removed_sets: set[str] = set()
-    for delta in deltas:
-        for record in delta.diff.removed_members:
-            key = membership_key(record)
-            if added.pop(key, None) is None:
-                removed[key] = record
-        for record in delta.diff.added_members:
-            key = membership_key(record)
-            if removed.pop(key, None) is None:
-                added[key] = record
-        for primary in delta.diff.removed_sets:
-            if primary in added_sets:
-                added_sets.discard(primary)
-            else:
-                removed_sets.add(primary)
-        for primary in delta.diff.added_sets:
-            if primary in removed_sets:
-                # Withdrawn and later re-added: from the base's point of
-                # view the set never left — net membership edits surface
-                # through changed_sets below.
-                removed_sets.discard(primary)
-            else:
-                added_sets.add(primary)
-
-    added_members = [added[key] for key in sorted(added)]
-    removed_members = [removed[key] for key in sorted(removed)]
-    changed = {
-        record.set_primary for record in added_members + removed_members
-        if record.set_primary not in added_sets
-        and record.set_primary not in removed_sets
-    }
-    first, last = deltas[0], deltas[-1]
-    return SnapshotDelta(
-        from_version=first.from_version,
-        to_version=last.to_version,
-        from_hash=first.from_hash,
-        to_hash=last.to_hash,
-        diff=ListDiff(
-            added_sets=sorted(added_sets),
-            removed_sets=sorted(removed_sets),
-            added_members=added_members,
-            removed_members=removed_members,
-            changed_sets=sorted(changed),
-        ),
-    )
 
 
 def _rebuild_set(records: list[MemberRecord],

@@ -133,7 +133,7 @@ class TestMembershipChurn:
         router.advance(10)
         assert [r.version for r in router._read_replicas()] == [2, 2]
         assert offline.version == 1
-        # Rejoin at 20: bootstrap via the store's squashed delta chain.
+        # Rejoin at 20: bootstrap with one hop to the stored version.
         router.advance(20)
         assert [r.replica_id for r in router._read_replicas()] == [0, 1, 2]
         assert offline.version == 2

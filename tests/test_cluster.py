@@ -28,7 +28,6 @@ from repro.serve import (
     StaleSnapshotError,
     apply_delta,
     membership_hash,
-    squash_deltas,
 )
 
 
@@ -115,7 +114,7 @@ class TestReplica:
         assert replica.version == 1
         assert replica.pending_updates == 2
         router.converge()
-        # Two broadcast hops, one squashed application.
+        # Two broadcast hops, one application.
         assert replica.version == 3
         assert replica.catch_ups == 1
         assert replica.deltas_applied == 2
@@ -182,6 +181,10 @@ class TestReplica:
 
 
 class TestSquashDeltas:
+    """A two-hop chain of client deltas folds into the store's one
+    direct delta: applying the hops in turn and applying
+    ``store.delta(start, last)`` reach the same membership."""
+
     @staticmethod
     def _store_with(*lists) -> SnapshotStore:
         store = SnapshotStore()
@@ -189,36 +192,42 @@ class TestSquashDeltas:
             store.publish(rws_list)
         return store
 
+    @staticmethod
+    def _chained(base: RwsList, store: SnapshotStore, start: int,
+                 last: int) -> RwsList:
+        for version in range(start, last):
+            base = apply_delta(base, store.delta(version, version + 1))
+        return base
+
     def test_squashed_equals_chained_and_direct(self):
         store = self._store_with(small_list(), grown_list(), shrunk_list())
-        chain = [store.delta(1, 2), store.delta(2, 3)]
-        squashed = squash_deltas(chain)
+        squashed = store.delta(1, 3)
         assert squashed.from_version == 1 and squashed.to_version == 3
 
-        chained = apply_delta(apply_delta(small_list(), chain[0]), chain[1])
-        via_squash = apply_delta(small_list(), squashed)
-        direct = apply_delta(small_list(), store.delta(1, 3))
+        chained = self._chained(small_list(), store, 1, 3)
+        direct = apply_delta(small_list(), squashed)
         target = store.get(3).content_hash
         assert membership_hash(chained) == target
-        assert membership_hash(via_squash) == target
         assert membership_hash(direct) == target
 
     def test_add_then_remove_cancels(self):
-        # v2 adds a set, v3 removes it again: the squashed delta is a
-        # no-op on membership.
+        # v2 adds a set, v3 removes it again: the direct delta is a
+        # no-op on that set.
         store = self._store_with(small_list(), grown_list())
         v3 = small_list()
         v3.sets[0].associated.append("example-mail.com")
         v3.sets[0].rationales["example-mail.com"] = "Webmail brand."
         del v3.sets[2:]  # drop new.com again
         store.publish(v3)
-        squashed = squash_deltas([store.delta(1, 2), store.delta(2, 3)])
+        squashed = store.delta(1, 3)
         assert "new.com" not in squashed.diff.added_sets
         assert "new.com" not in squashed.diff.removed_sets
         assert not any(r.set_primary == "new.com"
                        for r in squashed.diff.added_members)
         patched = apply_delta(small_list(), squashed)
         assert membership_hash(patched) == store.get(3).content_hash
+        chained = self._chained(small_list(), store, 1, 3)
+        assert membership_hash(chained) == store.get(3).content_hash
 
     def test_remove_then_readd_is_a_change_not_a_removal(self):
         # other.com is withdrawn in v2 and resubmitted (grown) in v3:
@@ -229,29 +238,17 @@ class TestSquashDeltas:
         v3.sets[1].associated.append("other-blog.com")
         v3.sets[1].rationales["other-blog.com"] = "Same shop."
         store = self._store_with(small_list(), v2, v3)
-        squashed = squash_deltas([store.delta(1, 2), store.delta(2, 3)])
+        squashed = store.delta(1, 3)
         assert "other.com" not in squashed.diff.removed_sets
         assert "other.com" not in squashed.diff.added_sets
         assert "other.com" in squashed.diff.changed_sets
         patched = apply_delta(small_list(), squashed)
         assert membership_hash(patched) == store.get(3).content_hash
-
-    def test_single_delta_passes_through(self):
-        store = self._store_with(small_list(), grown_list())
-        delta = store.delta(1, 2)
-        assert squash_deltas([delta]) is delta
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            squash_deltas([])
-
-    def test_non_contiguous_chain_rejected(self):
-        store = self._store_with(small_list(), grown_list(), shrunk_list())
-        with pytest.raises(StaleSnapshotError, match="not contiguous"):
-            squash_deltas([store.delta(1, 2), store.delta(1, 3)])
+        chained = self._chained(small_list(), store, 1, 3)
+        assert membership_hash(chained) == store.get(3).content_hash
 
     def test_randomised_chains_converge(self):
-        # Random walks over add/remove/grow edits: squashing any
+        # Random walks over add/remove/grow edits: replaying any
         # contiguous window of the published chain must reproduce the
         # window's direct delta, membership-wise.
         rng = random.Random(7)
@@ -288,13 +285,12 @@ class TestSquashDeltas:
                 store.publish(rws_list)
             versions = store.versions()
             start = rng.choice(versions[:-1])
-            chain = [store.delta(v, v + 1)
-                     for v in range(start, versions[-1])]
-            squashed = squash_deltas(chain)
             base = lists[start - 1]
-            patched = apply_delta(base, squashed)
-            assert membership_hash(patched) == store.get(
-                versions[-1]).content_hash
+            target = store.get(versions[-1]).content_hash
+            chained = self._chained(base, store, start, versions[-1])
+            direct = apply_delta(base, store.delta(start, versions[-1]))
+            assert membership_hash(chained) == target
+            assert membership_hash(direct) == target
 
 
 class TestLossTolerantCatchUp:
@@ -312,7 +308,8 @@ class TestLossTolerantCatchUp:
         primary.publish(more)           # v4
         # Hop 2→3 is lost; only 3→4 arrives.  Applying it would
         # misrepresent membership, so catch-up must refuse loudly.
-        replica.receive(primary.store.delta(3, 4), published_clock=0)
+        replica.receive(primary.store.get(4), base_version=3,
+                        published_clock=0)
         with pytest.raises(ReplicationGapError) as excinfo:
             replica.sync()
         error = excinfo.value
@@ -330,14 +327,14 @@ class TestLossTolerantCatchUp:
     def test_duplicate_and_stale_hops_are_skipped(self, primary):
         replica = Replica(0, primary)
         primary.publish(grown_list())
-        delta = primary.store.delta(1, 2)
+        hop = primary.store.get(2)
         for _ in range(3):  # the transport redelivers the same hop
-            replica.receive(delta, published_clock=0)
+            replica.receive(hop, base_version=1, published_clock=0)
         assert replica.sync()
         assert replica.version == 2
         assert replica.duplicates_ignored == 2
         # A stale redelivery after convergence is also ignored.
-        replica.receive(delta, published_clock=0)
+        replica.receive(hop, base_version=1, published_clock=0)
         assert not replica.sync()
         assert replica.version == 2
         assert replica.duplicates_ignored == 3
@@ -346,8 +343,8 @@ class TestLossTolerantCatchUp:
                                                                 primary):
         # Property: however a complete hop chain arrives — shuffled,
         # with duplicates — the converged epoch must be byte-identical
-        # to squashing the chain, to the direct store delta, and to
-        # adopting the snapshot outright.
+        # to one hop straight from the base version, and to adopting
+        # the snapshot outright.
         rng = random.Random(13)
         lists = [grown_list(), shrunk_list()]
         for n in range(3):
@@ -362,7 +359,7 @@ class TestLossTolerantCatchUp:
             primary.publish(rws_list)
         last = primary.store.latest.version
         target_hash = primary.store.get(last).content_hash
-        hops = [primary.store.delta(v, v + 1) for v in range(1, last)]
+        hops = [(v, primary.store.get(v + 1)) for v in range(1, last)]
         for trial in range(8):
             chain = list(hops)
             chain.extend(rng.choice(hops)
@@ -371,14 +368,16 @@ class TestLossTolerantCatchUp:
             shuffled = Replica(trial, primary)
             shuffled._epoch = Epoch.compile(primary.store.get(1),
                                             primary.psl)
-            for hop in chain:
-                shuffled.receive(hop, published_clock=0)
+            for base_version, snapshot in chain:
+                shuffled.receive(snapshot, base_version=base_version,
+                                 published_clock=0)
             assert shuffled.sync()
             assert shuffled.version == last
             assert shuffled.epoch.content_hash == target_hash
         direct = Replica(100, primary)
         direct._epoch = Epoch.compile(primary.store.get(1), primary.psl)
-        direct.receive(primary.store.delta(1, last), published_clock=0)
+        direct.receive(primary.store.get(last), base_version=1,
+                       published_clock=0)
         direct.sync()
         assert direct.epoch.content_hash == target_hash
         adopted = Replica(101, primary)
@@ -622,6 +621,53 @@ class TestPublishPath:
         return RwsList(sets=[RelatedWebsiteSet(primary="example.com",
                                                associated=associated)])
 
+    @staticmethod
+    def list_and_successor() -> tuple[RwsList, RwsList]:
+        """A 600-domain list and its v2: first set out, one set in."""
+        rws_list = build_synthetic_list(600, seed=5)
+        successor = RwsList(sets=rws_list.sets[1:] + [RelatedWebsiteSet(
+            primary="added.com", associated=["added-news.com",
+                                             "added-shop.com"],
+            service=["added-cdn.net"])], version=rws_list.version + "-v2")
+        return rws_list, successor
+
+    @staticmethod
+    def count_walks(monkeypatch) -> dict[str, int]:
+        """Count calls through the snapshot module's hash and diff."""
+        from repro.serve import snapshot as module
+
+        calls = {"membership_hash": 0, "diff_lists": 0}
+        for name in calls:
+            def counting(*args, _name=name, _walk=getattr(module, name)):
+                calls[_name] += 1
+                return _walk(*args)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_router_publish_hashes_once_and_diffs_nothing(
+            self, service, monkeypatch):
+        # Count-based, no timing: the primary's store hashes the new
+        # list, and every replica takes the stored snapshot as it is.
+        rws_list, successor = self.list_and_successor()
+        router = Router(service, replicas=3, lag=0, policy="rendezvous")
+        router.publish(rws_list)
+        calls = self.count_walks(monkeypatch)
+        router.publish(successor)
+        assert router.replica_versions() == [2, 2, 2]
+        assert calls == {"membership_hash": 1, "diff_lists": 0}
+
+    def test_lagging_catch_up_hashes_nothing(self, service, monkeypatch):
+        rws_list, successor = self.list_and_successor()
+        router = Router(service, replicas=3, lag=2, policy="rendezvous")
+        router.publish(rws_list)
+        router.advance(2)
+        router.publish(successor, published_clock=2)
+        assert router.replica_versions() == [1, 1, 1]
+        calls = self.count_walks(monkeypatch)
+        router.advance(4)
+        assert router.replica_versions() == [2, 2, 2]
+        assert calls == {"membership_hash": 0, "diff_lists": 0}
+
     @pytest.mark.parametrize("first, second", [
         (["a.com", "a.com"], ["a.com"]),
         (["a.com"], ["a.com", "a.com"]),
@@ -643,14 +689,10 @@ class TestPublishPath:
 
     def test_router_publish_builds_records_only_for_its_delta(
             self, service, monkeypatch):
-        # Count-based, no timing: the hash, diff and encoder of the
-        # primary and every replica read row tuples, so the only
-        # records a publish builds are the delta's own.
-        rws_list = build_synthetic_list(600, seed=5)
-        successor = RwsList(sets=rws_list.sets[1:] + [RelatedWebsiteSet(
-            primary="added.com", associated=["added-news.com",
-                                             "added-shop.com"],
-            service=["added-cdn.net"])], version=rws_list.version + "-v2")
+        # Count-based, no timing: the hash and encoder read row tuples
+        # and no broadcast carries a delta, so a publish builds no
+        # records; a client's delta of the same hop builds its own.
+        rws_list, successor = self.list_and_successor()
         router = Router(service, replicas=3, lag=0)
         router.publish(rws_list)
         built = []
@@ -662,17 +704,19 @@ class TestPublishPath:
 
         monkeypatch.setattr(MemberRecord, "__init__", counting_init)
         snapshot = router.publish(successor)
+        published = len(built)
+        diff = router.delta_since(1, 2).diff
         monkeypatch.undo()
         assert snapshot.version == 2
         assert router.replica_versions() == [2, 2, 2]
-        diff = service.store.delta(1, 2).diff
         delta_records = len(diff.added_members) + len(diff.removed_members)
         assert diff.removed_sets == [rws_list.sets[0].primary]
         assert diff.added_sets == ["added.com"]
+        assert published == 0
         assert 0 < len(built) <= delta_records
 
     # x.com is listed in both sets, so the first set in list order
-    # answers for it.  A replica's patched copy appends a re-added set
+    # answers for it.  A copy patched by delta appends a re-added set
     # at the end and hashes the same as the primary's list.
     SET_A = RelatedWebsiteSet(primary="a.com", associated=["x.com"])
     SET_B = RelatedWebsiteSet(primary="b.com", associated=["x.com"])
@@ -698,7 +742,7 @@ class TestPublishPath:
             self, service):
         # The replica reaches v2 ([B]), then applies v2 -> v3 alone
         # while the primary serves v4, so it encodes the primary's
-        # stored v3, not its patched copy [B, A].
+        # stored v3 ([A, B]), not a patched copy [B, A].
         router = Router(service, replicas=1, lag=4)
         replica = router.replicas[0]
         for clock, sets in enumerate(self.RE_ADDED[:2]):

@@ -569,13 +569,13 @@ class TestOneRepresentation:
             follower.adopt_encoded(primary.encoded_epoch())
             applier, resyncer = Replica(0, primary), Replica(1, primary)
             snapshot = primary.publish(grown)
-            applier.receive(primary.delta_since(1), published_clock=0)
+            applier.receive(snapshot, base_version=1, published_clock=0)
             applier.sync()
             resyncer.resync()
             follower.adopt_encoded(primary.encoded_epoch())
             arrivals = {
                 "publish": primary.epoch,
-                "delta apply": applier.epoch,
+                "hop apply": applier.epoch,
                 "adopt_encoded": follower.epoch,
                 "resync": resyncer.epoch,
                 "bootstrap": Epoch.bootstrap(default_psl()),
