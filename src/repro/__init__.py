@@ -11,7 +11,7 @@ versioned, asynchronously-governed service, a typed and versioned
 protocol layer (:mod:`repro.api`) that fronts that service with
 request/response envelopes, a middleware chain, and a JSON wire
 codec, a replicated cluster layer (:mod:`repro.cluster`) that spreads
-reads across delta-synchronised replicas behind one router, a
+reads across version-following replicas behind one router, a
 workload engine (:mod:`repro.workload`) that synthesizes
 browser-population traffic and drives it through the protocol
 serially, across shards, and against replica clusters, and an

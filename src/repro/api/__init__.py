@@ -46,8 +46,6 @@ from repro.api.envelopes import (
     ApiError,
     BatchQueryRequest,
     BatchQueryResponse,
-    DeltaRequest,
-    DeltaResponse,
     ErrorCode,
     ErrorResponse,
     PollRequest,
@@ -62,6 +60,8 @@ from repro.api.envelopes import (
     ResolveRequest,
     ResolveResponse,
     Response,
+    SnapshotRequest,
+    SnapshotResponse,
     StatsRequest,
     StatsResponse,
     SubmitRequest,
@@ -73,8 +73,6 @@ __all__ = [
     "ApiError",
     "BatchQueryRequest",
     "BatchQueryResponse",
-    "DeltaRequest",
-    "DeltaResponse",
     "Dispatcher",
     "ErrorCode",
     "ErrorResponse",
@@ -94,6 +92,8 @@ __all__ = [
     "ResolveRequest",
     "ResolveResponse",
     "Response",
+    "SnapshotRequest",
+    "SnapshotResponse",
     "StatsRequest",
     "StatsResponse",
     "SubmitRequest",

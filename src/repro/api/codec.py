@@ -38,8 +38,6 @@ from repro.api.envelopes import (
     ApiError,
     BatchQueryRequest,
     BatchQueryResponse,
-    DeltaRequest,
-    DeltaResponse,
     ErrorCode,
     ErrorResponse,
     PollRequest,
@@ -52,17 +50,17 @@ from repro.api.envelopes import (
     ResolveRequest,
     ResolveResponse,
     Response,
+    SnapshotRequest,
+    SnapshotResponse,
     StatsRequest,
     StatsResponse,
     SubmitRequest,
     SubmitResponse,
 )
-from repro.rws.diff import ListDiff
-from repro.rws.model import MemberRecord, RwsList, SiteRole
+from repro.rws.model import RwsList, SiteRole
 from repro.rws.schema import SchemaError, parse_set_object, serialize_set_object
 from repro.serve.index import QueryResult
 from repro.serve.service import QueryVerdict
-from repro.serve.snapshot import SnapshotDelta
 
 #: The newest protocol version this codec speaks.
 API_VERSION = 1
@@ -176,73 +174,6 @@ def _decode_verdict(data: Any, where: str = "verdict") -> QueryVerdict:
         site_a=_optional_str(obj, "site_a", where),
         site_b=_optional_str(obj, "site_b", where),
         result=_decode_result(obj.get("result"), f"{where}.result"),
-    )
-
-
-def _encode_member(record: MemberRecord) -> dict[str, Any]:
-    return {
-        "site": record.site,
-        "role": record.role.value,
-        "set_primary": record.set_primary,
-        "variant_of": record.variant_of,
-        "rationale": record.rationale,
-    }
-
-
-def _decode_member(data: Any, where: str) -> MemberRecord:
-    obj = _require_object(data, where)
-    role = _decode_role(obj.get("role"), where)
-    if role is None:
-        raise WireError(f"{where}: member record lacks a role")
-    return MemberRecord(
-        site=_require_str(obj, "site", where),
-        role=role,
-        set_primary=_require_str(obj, "set_primary", where),
-        variant_of=_optional_str(obj, "variant_of", where),
-        rationale=_optional_str(obj, "rationale", where),
-    )
-
-
-def _encode_delta(delta: SnapshotDelta) -> dict[str, Any]:
-    diff = delta.diff
-    return {
-        "from_version": delta.from_version,
-        "to_version": delta.to_version,
-        "from_hash": delta.from_hash,
-        "to_hash": delta.to_hash,
-        "diff": {
-            "added_sets": list(diff.added_sets),
-            "removed_sets": list(diff.removed_sets),
-            "changed_sets": list(diff.changed_sets),
-            "added_members": [_encode_member(r) for r in diff.added_members],
-            "removed_members": [_encode_member(r)
-                                for r in diff.removed_members],
-        },
-    }
-
-
-def _decode_delta(data: Any, where: str = "delta") -> SnapshotDelta:
-    obj = _require_object(data, where)
-    raw_diff = _require_object(obj.get("diff"), f"{where}.diff")
-    diff = ListDiff(
-        added_sets=_str_list(raw_diff, "added_sets", f"{where}.diff"),
-        removed_sets=_str_list(raw_diff, "removed_sets", f"{where}.diff"),
-        changed_sets=_str_list(raw_diff, "changed_sets", f"{where}.diff"),
-        added_members=[
-            _decode_member(entry, f"{where}.diff.added_members[{i}]")
-            for i, entry in enumerate(raw_diff.get("added_members", []))
-        ],
-        removed_members=[
-            _decode_member(entry, f"{where}.diff.removed_members[{i}]")
-            for i, entry in enumerate(raw_diff.get("removed_members", []))
-        ],
-    )
-    return SnapshotDelta(
-        from_version=_require_int(obj, "from_version", where),
-        to_version=_require_int(obj, "to_version", where),
-        from_hash=_require_str(obj, "from_hash", where),
-        to_hash=_require_str(obj, "to_hash", where),
-        diff=diff,
     )
 
 
@@ -360,9 +291,8 @@ def _encode_request_payload(request: Request) -> dict[str, Any]:
         return {"host": request.host}
     if request_type is PublishRequest:
         return {"list": _encode_list(request.rws_list)}
-    if request_type is DeltaRequest:
-        return {"from_version": request.from_version,
-                "to_version": request.to_version}
+    if request_type is SnapshotRequest:
+        return {"version": request.version}
     if request_type is SubmitRequest:
         return {"set": serialize_set_object(request.rws_set)}
     if request_type is PollRequest:
@@ -391,15 +321,11 @@ def _decode_request_payload(op: str, payload: dict[str, Any]) -> Request:
     if op == "publish":
         return PublishRequest(rws_list=_decode_list(payload.get("list"),
                                                     f"{where}.list"))
-    if op == "delta":
-        to_version = payload.get("to_version")
-        if to_version is not None and (isinstance(to_version, bool)
-                                       or not isinstance(to_version, int)):
-            raise WireError(f"{where}: field 'to_version' must be an "
-                            f"integer or null")
-        return DeltaRequest(
-            from_version=_require_int(payload, "from_version", where),
-            to_version=to_version)
+    if op == "snapshot":
+        version = payload.get("version")
+        if version is not None:
+            version = _require_int(payload, "version", where)
+        return SnapshotRequest(version=version)
     if op == "submit":
         try:
             rws_set = parse_set_object(
@@ -475,8 +401,10 @@ def _encode_response_payload(response: Response) -> dict[str, Any]:
     if response_type is PublishResponse:
         return {"version": response.version,
                 "content_hash": response.content_hash}
-    if response_type is DeltaResponse:
-        return {"delta": _encode_delta(response.delta)}
+    if response_type is SnapshotResponse:
+        return {"version": response.version,
+                "content_hash": response.content_hash,
+                "list": _encode_list(response.rws_list)}
     if response_type is SubmitResponse:
         return {"ticket": response.ticket}
     if response_type is PollResponse:
@@ -515,9 +443,11 @@ def _decode_response_payload(op: str, payload: dict[str, Any]) -> Response:
         return PublishResponse(
             version=_require_int(payload, "version", where),
             content_hash=_require_str(payload, "content_hash", where))
-    if op == "delta":
-        return DeltaResponse(delta=_decode_delta(payload.get("delta"),
-                                                 f"{where}.delta"))
+    if op == "snapshot":
+        return SnapshotResponse(
+            version=_require_int(payload, "version", where),
+            content_hash=_require_str(payload, "content_hash", where),
+            rws_list=_decode_list(payload.get("list"), f"{where}.list"))
     if op == "submit":
         return SubmitResponse(ticket=_require_str(payload, "ticket", where))
     if op == "poll":

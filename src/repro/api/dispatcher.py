@@ -49,8 +49,6 @@ from repro.api.envelopes import (
     ApiError,
     BatchQueryRequest,
     BatchQueryResponse,
-    DeltaRequest,
-    DeltaResponse,
     ErrorCode,
     ErrorResponse,
     PollRequest,
@@ -63,6 +61,8 @@ from repro.api.envelopes import (
     ResolveRequest,
     ResolveResponse,
     Response,
+    SnapshotRequest,
+    SnapshotResponse,
     StatsRequest,
     StatsResponse,
     SubmitRequest,
@@ -256,7 +256,7 @@ class Dispatcher:
             BatchQueryRequest: self._make_batch_handler(service),
             ResolveRequest: self._handle_resolve,
             PublishRequest: self._handle_publish,
-            DeltaRequest: self._handle_delta,
+            SnapshotRequest: self._handle_snapshot,
             SubmitRequest: self._handle_submit,
             PollRequest: self._handle_poll,
             StatsRequest: self._handle_stats,
@@ -414,17 +414,19 @@ class Dispatcher:
         return PublishResponse(version=snapshot.version,
                                content_hash=snapshot.content_hash)
 
-    def _handle_delta(self, request: DeltaRequest) -> Response:
+    def _handle_snapshot(self, request: SnapshotRequest) -> Response:
         try:
-            delta = self.service.delta_since(request.from_version,
-                                             request.to_version)
+            snapshot = self.service.snapshot_at(request.version)
         except StaleSnapshotError as exc:
+            version = request.version
             return ErrorResponse(op=request.op, error=ApiError(
                 code=ErrorCode.STALE_SNAPSHOT,
                 message=str(exc),
-                detail={"from_version": str(request.from_version)},
+                detail={} if version is None else {"version": str(version)},
             ))
-        return DeltaResponse(delta=delta)
+        return SnapshotResponse(version=snapshot.version,
+                                content_hash=snapshot.content_hash,
+                                rws_list=snapshot.rws_list)
 
     def _handle_submit(self, request: SubmitRequest) -> Response:
         return SubmitResponse(ticket=self.service.submit(request.rws_set))

@@ -2,8 +2,8 @@
 
 Every operation the serving layer performs — pairwise storage-access
 queries, bulk query batches, host resolution, list publication,
-component-updater deltas, governance submissions, ticket polling, and
-stats scraping — has a request envelope here, a matching response
+whole-list snapshot fetches, governance submissions, ticket polling,
+and stats scraping — has a request envelope here, a matching response
 envelope, and a place in the uniform :class:`ApiError` taxonomy.  The
 envelopes are plain-data (dataclasses over strings, ints, bools, and
 the serve layer's own value objects), so the wire codec
@@ -25,7 +25,6 @@ from typing import ClassVar
 
 from repro.rws.model import RelatedWebsiteSet, RwsList
 from repro.serve.service import QueryVerdict
-from repro.serve.snapshot import SnapshotDelta
 
 
 class ErrorCode(enum.Enum):
@@ -34,8 +33,8 @@ class ErrorCode(enum.Enum):
     #: A queried host has no registrable domain (bare public suffix,
     #: syntactically invalid name, unknown TLD).
     UNRESOLVABLE_HOST = "UNRESOLVABLE_HOST"
-    #: A delta was requested from (or would apply to) a version the
-    #: snapshot store does not hold.
+    #: A snapshot was requested at a version the snapshot store does
+    #: not hold.
     STALE_SNAPSHOT = "STALE_SNAPSHOT"
     #: A poll referenced a ticket this service never issued.
     UNKNOWN_TICKET = "UNKNOWN_TICKET"
@@ -125,13 +124,13 @@ class PublishRequest:
 
 
 @dataclass(slots=True)
-class DeltaRequest:
-    """Fetch the component-updater patch between two versions."""
+class SnapshotRequest:
+    """Fetch one stored list version whole, as the component updater
+    ships it (None: the version the backend serves)."""
 
-    op: ClassVar[str] = "delta"
+    op: ClassVar[str] = "snapshot"
 
-    from_version: int
-    to_version: int | None = None
+    version: int | None = None
 
 
 @dataclass(slots=True)
@@ -210,12 +209,15 @@ class PublishResponse:
 
 
 @dataclass(slots=True)
-class DeltaResponse:
-    """Answer to :class:`DeltaRequest`."""
+class SnapshotResponse:
+    """Answer to :class:`SnapshotRequest`: the version's list and the
+    membership hash a client checks it against."""
 
-    op: ClassVar[str] = "delta"
+    op: ClassVar[str] = "snapshot"
 
-    delta: SnapshotDelta
+    version: int
+    content_hash: str
+    rws_list: RwsList
 
 
 @dataclass(slots=True)
@@ -275,17 +277,17 @@ class ErrorResponse:
 
 
 Request = (QueryRequest | BatchQueryRequest | ResolveRequest
-           | PublishRequest | DeltaRequest | SubmitRequest
+           | PublishRequest | SnapshotRequest | SubmitRequest
            | PollRequest | StatsRequest)
 Response = (QueryResponse | BatchQueryResponse | ResolveResponse
-            | PublishResponse | DeltaResponse | SubmitResponse
+            | PublishResponse | SnapshotResponse | SubmitResponse
             | PollResponse | StatsResponse | ErrorResponse)
 
 #: Every request envelope type, keyed by wire operation name.
 REQUEST_TYPES: dict[str, type] = {
     cls.op: cls for cls in (
         QueryRequest, BatchQueryRequest, ResolveRequest, PublishRequest,
-        DeltaRequest, SubmitRequest, PollRequest, StatsRequest,
+        SnapshotRequest, SubmitRequest, PollRequest, StatsRequest,
     )
 }
 
@@ -293,7 +295,7 @@ REQUEST_TYPES: dict[str, type] = {
 RESPONSE_TYPES: dict[str, type] = {
     cls.op: cls for cls in (
         QueryResponse, BatchQueryResponse, ResolveResponse,
-        PublishResponse, DeltaResponse, SubmitResponse, PollResponse,
+        PublishResponse, SnapshotResponse, SubmitResponse, PollResponse,
         StatsResponse,
     )
 }

@@ -97,7 +97,7 @@ class ChaosRouter(Router):
             "drops": 0, "duplicates": 0, "reorders": 0,
             "leaves": 0, "rejoins": 0, "joins": 0, "failovers": 0,
             "canary_promotes": 0, "canary_rollbacks": 0,
-            "bootstrap_deltas": 0, "bootstrap_snapshots": 0,
+            "bootstrap_hops": 0, "bootstrap_snapshots": 0,
         }
         # Availability accounting: replica-tick capacity actually
         # joined vs the full fleet's, integrated over the clock.
@@ -306,7 +306,7 @@ class ChaosRouter(Router):
                             base_version=replica.version,
                             published_clock=self._clock - replica.lag)
             replica.sync()
-            self._counters["bootstrap_deltas"] += 1
+            self._counters["bootstrap_hops"] += 1
             return
         replica.adopt(target)
         self._counters["bootstrap_snapshots"] += 1

@@ -107,7 +107,7 @@ class Replica(EpochShell):
         #: Catch-up bookkeeping: how many epoch swaps catch-up made,
         #: and how many broadcast hops they covered.
         self.catch_ups = 0
-        self.deltas_applied = 0
+        self.hops_applied = 0
         #: Robustness bookkeeping: full-snapshot recoveries taken and
         #: already-applied hops a lossy transport redelivered.
         self.resyncs = 0
@@ -312,7 +312,7 @@ class Replica(EpochShell):
             epoch = Epoch.compile(snapshot, self._epoch.psl)
         self._epoch = epoch
         self.catch_ups += 1
-        self.deltas_applied += 1
+        self.hops_applied += 1
 
     def _apply_chain(self, chain: list[Hop]) -> None:
         """Serve the last version of a hop run.
@@ -349,7 +349,7 @@ class Replica(EpochShell):
         else:
             self._epoch = Epoch.compile(snapshot, psl)
         self.catch_ups += 1
-        self.deltas_applied += len(fresh)
+        self.hops_applied += len(fresh)
 
     # -- observability --------------------------------------------------------
 
@@ -366,7 +366,7 @@ class Replica(EpochShell):
         """The catch-up bookkeeping as counters, which a
         :class:`~repro.cluster.Router` sums over its replicas."""
         registry.count("cluster.replica_catch_ups", self.catch_ups)
-        registry.count("cluster.replica_deltas_applied", self.deltas_applied)
+        registry.count("cluster.replica_hops_applied", self.hops_applied)
         registry.count("cluster.resyncs", self.resyncs)
         registry.count("cluster.duplicates_ignored", self.duplicates_ignored)
         registry.count("epoch.loads", self.epoch_loads)

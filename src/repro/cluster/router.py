@@ -6,7 +6,8 @@
 layer unchanged — but read traffic (queries, batches, resolutions)
 spreads across a set of :class:`~repro.cluster.replica.Replica`
 instances while every write (publish, submit) and every
-store-anchored read (deltas, poll, queue reports) pins to the primary.
+store-anchored read (snapshots, poll, queue reports) pins to the
+primary.
 
 Two routing policies ship:
 
@@ -29,8 +30,9 @@ every replica stamped with the cluster's logical clock, and
 immediately applies whatever is due (a zero-lag cluster therefore
 converges inside the publish call).  :meth:`advance` moves the clock —
 the workload driver feeds it the global user index — and a lagging
-replica that holds several due hops serves the last one.  No broadcast
-carries a diff: deltas are for clients (:meth:`delta_since`).
+replica that holds several due hops serves the last one.  Clients
+follow the same way: :meth:`snapshot_at` hands them a stored version
+whole.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.serve.service import (
     ServiceStats,
     write_epoch_gauges,
 )
-from repro.serve.snapshot import ListSnapshot, SnapshotDelta
+from repro.serve.snapshot import ListSnapshot
 
 from repro.cluster.replica import Replica
 
@@ -332,10 +334,12 @@ class Router(MetricsSource):
 
     # -- primary-pinned surface -----------------------------------------------
 
-    def delta_since(self, version: int,
-                    to_version: int | None = None) -> SnapshotDelta:
-        """Component-updater deltas come from the primary's store."""
-        return self.primary.delta_since(version, to_version)
+    def snapshot_at(self, version: int | None = None) -> ListSnapshot:
+        """A snapshot from the primary's store: by default the version
+        the cluster serves (:attr:`epoch`), never an unpromoted
+        candidate the store holds past it."""
+        return self.primary.store.get(self.epoch.version if version is None
+                                      else version)
 
     def submit(self, rws_set: RelatedWebsiteSet) -> str:
         """Governance submissions pin to the primary's queue."""

@@ -95,8 +95,8 @@ def build_small_synthetic_list_v2() -> RwsList:
     """The small fixture's mid-flight successor.
 
     Drops the last set and adds a fresh one, so list-update scenarios
-    over the synthetic profile exercise both removal and addition
-    deltas.
+    over the synthetic profile exercise both a removal and an
+    addition.
     """
     rws_list = build_small_synthetic_list()
     rws_list.sets.pop()

@@ -6,8 +6,8 @@
 request envelope, get a typed response envelope — so anything written
 against the dispatcher (the workload driver's shard state, the CLI)
 can swap in a socket without knowing.  Transport failures on
-**idempotent reads** (``query``/``batch_query``/``resolve``/``delta``/
-``poll``/``stats``) are retried on a fresh connection with exponential
+**idempotent reads** (``query``/``batch_query``/``resolve``/
+``snapshot``/``poll``/``stats``) are retried on a fresh connection with exponential
 backoff; mutating ops (``publish``/``submit``) never retry, because a
 lost response does not mean a lost write.  ``RATE_LIMITED`` pushback
 from the server's pipelining window is a *response*, not a transport
@@ -43,7 +43,7 @@ from repro.obs.registry import MetricsRegistry
 #: side effects.  ``publish``/``submit``/``queue_report`` are absent on
 #: purpose — replaying a mutation after a lost response double-applies.
 IDEMPOTENT_OPS = frozenset(
-    {"query", "batch_query", "resolve", "delta", "poll", "stats"})
+    {"query", "batch_query", "resolve", "snapshot", "poll", "stats"})
 
 
 class NetClientError(ConnectionError):

@@ -13,9 +13,8 @@ scans and synchronous validation; this package is the serving layer:
   always a view over a binary epoch buffer (built from a list by
   encoding it and loading the result);
 * :mod:`repro.serve.snapshot` — versioned, content-hashed list
-  snapshots (:class:`SnapshotStore`), which the cluster's replicas
-  follow by version, and the component-updater-style deltas clients
-  patch their copies with (:func:`apply_delta`);
+  snapshots (:class:`SnapshotStore`), which clients and the cluster's
+  replicas follow by version, taking each stored version whole;
 * :mod:`repro.serve.queue` — :class:`ValidationQueue`, the
   submit → poll → report governance front-end over
   :class:`~repro.rws.validation.Validator` with a worker pool;
@@ -54,7 +53,6 @@ from repro.serve.snapshot import (
     SnapshotDelta,
     SnapshotStore,
     StaleSnapshotError,
-    apply_delta,
     membership_hash,
 )
 
@@ -76,7 +74,6 @@ __all__ = [
     "Submission",
     "SubmissionStatus",
     "ValidationQueue",
-    "apply_delta",
     "encode_epoch",
     "load_epoch",
     "membership_hash",

@@ -26,10 +26,6 @@ This is the unit the whole serving stack moves:
 * :class:`~repro.browser.engine.Browser` adopts an epoch the way
   Chrome consumes a component-updater payload
   (:meth:`~repro.browser.engine.Browser.adopt_epoch`).
-
-Version checks live here too: :meth:`Epoch.require_version` is how a
-version-pinned reader asserts it is looking at the base it thinks it
-is, raising :class:`StaleSnapshotError` otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from repro.psl import PublicSuffixList
 from repro.rws.model import RwsList
 from repro.serve.epochfmt import encode_epoch, encode_list, load_epoch
 from repro.serve.index import MembershipIndex
-from repro.serve.snapshot import ListSnapshot, StaleSnapshotError
+from repro.serve.snapshot import ListSnapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,21 +76,6 @@ class Epoch:
         """The served list (empty before any publish)."""
         return (self.snapshot.rws_list
                 if self.snapshot is not None else RwsList())
-
-    def require_version(self, version: int) -> None:
-        """Assert this epoch serves exactly ``version``.
-
-        The stale-base check a version-pinned read performs against
-        the epoch it captured.
-
-        Raises:
-            StaleSnapshotError: When the epoch serves a different
-                version.
-        """
-        if version != self.version:
-            raise StaleSnapshotError(
-                f"epoch serves v{self.version}, not v{version}"
-            )
 
     @classmethod
     def bootstrap(cls, psl: PublicSuffixList) -> Epoch:

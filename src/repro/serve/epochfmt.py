@@ -509,7 +509,7 @@ class _BufferData:
 # Buffer-backed views
 
 
-def _rebuild_set(data: _BufferData, set_idx: int) -> RelatedWebsiteSet:
+def _read_set(data: _BufferData, set_idx: int) -> RelatedWebsiteSet:
     """Reconstruct set ``set_idx`` from its member records.
 
     Rationales and contacts are not carried by the wire format (they
@@ -541,11 +541,10 @@ def _rebuild_set(data: _BufferData, set_idx: int) -> RelatedWebsiteSet:
 class _BufferRwsList(RwsList):
     """Lazy ``RwsList`` view: sets materialize on first ``.sets`` access.
 
-    The workload / snapshot-delta machinery occasionally needs the
-    actual list object behind a buffer-loaded epoch (e.g. to diff it
-    against a successor).  This subclass defers reconstructing the
-    per-set objects until something touches ``.sets`` — pure membership
-    serving never does.
+    A few readers need the actual list object behind a buffer-loaded
+    epoch (a ``snapshot`` fetch encoding it for a client, say).  This
+    subclass defers reconstructing the per-set objects until something
+    touches ``.sets`` — pure membership serving never does.
     """
 
     def __init__(self, data: _BufferData) -> None:
@@ -557,7 +556,7 @@ class _BufferRwsList(RwsList):
         self.as_of = data.as_of
 
     def _materialize(self) -> list[RelatedWebsiteSet]:
-        return [_rebuild_set(self._data, set_idx)
+        return [_read_set(self._data, set_idx)
                 for set_idx in range(self._data.n_sets)]
 
     @property

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.rws.model import ROLES, RelatedWebsiteSet, RwsList, SiteRole
-from repro.serve.epochfmt import _BufferData, _rebuild_set, encode_list
+from repro.serve.epochfmt import _BufferData, _read_set, encode_list
 
 #: Bound on the memo keyed by client input (probed sites) before it is
 #: dropped wholesale: the PSL resolution cache's size.  Memos keyed by
@@ -165,7 +165,7 @@ class MembershipIndex:
             return self._sets[set_idx]
         rws_set = self._set_objs.get(set_idx)
         if rws_set is None:
-            rws_set = _rebuild_set(self._data, set_idx)
+            rws_set = _read_set(self._data, set_idx)
             self._set_objs[set_idx] = rws_set
         return rws_set
 

@@ -13,7 +13,7 @@ The moving parts:
 
 * the **snapshot store** versions every published list
   (:mod:`repro.serve.snapshot`), so clients and replicas update by
-  delta;
+  version;
 * each publish compiles a new **epoch**
   (:mod:`repro.serve.epoch`) — the membership index is part of the
   immutable value, not mutable service state;
@@ -37,8 +37,8 @@ The read surface lives in :class:`EpochShell` — one point read
 (:meth:`~EpochShell.query`) and one batch read
 (:meth:`~EpochShell.query_batch`) — which
 :class:`~repro.cluster.Replica` reuses verbatim: a replica is the same
-lock-free shell over an epoch it advances by snapshot deltas instead
-of by local publishes.
+lock-free shell over an epoch it advances to the primary's stored
+versions instead of by local publishes.
 
 :class:`RwsService` is the engine, not the front door: consumers are
 expected to enter through the :class:`~repro.api.dispatcher.Dispatcher`
@@ -63,7 +63,6 @@ from repro.serve.index import MembershipIndex, QueryResult
 from repro.serve.queue import SubmissionStatus, ValidationQueue
 from repro.serve.snapshot import (
     ListSnapshot,
-    SnapshotDelta,
     SnapshotStore,
     StaleSnapshotError,
 )
@@ -221,8 +220,8 @@ class EpochShell(MetricsSource):
 
     Two shells exist: :class:`RwsService` (which adds the write side —
     store, publishes, validation queue) and
-    :class:`~repro.cluster.Replica` (which advances its epoch by
-    applying the primary's snapshot deltas).  Subclasses call
+    :class:`~repro.cluster.Replica` (which advances its epoch to the
+    primary's stored versions).  Subclasses call
     :meth:`_shell_init` before serving.
     """
 
@@ -544,8 +543,9 @@ class RwsService(EpochShell):
         The O(size) spin-up path: the buffer's array-backed index view
         is swapped in directly — no encode.  If the encoded
         version extends this service's store by exactly one, the lazy
-        snapshot is appended so subsequent deltas resolve; adopting a
-        version already in the store just swaps the epoch.
+        snapshot is appended so the store keeps resolving every served
+        version; adopting a version already in the store just swaps
+        the epoch.
 
         Raises:
             StaleSnapshotError: When adopting the buffer would leave a
@@ -582,15 +582,15 @@ class RwsService(EpochShell):
                         bytes=len(buf))
         return epoch.snapshot
 
-    def delta_since(self, version: int,
-                    to_version: int | None = None) -> SnapshotDelta:
-        """The patch bringing a client at ``version`` up to date.
+    def snapshot_at(self, version: int | None = None) -> ListSnapshot:
+        """The stored snapshot at ``version``: by default the one this
+        service serves, which need not be the store's latest.
 
-        Args:
-            version: The client's current snapshot version.
-            to_version: Target version (the latest when omitted).
+        Raises:
+            StaleSnapshotError: For a version the store does not hold.
         """
-        return self.store.delta(version, to_version)
+        return self.store.get(self._epoch.version if version is None
+                              else version)
 
     # -- governance -----------------------------------------------------------
 

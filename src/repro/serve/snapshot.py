@@ -1,31 +1,28 @@
-"""Versioned, content-hashed RWS list snapshots with deltas.
+"""Versioned, content-hashed RWS list snapshots.
 
 Chrome ships the RWS list to browsers through the component updater:
-clients hold a versioned copy and fetch compact updates rather than
-re-downloading the whole list.  This module reproduces that contract:
+clients hold a versioned copy and replace it with the whole file of a
+newer version.  This module reproduces that contract:
 
 * :func:`membership_hash` canonically fingerprints a list's membership
-  (set, role, site — exactly the facts deltas transport) independent
-  of declaration order — the content identity a client and server can
-  compare;
+  (set, role, site) independent of declaration order — the content
+  identity a client checks a fetched copy against;
 * :class:`SnapshotStore` assigns monotonically increasing versions to
-  published lists, deduplicating republications of identical content;
-* :meth:`SnapshotStore.delta` packages the change between two versions
-  (reusing :func:`repro.rws.diff.diff_lists`) and :func:`apply_delta`
-  replays it on a client's copy, refusing to patch a stale or diverged
-  base (:class:`StaleSnapshotError`) and verifying the result hash.
+  published lists, deduplicating republications of identical content,
+  and hands any stored version back whole (:meth:`SnapshotStore.get`,
+  :class:`StaleSnapshotError` for a version it does not hold).
 
-Deltas are the client contract: the API's delta request and the
-workload's v1 client use them.  The cluster's replicas share the
-primary's store, so they follow it by version and serve its stored
-snapshots (:mod:`repro.cluster.replica`); no broadcast carries a
-delta.
+Clients and replicas both follow the store by version: the API's
+``snapshot`` op and the workload's v1 client fetch a stored version
+whole, and the cluster's replicas serve the primary's stored snapshots
+(:mod:`repro.cluster.replica`).  :meth:`SnapshotStore.delta` diffs
+two versions (:func:`repro.rws.diff.diff_lists`); only the benchmark
+ledger's ``snapshot.delta_ms`` row calls it.
 
 Rationales, contact fields, ccTLD variant-of attributions, and
 within-subset declaration order are not part of the membership
-identity (the browser never consults them), so deltas neither carry
-nor version them; reconstruction preserves them for unchanged sets and
-carries them best-effort (via :class:`MemberRecord`) for changed ones.
+identity (the browser never consults them), so changing only them
+mints no new version.
 """
 
 from __future__ import annotations
@@ -36,20 +33,16 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro import sha256
-from repro.rws.diff import (
-    ListDiff,
-    diff_lists,
-    membership_key,
-    membership_keys,
-)
-from repro.rws.model import MemberRecord, RelatedWebsiteSet, RwsList, SiteRole
+from repro.rws.diff import ListDiff, diff_lists, membership_keys
+from repro.rws.model import RwsList
 
 if TYPE_CHECKING:
     from repro.rws.history import RwsHistory
 
 
 class StaleSnapshotError(ValueError):
-    """A delta cannot be produced for, or applied to, the given base."""
+    """A snapshot version the store does not hold, or one that would
+    leave a gap in a version chain."""
 
 
 _primary = attrgetter("primary")
@@ -212,98 +205,3 @@ class SnapshotStore:
             if snapshot.version in dates:
                 history.add(dates[snapshot.version], snapshot.rws_list)
         return history
-
-
-def _rebuild_set(records: list[MemberRecord],
-                 template: RelatedWebsiteSet | None) -> RelatedWebsiteSet:
-    """Assemble a set from membership records (order of the records)."""
-    primary = records[0].set_primary
-    associated: list[str] = []
-    service: list[str] = []
-    cctlds: dict[str, list[str]] = {}
-    rationales: dict[str, str] = {}
-    for record in records:
-        if record.rationale is not None:
-            rationales[record.site] = record.rationale
-        if record.role is SiteRole.ASSOCIATED:
-            associated.append(record.site)
-        elif record.role is SiteRole.SERVICE:
-            service.append(record.site)
-        elif record.role is SiteRole.CCTLD:
-            cctlds.setdefault(record.variant_of or primary, []).append(record.site)
-    return RelatedWebsiteSet(
-        primary=primary,
-        associated=associated,
-        service=service,
-        cctlds=cctlds,
-        rationales=rationales,
-        contact=template.contact if template is not None else None,
-    )
-
-
-def apply_delta(client_list: RwsList, delta: SnapshotDelta) -> RwsList:
-    """Patch a client's list copy with a server delta.
-
-    Args:
-        client_list: The client's current copy (must match the delta's
-            base version content).
-        delta: The patch, from :meth:`SnapshotStore.delta`.
-
-    Returns:
-        The patched list, verified to hash to ``delta.to_hash``.
-
-    Raises:
-        StaleSnapshotError: When the client copy does not match the
-            delta's base hash (diverged or stale client), or when the
-            patched result does not reproduce the target hash (corrupt
-            delta).
-    """
-    base_hash = membership_hash(client_list)
-    if base_hash != delta.from_hash:
-        raise StaleSnapshotError(
-            f"client copy does not match delta base v{delta.from_version} "
-            f"(client {base_hash[:12]}…, expected {delta.from_hash[:12]}…)"
-        )
-
-    removed = {membership_key(record)
-               for record in delta.diff.removed_members}
-    removed_sets = set(delta.diff.removed_sets)
-    touched = set(delta.diff.changed_sets) | {
-        record.set_primary for record in delta.diff.added_members
-    }
-
-    added_by_primary: dict[str, list[MemberRecord]] = {}
-    for record in delta.diff.added_members:
-        added_by_primary.setdefault(record.set_primary, []).append(record)
-
-    patched_sets: list[RelatedWebsiteSet] = []
-    seen_primaries: set[str] = set()
-    for rws_set in client_list:
-        seen_primaries.add(rws_set.primary)
-        if rws_set.primary in removed_sets:
-            continue
-        if rws_set.primary not in touched:
-            patched_sets.append(rws_set)
-            continue
-        survivors = [
-            record for record in rws_set.member_records()
-            if membership_key(record) not in removed
-        ]
-        survivors.extend(added_by_primary.get(rws_set.primary, []))
-        patched_sets.append(_rebuild_set(survivors, rws_set))
-
-    for primary in delta.diff.added_sets:
-        if primary in seen_primaries:
-            continue
-        records = added_by_primary.get(primary, [])
-        if records:
-            patched_sets.append(_rebuild_set(records, None))
-
-    patched = RwsList(sets=patched_sets, version=client_list.version)
-    result_hash = membership_hash(patched)
-    if result_hash != delta.to_hash:
-        raise StaleSnapshotError(
-            f"patched copy does not match delta target v{delta.to_version} "
-            f"(got {result_hash[:12]}…, expected {delta.to_hash[:12]}…)"
-        )
-    return patched

@@ -33,10 +33,10 @@ the only non-reproducible outputs.
 Mid-flight list updates (the ``list-update`` scenario) key off the
 *global* user index, not shard progress: users below the cutoff are
 served the old snapshot, users at or above it the new one, so the
-outcome stream stays partition-independent.  Each shard also replays
-the published delta onto a simulated v1 client and verifies the
-patched copy's membership hash — the component-updater contract under
-load.
+outcome stream stays partition-independent.  Each shard also has a
+simulated v1 client fetch the served version whole, in the
+``snapshot`` op's wire form, and verify its membership hash — the
+component-updater contract under load.
 
 **Replicated execution** (``scenario.replicas > 0``, or
 :func:`replicated`): each shard dispatches through a
@@ -63,6 +63,7 @@ from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.api.codec import decode_response, encode_response
 from repro.api.dispatcher import Dispatcher, RequestCounter
 from repro.api.envelopes import (
     BatchQueryRequest,
@@ -70,6 +71,7 @@ from repro.api.envelopes import (
     ErrorCode,
     QueryRequest,
     QueryResponse,
+    SnapshotResponse,
 )
 from repro.browser.engine import Browser
 from repro.browser.policy import BROWSER_POLICIES
@@ -86,7 +88,7 @@ from repro.psl import PublicSuffixList, default_psl
 from repro.rws.model import RwsList
 from repro.serve.epoch import Epoch
 from repro.serve.service import RwsService
-from repro.serve.snapshot import SnapshotStore, apply_delta, membership_hash
+from repro.serve.snapshot import SnapshotStore, membership_hash
 from repro.workload.generator import Session, SessionGenerator, SiteUniverse
 from repro.workload.metrics import combine_digests, digest_hex, user_digest
 from repro.workload.scenarios import LIST_PROFILES, Scenario, get_scenario
@@ -160,8 +162,8 @@ class WorkloadResult:
     implementation counters vary with the partition and stay out of
     the registry digest: resolver hits/misses (the fast path counts
     them at the shard's PSL, whose cache inline and thread shards
-    share), and ``list_updates`` / ``delta_applied``, which count once
-    per shard that crosses the update cutoff.
+    share), and ``list_updates`` / ``client_catch_ups``, which count
+    once per shard that crosses the update cutoff.
 
     ``workload.resolver_*`` counts only the serving path's lookups:
     the service's or replicas' probes and the fast path's bulk pass.
@@ -239,8 +241,8 @@ class WorkloadResult:
             # republishes into its private service and re-verifies.
             lines.append(
                 f"mid-flight list update applied in "
-                f"{count('list_updates')} shard(s); delta clients "
-                f"converged in {count('delta_applied')}"
+                f"{count('list_updates')} shard(s); v1 clients "
+                f"caught up in {count('client_catch_ups')}"
             )
         lines.append(
             f"throughput {self.decisions_per_sec:,.0f} decisions/sec "
@@ -467,7 +469,8 @@ def _flush_fast(state: _ShardState) -> None:
 
 
 def _apply_mid_flight_update(state: _ShardState, cutoff: int) -> None:
-    """Publish the profile's next list version and verify delta catch-up.
+    """Publish the profile's next list version and verify a v1 client
+    catches up to the served version.
 
     In replicated mode the publish goes through the router, stamped
     with the *global* cutoff as its logical publish clock: replica
@@ -478,7 +481,7 @@ def _apply_mid_flight_update(state: _ShardState, cutoff: int) -> None:
     # Buffered fast-path queries belong to pre-cutoff users: answer
     # them against the old snapshot before the index swaps.
     _flush_fast(state)
-    build_v1, build_v2 = LIST_PROFILES[state.scenario.list_profile]
+    build_v2 = LIST_PROFILES[state.scenario.list_profile][1]
     assert build_v2 is not None
     base_version = state.service.current_snapshot.version \
         if state.service.current_snapshot else 0
@@ -494,17 +497,23 @@ def _apply_mid_flight_update(state: _ShardState, cutoff: int) -> None:
     state.counts["list_updates"] += 1
     if snapshot.version == base_version:
         # A rolled-back canary publish: the cluster kept serving the
-        # old version, so there is nothing for a delta client to
-        # catch up to (the aborted candidate stays in store history).
+        # old version, so there is nothing for a v1 client to catch
+        # up to (the aborted candidate stays in store history).
         return
-    # A v1 client catches up by delta; its patched copy must converge
-    # on the served content hash (the component-updater contract).
-    # Pinned to the *served* version: under a staged rollout the
-    # store's latest may be a candidate the cluster never promoted.
-    delta = state.service.delta_since(base_version, snapshot.version)
-    patched = apply_delta(build_v1(), delta)
-    if membership_hash(patched) == snapshot.content_hash:
-        state.counts["delta_applied"] += 1
+    # A v1 client fetches the served version whole, in the snapshot
+    # op's wire form, and checks it against the served content hash
+    # (the component-updater contract).  The backend's default is the
+    # version it serves: under a staged rollout the store's latest may
+    # be a candidate the cluster never promoted.  The fetch stays
+    # in-process and off the dispatcher, so it adds no request count
+    # and no span to the workload's own traffic.
+    served = state.backend.snapshot_at()
+    fetched, _version = decode_response(encode_response(SnapshotResponse(
+        version=served.version, content_hash=served.content_hash,
+        rws_list=served.rws_list)))
+    if (membership_hash(fetched.rws_list) == fetched.content_hash
+            == snapshot.content_hash):
+        state.counts["client_catch_ups"] += 1
 
 
 def _shard_tcp_front(state: _ShardState):
@@ -654,8 +663,8 @@ def run_shard(task: ShardTask) -> dict:
     if router is not None:
         counts["replica_catch_ups"] += sum(
             replica.catch_ups for replica in router.replicas)
-        counts["replica_deltas_applied"] += sum(
-            replica.deltas_applied for replica in router.replicas)
+        counts["replica_hops_applied"] += sum(
+            replica.hops_applied for replica in router.replicas)
         resyncs = sum(replica.resyncs for replica in router.replicas)
         if resyncs:
             counts["replica_resyncs"] += resyncs

@@ -8,8 +8,7 @@ adding an entry to :data:`SCENARIOS`, not writing driver code:
 * ``flash-crowd`` — traffic collapses onto a few hot sets (high Zipf
   exponent, short sessions, many embeds);
 * ``list-update`` — a new list version is published mid-flight and
-  clients catch up via :class:`~repro.serve.snapshot.SnapshotStore`
-  deltas;
+  clients catch up by fetching the served version whole;
 * ``abusive`` — probing traffic against an oversized "conglomerate"
   set: gestureless rSA calls, service sites as top-level, cross-set
   scraping (the paper's governance concern as a workload);
@@ -85,7 +84,7 @@ class Scenario:
         warm_cache: Pre-resolve every member host before traffic runs.
         update_at_fraction: When set, publish the profile's next list
             version once this fraction of all users has been served,
-            and verify a delta-patched client converges.
+            and verify a v1 client that fetches it converges.
         replicas: When > 0, serve through a
             :class:`~repro.cluster.Router` over this many read
             replicas instead of one service (the replicated execution
@@ -212,7 +211,7 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             name="list-update",
             description="new list version published mid-flight; "
-                        "clients catch up by delta",
+                        "clients fetch the served version",
             update_at_fraction=0.5,
         ),
         Scenario(

@@ -11,8 +11,6 @@ from repro.api import (
     ApiError,
     BatchQueryRequest,
     BatchQueryResponse,
-    DeltaRequest,
-    DeltaResponse,
     Dispatcher,
     ErrorCode,
     ErrorResponse,
@@ -26,6 +24,8 @@ from repro.api import (
     RequestCounter,
     ResolveRequest,
     ResolveResponse,
+    SnapshotRequest,
+    SnapshotResponse,
     StatsRequest,
     StatsResponse,
     SubmitRequest,
@@ -44,17 +44,10 @@ from repro.data import build_rws_list
 from repro.obs import MetricsRegistry
 from repro.psl import PublicSuffixList
 from repro.rws import Validator
-from repro.rws.diff import ListDiff
-from repro.rws.model import (
-    MemberRecord,
-    RelatedWebsiteSet,
-    RwsList,
-    SiteRole,
-)
-from repro.serve import RwsService
+from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
+from repro.serve import RwsService, membership_hash
 from repro.serve.index import QueryResult
 from repro.serve.service import QueryVerdict
-from repro.serve.snapshot import SnapshotDelta
 
 
 def small_list() -> RwsList:
@@ -189,16 +182,28 @@ class TestDispatcherLifecycle:
         published = dispatcher.dispatch(PublishRequest(rws_list=grown_list()))
         assert type(published) is PublishResponse
         assert published.version == 2
-        delta = dispatcher.dispatch(DeltaRequest(from_version=1))
-        assert type(delta) is DeltaResponse
-        assert delta.delta.to_version == 2
-        assert [r.site for r in delta.delta.diff.added_members] \
-            == ["example-blog.com"]
+        served = dispatcher.dispatch(SnapshotRequest())
+        assert type(served) is SnapshotResponse
+        assert served.version == 2
+        assert served.content_hash == published.content_hash
+        assert membership_hash(served.rws_list) == published.content_hash
+        assert "example-blog.com" in served.rws_list.sets[0].associated
+        first = dispatcher.dispatch(SnapshotRequest(version=1))
+        assert (first.version, first.rws_list) == (1, small_list())
 
     def test_delta_unknown_version_is_stale_snapshot(self, dispatcher):
-        response = dispatcher.dispatch(DeltaRequest(from_version=99))
-        assert type(response) is ErrorResponse
-        assert response.error.code is ErrorCode.STALE_SNAPSHOT
+        for version in (0, 99):
+            response = dispatcher.dispatch(SnapshotRequest(version=version))
+            assert type(response) is ErrorResponse
+            assert response.error.code is ErrorCode.STALE_SNAPSHOT
+            assert response.error.detail == {"version": str(version)}
+        unpublished = RwsService()  # serves no version yet
+        try:
+            response = Dispatcher(unpublished).dispatch(SnapshotRequest())
+            assert response.error.code is ErrorCode.STALE_SNAPSHOT
+            assert response.error.detail == {}
+        finally:
+            unpublished.queue.shutdown()
 
     def test_submit_poll_round_trip(self, service, dispatcher):
         submitted = dispatcher.dispatch(
@@ -452,39 +457,6 @@ def rws_lists(draw) -> RwsList:
 
 
 @st.composite
-def member_records(draw) -> MemberRecord:
-    role = draw(st.sampled_from(list(SiteRole)))
-    return MemberRecord(
-        site=draw(domains()),
-        role=role,
-        set_primary=draw(domains()),
-        variant_of=draw(st.one_of(st.none(), domains())),
-        rationale=draw(st.one_of(st.none(), st.just("because"))),
-    )
-
-
-@st.composite
-def snapshot_deltas(draw) -> SnapshotDelta:
-    diff = ListDiff(
-        added_sets=draw(st.lists(domains(), max_size=3)),
-        removed_sets=draw(st.lists(domains(), max_size=3)),
-        changed_sets=draw(st.lists(domains(), max_size=3)),
-        added_members=draw(st.lists(member_records(), max_size=3)),
-        removed_members=draw(st.lists(member_records(), max_size=3)),
-    )
-    from_version = draw(st.integers(1, 50))
-    return SnapshotDelta(
-        from_version=from_version,
-        to_version=draw(st.integers(from_version, 60)),
-        from_hash=draw(st.text(alphabet="0123456789abcdef", min_size=64,
-                               max_size=64)),
-        to_hash=draw(st.text(alphabet="0123456789abcdef", min_size=64,
-                             max_size=64)),
-        diff=diff,
-    )
-
-
-@st.composite
 def query_verdicts(draw) -> QueryVerdict:
     site_a = draw(st.one_of(st.none(), domains()))
     site_b = draw(st.one_of(st.none(), domains()))
@@ -522,7 +494,7 @@ def api_errors(draw) -> ApiError:
 @st.composite
 def requests(draw):
     kind = draw(st.sampled_from(["query", "batch_query", "resolve",
-                                 "publish", "delta", "submit", "poll",
+                                 "publish", "snapshot", "submit", "poll",
                                  "stats"]))
     if kind == "query":
         return QueryRequest(host_a=draw(domains()), host_b=draw(domains()))
@@ -536,10 +508,9 @@ def requests(draw):
         return ResolveRequest(host=draw(domains()))
     if kind == "publish":
         return PublishRequest(rws_list=draw(rws_lists()))
-    if kind == "delta":
-        return DeltaRequest(from_version=draw(st.integers(1, 50)),
-                            to_version=draw(st.one_of(
-                                st.none(), st.integers(1, 50))))
+    if kind == "snapshot":
+        return SnapshotRequest(version=draw(st.one_of(
+            st.none(), st.integers(1, 50))))
     if kind == "submit":
         return SubmitRequest(rws_set=draw(rws_sets()))
     if kind == "poll":
@@ -552,7 +523,7 @@ def requests(draw):
 @st.composite
 def responses(draw):
     kind = draw(st.sampled_from(["query", "batch_query", "resolve",
-                                 "publish", "delta", "submit", "poll",
+                                 "publish", "snapshot", "submit", "poll",
                                  "stats", "error"]))
     if kind == "query":
         return QueryResponse(verdict=draw(query_verdicts()))
@@ -569,8 +540,12 @@ def responses(draw):
                                content_hash=draw(st.text(
                                    alphabet="0123456789abcdef",
                                    min_size=64, max_size=64)))
-    if kind == "delta":
-        return DeltaResponse(delta=draw(snapshot_deltas()))
+    if kind == "snapshot":
+        return SnapshotResponse(
+            version=draw(st.integers(1, 99)),
+            content_hash=draw(st.text(alphabet="0123456789abcdef",
+                                      min_size=64, max_size=64)),
+            rws_list=draw(rws_lists()))
     if kind == "submit":
         return SubmitResponse(ticket=draw(st.text(
             alphabet=string.ascii_lowercase + string.digits + "-",

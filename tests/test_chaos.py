@@ -1,7 +1,7 @@
 """Tests for repro.chaos: seeded fault plans and the chaos router.
 
 Covers the plan registry and the stateless fault roll, membership
-churn (leave/rejoin/join with delta-vs-snapshot bootstraps),
+churn (leave/rejoin/join with hop-vs-snapshot bootstraps),
 deterministic primary failover, the lossy broadcast transport with
 gap-detection recovery, canary publishes in both directions
 (promote and rollback), and — the property everything above exists to
@@ -13,7 +13,12 @@ import dataclasses
 
 import pytest
 
-from repro.api import Dispatcher, StatsRequest
+from repro.api import (
+    Dispatcher,
+    SnapshotRequest,
+    SnapshotResponse,
+    StatsRequest,
+)
 from repro.chaos import (
     CHAOS_PLANS,
     ChaosRouter,
@@ -140,7 +145,7 @@ class TestMembershipChurn:
         report = router.stats_report()
         assert report["chaos.leaves"] == 1
         assert report["chaos.rejoins"] == 1
-        assert report["chaos.bootstrap_deltas"] >= 1
+        assert report["chaos.bootstrap_hops"] >= 1
 
     def test_join_adds_a_routable_replica_mid_run(self, primary):
         plan = FaultPlan(name="t", joins=((101, 5, 0),))
@@ -305,6 +310,16 @@ class TestCanaryPublish:
         report = router.stats_report()
         assert report["chaos.canary_rollbacks"] == 1
         assert report["chaos.canary_promotes"] == 0
+
+    def test_rolled_back_cluster_hands_clients_the_served_version(
+            self, primary):
+        router = ChaosRouter(primary, replicas=4, plan=self.ROLLBACK_PLAN)
+        router.publish(shrunk_list(), published_clock=1)
+        assert primary.store.latest.version == 2  # the aborted candidate
+        served = Dispatcher(router).dispatch(SnapshotRequest())
+        assert type(served) is SnapshotResponse
+        assert served.version == 1
+        assert served.content_hash == primary.store.get(1).content_hash
 
     def test_benign_candidate_promotes_everywhere(self, primary):
         plan = dataclasses.replace(self.ROLLBACK_PLAN,

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from repro.api import Dispatcher
+from repro.api import Dispatcher, decode_response, encode_response
 from repro.api.envelopes import (
     BatchQueryRequest,
     BatchQueryResponse,
-    DeltaRequest,
-    DeltaResponse,
     PollRequest,
     PublishRequest,
     QueryRequest,
     QueryResponse,
+    SnapshotRequest,
+    SnapshotResponse,
     StatsRequest,
     SubmitRequest,
 )
@@ -23,10 +23,10 @@ from repro.psl import PublicSuffixList
 from repro.rws import MemberRecord, RelatedWebsiteSet, RwsList
 from repro.serve.epoch import Epoch
 from repro.serve import (
+    ListSnapshot,
     RwsService,
     SnapshotStore,
     StaleSnapshotError,
-    apply_delta,
     membership_hash,
 )
 
@@ -117,7 +117,7 @@ class TestReplica:
         # Two broadcast hops, one application.
         assert replica.version == 3
         assert replica.catch_ups == 1
-        assert replica.deltas_applied == 2
+        assert replica.hops_applied == 2
         assert replica.epoch.content_hash == primary.epoch.content_hash
         assert not replica.query("other.com", "other-shop.com").related
 
@@ -181,9 +181,8 @@ class TestReplica:
 
 
 class TestSquashDeltas:
-    """A two-hop chain of client deltas folds into the store's one
-    direct delta: applying the hops in turn and applying
-    ``store.delta(start, last)`` reach the same membership."""
+    """The store's delta across several versions is their net change:
+    ``store.delta(1, 3)`` diffs v1 against v3, whatever v2 did."""
 
     @staticmethod
     def _store_with(*lists) -> SnapshotStore:
@@ -191,24 +190,6 @@ class TestSquashDeltas:
         for rws_list in lists:
             store.publish(rws_list)
         return store
-
-    @staticmethod
-    def _chained(base: RwsList, store: SnapshotStore, start: int,
-                 last: int) -> RwsList:
-        for version in range(start, last):
-            base = apply_delta(base, store.delta(version, version + 1))
-        return base
-
-    def test_squashed_equals_chained_and_direct(self):
-        store = self._store_with(small_list(), grown_list(), shrunk_list())
-        squashed = store.delta(1, 3)
-        assert squashed.from_version == 1 and squashed.to_version == 3
-
-        chained = self._chained(small_list(), store, 1, 3)
-        direct = apply_delta(small_list(), squashed)
-        target = store.get(3).content_hash
-        assert membership_hash(chained) == target
-        assert membership_hash(direct) == target
 
     def test_add_then_remove_cancels(self):
         # v2 adds a set, v3 removes it again: the direct delta is a
@@ -224,10 +205,6 @@ class TestSquashDeltas:
         assert "new.com" not in squashed.diff.removed_sets
         assert not any(r.set_primary == "new.com"
                        for r in squashed.diff.added_members)
-        patched = apply_delta(small_list(), squashed)
-        assert membership_hash(patched) == store.get(3).content_hash
-        chained = self._chained(small_list(), store, 1, 3)
-        assert membership_hash(chained) == store.get(3).content_hash
 
     def test_remove_then_readd_is_a_change_not_a_removal(self):
         # other.com is withdrawn in v2 and resubmitted (grown) in v3:
@@ -242,55 +219,6 @@ class TestSquashDeltas:
         assert "other.com" not in squashed.diff.removed_sets
         assert "other.com" not in squashed.diff.added_sets
         assert "other.com" in squashed.diff.changed_sets
-        patched = apply_delta(small_list(), squashed)
-        assert membership_hash(patched) == store.get(3).content_hash
-        chained = self._chained(small_list(), store, 1, 3)
-        assert membership_hash(chained) == store.get(3).content_hash
-
-    def test_randomised_chains_converge(self):
-        # Random walks over add/remove/grow edits: replaying any
-        # contiguous window of the published chain must reproduce the
-        # window's direct delta, membership-wise.
-        rng = random.Random(7)
-        for _ in range(10):
-            lists = [small_list()]
-            for _ in range(4):
-                nxt = RwsList(sets=[
-                    RelatedWebsiteSet(
-                        primary=s.primary,
-                        associated=list(s.associated),
-                        service=list(s.service),
-                        cctlds={k: list(v) for k, v in s.cctlds.items()},
-                        rationales=dict(s.rationales),
-                    ) for s in lists[-1].sets
-                ])
-                action = rng.choice(["grow", "drop", "add_set"])
-                if action == "grow":
-                    target = rng.choice(nxt.sets)
-                    site = f"member-{rng.randrange(1000)}.com"
-                    target.associated.append(site)
-                    target.rationales[site] = "Random growth."
-                elif action == "drop" and len(nxt.sets) > 1:
-                    del nxt.sets[rng.randrange(len(nxt.sets))]
-                else:
-                    n = rng.randrange(1000)
-                    nxt.sets.append(RelatedWebsiteSet(
-                        primary=f"set-{n}.com",
-                        associated=[f"set-{n}-blog.com"],
-                        rationales={f"set-{n}-blog.com": "Random set."},
-                    ))
-                lists.append(nxt)
-            store = SnapshotStore()
-            for rws_list in lists:
-                store.publish(rws_list)
-            versions = store.versions()
-            start = rng.choice(versions[:-1])
-            base = lists[start - 1]
-            target = store.get(versions[-1]).content_hash
-            chained = self._chained(base, store, start, versions[-1])
-            direct = apply_delta(base, store.delta(start, versions[-1]))
-            assert membership_hash(chained) == target
-            assert membership_hash(direct) == target
 
 
 class TestLossTolerantCatchUp:
@@ -527,8 +455,8 @@ class TestRouter:
         router = Router(primary, replicas=2)
         snapshot = router.publish(grown_list())
         assert primary.current_snapshot is snapshot
-        delta = router.delta_since(1)
-        assert delta.to_version == 2
+        assert router.snapshot_at() is snapshot
+        assert router.snapshot_at(1) is primary.store.get(1)
         ticket = router.submit(small_list().sets[0])
         assert router.drain(timeout=30)
         assert router.poll(ticket).terminal
@@ -590,9 +518,10 @@ class TestDispatcherOverRouter:
     def test_delta_submit_poll_and_stats_envelopes(self, router,
                                                    dispatcher):
         dispatcher.dispatch(PublishRequest(rws_list=grown_list()))
-        delta = dispatcher.dispatch(DeltaRequest(from_version=1))
-        assert type(delta) is DeltaResponse
-        assert delta.delta.to_version == 2
+        served = dispatcher.dispatch(SnapshotRequest())
+        assert type(served) is SnapshotResponse
+        assert served.version == 2  # the primary's, not a lagging replica's
+        assert served.content_hash == membership_hash(grown_list())
         ticket = dispatcher.dispatch(SubmitRequest(
             rws_set=RelatedWebsiteSet(
                 primary="fresh.com", associated=["fresh-shop.com"],
@@ -675,8 +604,8 @@ class TestPublishPath:
     def test_republish_that_only_repeats_a_fact_is_deduplicated(
             self, service, first, second):
         # A repeated (set, role, site) fact is one fact: the hash must
-        # agree with the diff, which sees no change, or every replica
-        # refuses the empty delta after the primary has switched.
+        # agree with the diff, which sees no change, or the store mints
+        # a version whose membership equals the one it follows.
         router = Router(service, replicas=2, lag=0)
         router.publish(self.one_set(first))
         snapshot = router.publish(self.one_set(second))
@@ -691,7 +620,7 @@ class TestPublishPath:
             self, service, monkeypatch):
         # Count-based, no timing: the hash and encoder read row tuples
         # and no broadcast carries a delta, so a publish builds no
-        # records; a client's delta of the same hop builds its own.
+        # records; the store's diff of the same hop builds its own.
         rws_list, successor = self.list_and_successor()
         router = Router(service, replicas=3, lag=0)
         router.publish(rws_list)
@@ -705,7 +634,7 @@ class TestPublishPath:
         monkeypatch.setattr(MemberRecord, "__init__", counting_init)
         snapshot = router.publish(successor)
         published = len(built)
-        diff = router.delta_since(1, 2).diff
+        diff = router.primary.store.delta(1, 2).diff
         monkeypatch.undo()
         assert snapshot.version == 2
         assert router.replica_versions() == [2, 2, 2]
@@ -716,8 +645,9 @@ class TestPublishPath:
         assert 0 < len(built) <= delta_records
 
     # x.com is listed in both sets, so the first set in list order
-    # answers for it.  A copy patched by delta appends a re-added set
-    # at the end and hashes the same as the primary's list.
+    # answers for it.  A copy rebuilt from a diff appends a re-added
+    # set at the end, and the order-blind membership hash cannot tell
+    # it from the primary's list; a copy taken whole keeps the order.
     SET_A = RelatedWebsiteSet(primary="a.com", associated=["x.com"])
     SET_B = RelatedWebsiteSet(primary="b.com", associated=["x.com"])
     RE_ADDED = ([SET_A, SET_B], [SET_B], [SET_A, SET_B])
@@ -737,6 +667,25 @@ class TestPublishPath:
             # The primary's own buffer, in an epoch of the replica's.
             assert replica.epoch is not service.epoch
             assert replica.epoch.buffer is service.epoch.buffer
+
+    @pytest.mark.parametrize("replicas", [0, 2], ids=["service", "router"])
+    def test_a_client_answers_as_the_primary_after_a_set_is_re_added(
+            self, service, replicas):
+        # A client at v2 ([B]) fetches v3 whole, over the wire form.
+        backend = Router(service, replicas=replicas) if replicas else service
+        for sets in self.RE_ADDED:
+            backend.publish(RwsList(sets=sets))
+        response = Dispatcher(backend).dispatch(SnapshotRequest(3))
+        fetched, _version = decode_response(encode_response(response))
+        assert type(fetched) is SnapshotResponse
+        assert fetched.version == 3
+        assert membership_hash(fetched.rws_list) == fetched.content_hash
+        epoch = Epoch.compile(ListSnapshot(fetched.version,
+                                           fetched.content_hash,
+                                           fetched.rws_list), service.psl)
+        assert service.query("a.com", "x.com").related
+        assert epoch.index.related("a.com", "x.com")
+        assert not epoch.index.related("b.com", "x.com")
 
     def test_a_lagging_replica_serves_the_primary_s_stored_version(
             self, service):

@@ -267,9 +267,9 @@ serve.snapshot_version           gauge      1
 _SCHEMA_ROUTER = """
 cluster.duplicates_ignored       counter    0
 cluster.replica_catch_ups        counter    2
-cluster.replica_deltas_applied   counter    2
 cluster.replica_epoch_max        gauge      2
 cluster.replica_epoch_min        gauge      1
+cluster.replica_hops_applied     counter    2
 cluster.replica_pending_updates  gauge      1
 cluster.replicas                 gauge      3
 cluster.resyncs                  counter    0
@@ -303,7 +303,7 @@ _SCHEMA_REPLICA = """
 cluster.duplicates_ignored       counter    0
 cluster.replica                  gauge      2
 cluster.replica_catch_ups        counter    0
-cluster.replica_deltas_applied   counter    0
+cluster.replica_hops_applied     counter    0
 cluster.replica_pending_updates  gauge      1
 cluster.resyncs                  counter    0
 epoch.load_ns                    counter    *
@@ -322,7 +322,7 @@ serve.snapshot_version           gauge      1
 """
 
 _SCHEMA_CHAOS = """
-chaos.bootstrap_deltas           counter    1
+chaos.bootstrap_hops             counter    1
 chaos.bootstrap_snapshots        counter    0
 chaos.canary_promotes            counter    0
 chaos.canary_rollbacks           counter    0
@@ -337,9 +337,9 @@ cluster.active_replicas          gauge      4
 cluster.availability             gauge      1
 cluster.duplicates_ignored       counter    0
 cluster.replica_catch_ups        counter    4
-cluster.replica_deltas_applied   counter    4
 cluster.replica_epoch_max        gauge      2
 cluster.replica_epoch_min        gauge      2
+cluster.replica_hops_applied     counter    4
 cluster.replica_pending_updates  gauge      0
 cluster.replicas                 gauge      4
 cluster.resyncs                  counter    0

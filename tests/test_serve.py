@@ -17,7 +17,6 @@ from repro.serve import (
     StaleSnapshotError,
     SubmissionStatus,
     ValidationQueue,
-    apply_delta,
     membership_hash,
 )
 
@@ -215,120 +214,30 @@ class TestSnapshotStore:
         assert not delta.is_empty
         assert delta.diff.added_sets == ["new.com"]
         assert "example.com" in delta.diff.changed_sets
-
-        client_copy = small_list()  # a faithful v1 client
-        patched = apply_delta(client_copy, delta)
-        assert membership_hash(patched) == target.content_hash
-        patched_index = MembershipIndex.from_list(patched)
-        assert patched_index.related("example-mail.com", "example.co.uk")
-        assert patched_index.related("new.com", "new-blog.com")
-
-    def test_stale_client_copy_is_rejected(self):
-        store = SnapshotStore()
-        store.publish(small_list())
-        grown = small_list()
-        grown.sets.append(RelatedWebsiteSet(
-            primary="new.com", associated=["new-blog.com"],
-            rationales={"new-blog.com": "Same publisher."},
-        ))
-        store.publish(grown)
-        delta = store.delta(1)
-
-        diverged = small_list()
-        diverged.sets[1].associated.append("rogue.com")
-        with pytest.raises(StaleSnapshotError):
-            apply_delta(diverged, delta)
+        assert (delta.from_version, delta.to_version) == (1, 2)
+        assert delta.to_hash == target.content_hash
 
     def test_metadata_only_change_is_not_a_new_version(self):
         # Rationale/contact edits are submitter metadata, not membership:
-        # they must neither mint a version nor break the delta protocol.
+        # they must neither mint a version nor show up as a change.
         store = SnapshotStore()
         first = store.publish(small_list())
         reworded = small_list()
         reworded.sets[0].rationales["example-news.com"] = "New wording."
         reworded.sets[0].contact = "pressdesk@example.com"
         assert store.publish(reworded) is first
+        assert membership_hash(reworded) == first.content_hash
         delta = store.delta(1)
         assert delta.is_empty
-        patched = apply_delta(small_list(), delta)
-        assert membership_hash(patched) == first.content_hash
 
     def test_empty_delta_round_trips(self):
         store = SnapshotStore()
         store.publish(small_list())
         delta = store.delta(1, 1)
         assert delta.is_empty
-        patched = apply_delta(small_list(), delta)
-        assert membership_hash(patched) == delta.to_hash
-
-    @staticmethod
-    def _three_versions() -> tuple[SnapshotStore, RwsList, RwsList, RwsList]:
-        """A store holding v1 -> v2 (grown set) -> v3 (new set, removal)."""
-        v1 = small_list()
-        v2 = small_list()
-        v2.sets[0].associated.append("example-mail.com")
-        v2.sets[0].rationales["example-mail.com"] = "Webmail brand."
-        v3 = small_list()
-        v3.sets[0].associated.append("example-mail.com")
-        v3.sets[0].rationales["example-mail.com"] = "Webmail brand."
-        del v3.sets[1:]  # other.com's set is withdrawn
-        v3.sets.append(RelatedWebsiteSet(
-            primary="new.com", associated=["new-blog.com"],
-            rationales={"new-blog.com": "Same publisher."},
-        ))
-        store = SnapshotStore()
-        for version in (v1, v2, v3):
-            store.publish(version)
-        assert store.versions() == [1, 2, 3]
-        return store, v1, v2, v3
-
-    def test_multi_hop_delta_chain(self):
-        # A client can walk v1 -> v2 -> v3 hop by hop, and each hop's
-        # result is a valid base for the next.
-        store, _, _, _ = self._three_versions()
-        client = small_list()
-        for hop in (2, 3):
-            delta = store.delta(hop - 1, hop)
-            client = apply_delta(client, delta)
-            assert membership_hash(client) == store.get(hop).content_hash
-        index = MembershipIndex.from_list(client)
-        assert index.related("example-mail.com", "example.co.uk")
-        assert index.related("new.com", "new-blog.com")
-        assert not index.related("other.com", "other-shop.com")
-
-    def test_multi_hop_chain_equals_direct_delta(self):
-        # Hopping v1->v2->v3 and jumping v1->v3 converge on the same
-        # membership content.
-        store, _, _, _ = self._three_versions()
-        hopped = apply_delta(apply_delta(small_list(), store.delta(1, 2)),
-                             store.delta(2, 3))
-        jumped = apply_delta(small_list(), store.delta(1, 3))
-        assert membership_hash(hopped) == membership_hash(jumped)
-        assert membership_hash(jumped) == store.get(3).content_hash
-
-    def test_stale_client_mid_chain_is_rejected(self):
-        # A client that skipped the v1->v2 hop (or diverged after it)
-        # must not be able to apply the v2->v3 delta.
-        store, _, _, _ = self._three_versions()
-        delta_2_to_3 = store.delta(2, 3)
-        still_at_v1 = small_list()
-        with pytest.raises(StaleSnapshotError, match="does not match"):
-            apply_delta(still_at_v1, delta_2_to_3)
-
-        diverged = apply_delta(small_list(), store.delta(1, 2))
-        diverged.sets[0].associated.append("rogue.com")
-        with pytest.raises(StaleSnapshotError):
-            apply_delta(diverged, delta_2_to_3)
-
-    def test_recovery_after_stale_rejection(self):
-        # The recovering client re-syncs from its true version and the
-        # chain works again (the component-updater fallback story).
-        store, _, _, _ = self._three_versions()
-        client = small_list()  # honest v1 client
-        with pytest.raises(StaleSnapshotError):
-            apply_delta(client, store.delta(2, 3))
-        client = apply_delta(client, store.delta(1, 3))
-        assert membership_hash(client) == store.get(3).content_hash
+        assert membership_hash(small_list()) == delta.to_hash
+        assert not (delta.diff.added_sets or delta.diff.removed_sets
+                    or delta.diff.changed_sets)
 
 
 class TestValidationQueue:
@@ -452,9 +361,9 @@ class TestRwsService:
         snapshot = self.service.publish(grown)
         assert snapshot.version == 2
         assert self.service.query("new.com", "new-blog.com").related
-        delta = self.service.delta_since(1)
-        patched = apply_delta(small_list(), delta)
-        assert membership_hash(patched) == snapshot.content_hash
+        assert self.service.snapshot_at() is snapshot  # the served one
+        assert self.service.snapshot_at(1).content_hash \
+            == membership_hash(small_list())
 
     def test_submission_checked_against_served_list(self):
         # Overlaps with the served list must be rejected...
@@ -560,16 +469,6 @@ class TestEpoch:
             assert epoch.content_hash == ""
             assert len(epoch.rws_list.sets) == 0
             assert not service.query("a.com", "b.com").related
-        finally:
-            service.queue.shutdown()
-
-    def test_require_version(self):
-        service = RwsService()
-        try:
-            service.publish(small_list())
-            service.epoch.require_version(1)
-            with pytest.raises(StaleSnapshotError, match="serves v1"):
-                service.epoch.require_version(2)
         finally:
             service.queue.shutdown()
 
