@@ -257,16 +257,23 @@ def _decode_pairs(obj: dict[str, Any], where: str,
     raw = obj.get("pairs")
     if not isinstance(raw, list):
         raise WireError(f"{where}: field 'pairs' must be a list")
+    # JSON arrays and strings decode to exactly list and str, so exact
+    # type checks accept what isinstance would, at a fraction of its
+    # cost per pair.
     pairs: list[tuple[str | None, str | None]] = []
-    for i, entry in enumerate(raw):
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not all(isinstance(h, str)
-                           or (allow_null and h is None) for h in entry)):
-            expected = ("[site_or_null, site_or_null]" if allow_null
-                        else "[host_a, host_b]")
-            raise WireError(f"{where}: pairs[{i}] must be a "
-                            f"{expected} pair")
-        pairs.append((entry[0], entry[1]))
+    append = pairs.append
+    for entry in raw:
+        if type(entry) is list and len(entry) == 2:
+            host_a, host_b = entry
+            if ((type(host_a) is str or (allow_null and host_a is None))
+                    and (type(host_b) is str
+                         or (allow_null and host_b is None))):
+                append((host_a, host_b))
+                continue
+        expected = ("[site_or_null, site_or_null]" if allow_null
+                    else "[host_a, host_b]")
+        raise WireError(f"{where}: pairs[{len(pairs)}] must be a "
+                        f"{expected} pair")
     return pairs
 
 

@@ -44,6 +44,15 @@ construction.
   connection with no partial frame buffered and reading not paused
   closes; any other gets another full period.  Connects past
   ``max_connections`` are refused at hello.
+* **lingering close** — a connection the server closes (refused at
+  the cap, a bad hello, a framing error, an idle timeout) half-closes
+  after its last byte with ``shutdown(SHUT_WR)``, then reads and
+  discards until the peer's EOF or ``idle_timeout``, and only then
+  closes.  Closing over unread bytes, such as a request the client
+  pipelined behind its hello, would make the kernel reset the
+  connection and lose the answer the client had not read yet.  At
+  most ``max_connections`` sockets linger at once, apart from the
+  cap; past that the oldest closes at once.
 
 A framing error is answered, after the frames that completed ahead
 of it, and the connection closes once its outbox is flushed.
@@ -196,6 +205,9 @@ class RwsTcpServer:
         self._stopping = False
         #: Accepted connections, until closed; refused ones never join.
         self._connections: set[_Connection] = set()
+        #: Half-closed connections reading to their peer's EOF, oldest
+        #: first.
+        self._lingering: dict[_Connection, None] = {}
         self._request_seq = 0
         # Touched only on the loop thread.
         self._counters: dict[str, int] = {
@@ -241,7 +253,8 @@ class RwsTcpServer:
         finally:
             for connection in list(self._connections):
                 connection.drop()
-            # The listener, the wake-up socket and refused connections.
+            # The listener, the wake-up socket, and refused and
+            # lingering connections.
             for key in list(self._selector.get_map().values()):
                 key.fileobj.close()
             self._selector.close()
@@ -287,14 +300,17 @@ class RwsTcpServer:
 
         A connection holding a partial frame, or not reading because
         its answers are backed up, is not idle: it gets another full
-        period.
+        period.  A lingering connection closes at its deadline.
         """
-        if not self._connections:
+        if not self._connections and not self._lingering:
             return None
         now = time.monotonic()
         earliest = None
-        for connection in list(self._connections):
+        for connection in [*self._connections, *self._lingering]:
             if connection.deadline <= now:
+                if connection in self._lingering:
+                    connection.drop()
+                    continue
                 if connection.decoder.idle and connection.reading:
                     self._counters["idle_timeouts"] += 1
                     connection.close()
@@ -425,7 +441,9 @@ class _Connection:
     after all of them are queued.  The connection selects
     ``EVENT_WRITE`` only while the outbox holds bytes the socket did
     not take, and ``EVENT_READ`` unless its outbox is backed up past
-    :data:`HIGH_WATER` or it is closing.
+    :data:`HIGH_WATER` or it is closing.  Once a closing connection's
+    outbox is flushed it lingers: its socket selects ``EVENT_READ``
+    for :meth:`_discard` until the peer's EOF.
     """
 
     def __init__(self, server: RwsTcpServer, sock: socket.socket):
@@ -520,7 +538,7 @@ class _Connection:
                 return
         if self.closing:
             if not outbox:
-                self.drop()
+                self._linger()
                 return
         elif self.reading:
             self.reading = len(outbox) <= HIGH_WATER
@@ -539,14 +557,53 @@ class _Connection:
         self.reading = False
         self._flush()
 
+    def _linger(self) -> None:
+        """Half-close after the last byte, then read to the peer's EOF
+        (or the idle deadline) before closing."""
+        try:
+            self.sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the peer is gone
+            self.drop()
+            return
+        server = self.server
+        lingering = server._lingering
+        if len(lingering) >= server.max_connections:
+            # The oldest has had the longest to read its answer; its
+            # peer may even have closed, with the EOF still unselected.
+            next(iter(lingering)).drop()
+        self._forget()
+        lingering[self] = None
+        self.deadline = time.monotonic() + server.idle_timeout
+        server._selector.modify(self.sock, _READ, self._discard)
+
+    def _discard(self, _mask: int) -> None:
+        """Read and drop what a lingering peer still sends; close at
+        its EOF."""
+        if self not in self.server._lingering:
+            return  # dropped earlier in this select batch
+        try:
+            if self.sock.recv(READ_BYTES):
+                return
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            pass
+        self.drop()
+
+    def _forget(self) -> None:
+        """Leave the accepted connections, counting the close once."""
+        server = self.server
+        if self in server._connections:
+            server._connections.remove(self)
+            server._counters["connections_closed"] += 1
+
     def drop(self) -> None:
         """Close now, unsent bytes and all."""
         server = self.server
         server._selector.unregister(self.sock)
         self.sock.close()
-        if self in server._connections:
-            server._connections.remove(self)
-            server._counters["connections_closed"] += 1
+        server._lingering.pop(self, None)
+        self._forget()
 
 
 class ServerThread:

@@ -31,7 +31,11 @@ validity check, the same-set predicate — so the resolution core is a
 * the memoisation cache is a **CLOCK cache, lock-free on the read
   path**: a hit is one plain ``dict.get`` that sets the entry's
   reference bit, and a miss inserts under a short write lock, its
-  eviction sweep costing O(1) amortised (see :class:`PublicSuffixList`).
+  eviction sweep costing O(1) amortised (see :class:`PublicSuffixList`);
+* the serving reads (:meth:`~PublicSuffixList.etld_plus_one` and its
+  counted and bulk forms) resolve a host straight to its site string
+  and cache only that; a :class:`SuffixMatch` is built only for
+  :meth:`~PublicSuffixList.resolve`, once per cached host.
 """
 
 from __future__ import annotations
@@ -68,12 +72,14 @@ class DomainError(ValueError):
 class SuffixMatch:
     """The result of resolving a domain against the PSL.
 
-    A plain slotted value object rather than a frozen dataclass: one is
-    allocated per uncached resolution on the hottest cross-subsystem
-    path, and ``object.__setattr__``-based frozen construction costs
-    ~3x a plain slot fill (the same win measured for
-    :class:`~repro.serve.index.QueryResult`).  Instances are shared by
-    the resolution cache — treat them as immutable by convention.
+    A plain slotted value object rather than a frozen dataclass:
+    ``object.__setattr__``-based frozen construction costs ~3x a plain
+    slot fill (the same win measured for
+    :class:`~repro.serve.index.QueryResult`).  Only
+    :meth:`PublicSuffixList.resolve` builds one, once per cached host;
+    the serving reads never do, because they read only
+    ``registrable_domain``.  Instances are shared by the resolution
+    cache — treat them as immutable by convention.
 
     Attributes:
         domain: The normalised input domain.
@@ -170,6 +176,19 @@ def normalize_domain(domain: str) -> str:
     return _normalize_slow(candidate, domain)
 
 
+def _registrable(normalised: str, labels: list[str],
+                 suffix_length: int) -> str | None:
+    """The eTLD+1 of a split domain whose public suffix is its last
+    ``suffix_length`` labels (None when it is the suffix); when the
+    whole domain is the eTLD+1, no join: it is ``normalised`` itself."""
+    extra = len(labels) - suffix_length
+    if extra == 1:
+        return normalised
+    if extra == 0:
+        return None
+    return ".".join(labels[extra - 1:])
+
+
 def _normalize_reference(domain: str) -> str:
     """:func:`normalize_domain` without the fast-path regex guard.
 
@@ -189,8 +208,9 @@ class PublicSuffixList:
     second-chance approximation of LRU whose upkeep is O(1) amortised
     per miss:
 
-    * one dict maps each cached domain to ``[match, referenced]``, and
-      a ring of the same keys with a hand orders them for eviction;
+    * one dict maps each cached host to ``[site, referenced, match]``,
+      and a ring of the same keys with a hand orders them for
+      eviction;
     * the read path is lock-free — a hit is one ``dict.get`` that sets
       the entry's reference bit with a single list-slot store;
     * misses resolve outside any lock and insert under a short write
@@ -198,6 +218,12 @@ class PublicSuffixList:
       set bits until it reaches a clear one, evicts that key and
       reuses its slot — an entry hit since the hand last passed
       survives one more sweep, so recently used domains stay.
+
+    The serving reads (:meth:`etld_plus_one`, the ``*_counted`` and
+    bulk forms) resolve a miss straight to its site and leave
+    ``match`` None; :meth:`resolve` builds the :class:`SuffixMatch` on
+    its own miss, or on its first hit of a site-only entry, and stores
+    it.  Which read inserted an entry changes no counter or eviction.
 
     Under concurrency the ``hits`` counter is a plain racy increment
     (exact when uncontended; may undercount under heavy parallel
@@ -233,7 +259,7 @@ class PublicSuffixList:
             raise ValueError("PSL text contains no rules")
         self._trie = self._index.compile()
         self._cache_maxsize = max(0, cache_size)
-        self._cache: dict[str, list] = {}  # domain -> [match, referenced]
+        self._cache: dict[str, list] = {}  # host -> [site, referenced, match]
         self._ring: list[str] = []  # every cached key once, in slot order
         self._hand = 0
         self._cache_lock = threading.Lock()
@@ -249,7 +275,9 @@ class PublicSuffixList:
 
         ``errors`` counts failed resolutions (:class:`DomainError`),
         which are never cached; ``misses`` counts only resolutions that
-        ran the engine successfully and entered the cache.
+        ran the engine successfully and entered the cache.  A
+        :meth:`resolve` that hits an entry a serving read inserted
+        builds its :class:`SuffixMatch` then, and still counts a hit.
         """
         with self._cache_lock:
             return {
@@ -289,44 +317,54 @@ class PublicSuffixList:
 
     # -- cache internals ------------------------------------------------------
 
-    def _insert_locked(self, domain: str, match: SuffixMatch) -> None:
-        """Insert one resolved domain (caller holds the write lock)."""
+    def _insert_locked(self, entries: Iterable[tuple[str, list]]) -> None:
+        """Insert ``(host, entry)`` pairs (caller holds the write lock)."""
         cache = self._cache
-        if domain in cache:
-            return  # another thread inserted it while we resolved
         ring = self._ring
-        if len(ring) < self._cache_maxsize:
-            ring.append(domain)
-        else:
-            # Second chance: clear set bits until a clear one comes up.
-            # One full turn clears every bit, so the sweep is bounded
-            # even while lock-free hits keep setting bits behind it.
-            hand = self._hand
-            for _ in range(len(ring)):
-                entry = cache[ring[hand]]
-                if not entry[1]:
-                    break
-                entry[1] = False
-                hand = (hand + 1) % len(ring)
-            del cache[ring[hand]]
-            ring[hand] = domain
-            self._hand = (hand + 1) % len(ring)
-        # Inserted clear: a domain used once goes when the hand next
-        # reaches it; only a hit earns it the second chance.
-        cache[domain] = [match, False]
+        size = len(ring)
+        hand = self._hand
+        for host, entry in entries:
+            if host in cache:
+                continue  # another thread inserted it while we resolved
+            if size < self._cache_maxsize:
+                ring.append(host)
+                size += 1
+            else:
+                # Second chance: clear set bits until a clear one comes
+                # up.  One full turn clears every bit, so the sweep is
+                # bounded even while lock-free hits keep setting bits
+                # behind it.
+                for _ in range(size):
+                    held = cache[ring[hand]]
+                    if not held[1]:
+                        break
+                    held[1] = False
+                    hand = (hand + 1) % size
+                del cache[ring[hand]]
+                ring[hand] = host
+                hand = (hand + 1) % size
+            # Inserted clear: a domain used once goes when the hand
+            # next reaches it; only a hit earns it the second chance.
+            cache[host] = entry
+        self._hand = hand
 
-    def _resolve_miss(self, domain: str) -> SuffixMatch:
-        """Resolve a domain the cache missed, count it and insert it."""
+    def _resolve_miss(self, domain: str, with_match: bool) -> list:
+        """Resolve a domain the cache missed, count it and insert it;
+        returns its new ``[site, referenced, match]`` entry."""
         try:
-            match = self._resolve_uncached(domain)
+            if with_match:
+                match = self._resolve_uncached(domain)
+                entry = [match.registrable_domain, False, match]
+            else:
+                entry = [self._site_uncached(domain), False, None]
         except DomainError:
             with self._cache_lock:
                 self._cache_errors += 1
             raise
         with self._cache_lock:
             self._cache_misses += 1
-            self._insert_locked(domain, match)
-        return match
+            self._insert_locked(((domain, entry),))
+        return entry
 
     # -- resolution -----------------------------------------------------------
 
@@ -344,12 +382,30 @@ class PublicSuffixList:
         """
         if self._cache_maxsize > 0 and isinstance(domain, str):
             entry = self._cache.get(domain)
-            if entry is not None:
-                entry[1] = True
-                self._cache_hits += 1
-                return entry[0]
-            return self._resolve_miss(domain)
+            if entry is None:
+                return self._resolve_miss(domain, True)[2]
+            entry[1] = True
+            self._cache_hits += 1
+            if entry[2] is None:
+                # A serving read inserted the entry with its site only.
+                entry[2] = self._resolve_uncached(domain)
+            return entry[2]
         return self._resolve_uncached(domain)
+
+    def etld_plus_one(self, domain: str) -> str | None:
+        """The domain's registrable domain (eTLD+1), or None.
+
+        None means the domain is itself a public suffix, e.g.
+        ``etld_plus_one("co.uk") is None``.
+        """
+        if self._cache_maxsize > 0 and isinstance(domain, str):
+            entry = self._cache.get(domain)
+            if entry is None:
+                return self._resolve_miss(domain, False)[0]
+            entry[1] = True
+            self._cache_hits += 1
+            return entry[0]
+        return self._site_uncached(domain)
 
     def etld_plus_one_counted(self, host: str) -> tuple[str | None, bool]:
         """:meth:`etld_plus_one` with errors folded to ``None``, plus
@@ -367,30 +423,20 @@ class PublicSuffixList:
                 if entry is not None:
                     entry[1] = True
                     self._cache_hits += 1
-                    return entry[0].registrable_domain, True
-                return self._resolve_miss(host).registrable_domain, False
-            return self._resolve_uncached(host).registrable_domain, False
+                    return entry[0], True
+                return self._resolve_miss(host, False)[0], False
+            return self._site_uncached(host), False
         except DomainError:
             return None, False
 
     def resolve_many(self, domains: Iterable[str]) -> list[SuffixMatch]:
-        """Bulk :meth:`resolve`: probe, resolve, and insert as a batch.
-
-        All cache probes run lock-free up front; cold domains resolve
-        through the trie outside any lock (once per distinct domain —
-        within-batch repeats are served from the first resolution, and
-        accounted as the hits they would have been sequentially); the
-        insertions and counter updates then land under **one** write
-        lock acquisition instead of one per miss.
+        """:meth:`resolve` over each domain in turn.
 
         Raises:
-            DomainError: On the first syntactically invalid domain
-                (counted under ``errors``); successes resolved before
-                the error are cached and counted as misses, exactly as
-                a sequential loop would have left them.
+            DomainError: On the first syntactically invalid domain,
+                after the domains before it were resolved and counted.
         """
-        matches, _ = self._resolve_batch(list(domains), strict=True)
-        return matches
+        return [self.resolve(domain) for domain in domains]
 
     def etld_plus_one_many(self, domains: Iterable[str]) -> list[str | None]:
         """Bulk :meth:`etld_plus_one` with errors folded to ``None``.
@@ -415,105 +461,62 @@ class PublicSuffixList:
         answered, a within-batch repeat of a host that resolved
         included (sequentially it would have hit); every other host is
         a miss.  Always 0 with caching off.
-        """
-        matches, hits = self._resolve_batch(hosts, strict=False)
-        return [match.registrable_domain if match is not None else None
-                for match in matches], hits
 
-    def _resolve_batch(
-        self, domains: list[str], *, strict: bool,
-    ) -> tuple[list, int]:
-        """Shared bulk core; returns (matches, hits).
-
-        In strict mode the first :class:`DomainError` propagates after
-        being counted; otherwise failures leave None in the result.
+        Each distinct host is probed once, lock-free, and each distinct
+        miss resolves once to its site; the counters and the inserts,
+        in first-seen order, then take **one** write-lock acquisition.
         """
-        results: list[SuffixMatch | None] = [None] * len(domains)
         if self._cache_maxsize <= 0:
-            for i, domain in enumerate(domains):
-                if strict:
-                    results[i] = self._resolve_uncached(domain)
-                else:
-                    try:
-                        results[i] = self._resolve_uncached(domain)
-                    except DomainError:
-                        pass
-            return results, 0
-
+            return [self.etld_plus_one_counted(host)[0] for host in hosts], 0
         cache = self._cache
-        pending: dict[str, list[int]] = {}
-        hits = 0
-        for i, domain in enumerate(domains):
-            entry = cache.get(domain)
+        sites = dict.fromkeys(hosts)
+        resolved = []
+        failed = set()
+        for host in sites:
+            entry = cache.get(host)
             if entry is not None:
                 entry[1] = True
-                hits += 1
-                results[i] = entry[0]
-            else:
-                positions = pending.get(domain)
-                if positions is None:
-                    pending[domain] = [i]
-                else:
-                    positions.append(i)
-
-        misses = 0
-        errors = 0
-        resolved: list[tuple[str, SuffixMatch]] = []
-        first_error: DomainError | None = None
-        for domain, positions in pending.items():
-            try:
-                match = self._resolve_uncached(domain)
-            except DomainError as exc:
-                # Failures are never cached, so sequentially every
-                # occurrence would have failed on its own.
-                errors += len(positions)
-                if strict:
-                    first_error = exc
-                    break
+                sites[host] = entry[0]
                 continue
-            misses += 1
-            # Sequentially the repeats would have hit the cache.
-            hits += len(positions) - 1
-            for position in positions:
-                results[position] = match
-            resolved.append((domain, match))
-
+            try:
+                site = self._site_uncached(host)
+            except DomainError:
+                failed.add(host)
+                continue
+            sites[host] = site
+            resolved.append((host, [site, False, None]))
+        # Failures are never cached, so sequentially every occurrence
+        # fails on its own; every other occurrence but a miss's first
+        # is a hit.
+        errors = sum(map(failed.__contains__, hosts)) if failed else 0
+        hits = len(hosts) - len(resolved) - errors
         with self._cache_lock:
             self._cache_hits += hits
-            self._cache_misses += misses
+            self._cache_misses += len(resolved)
             self._cache_errors += errors
-            # Insert even when about to raise: every counted miss must
-            # correspond to a resolution that entered the cache.
-            for domain, match in resolved:
-                self._insert_locked(domain, match)
-        if first_error is not None:
-            raise first_error
-        return results, hits
+            self._insert_locked(resolved)
+        return [sites[host] for host in hosts], hits
+
+    def _site_uncached(self, domain: str) -> str | None:
+        """The domain's site straight from the engine: no cache, no
+        :class:`SuffixMatch`."""
+        normalised = normalize_domain(domain)
+        labels = normalised.split(".")
+        return _registrable(normalised, labels,
+                            self._trie.resolve(labels)[1])
 
     def _resolve_uncached(self, domain: str) -> SuffixMatch:
         normalised = normalize_domain(domain)
         labels = normalised.split(".")
         winner, suffix_length = self._trie.resolve(labels)
-
-        # Join elision for the dominant shapes: a single-label suffix
-        # needs no join, and when the whole domain is the eTLD+1 the
-        # registrable form *is* the normalised input.
-        total = len(labels)
-        if suffix_length == 1:
-            public_suffix = labels[-1]
-        else:
-            public_suffix = ".".join(labels[total - suffix_length:])
-        if total == suffix_length:
-            registrable = None
-        elif total == suffix_length + 1:
-            registrable = normalised
-        else:
-            registrable = ".".join(labels[total - suffix_length - 1:])
-
         return SuffixMatch(
             domain=normalised,
-            public_suffix=public_suffix,
-            registrable_domain=registrable,
+            # A single-label suffix needs no join.
+            public_suffix=(
+                labels[-1] if suffix_length == 1
+                else ".".join(labels[len(labels) - suffix_length:])),
+            registrable_domain=_registrable(normalised, labels,
+                                            suffix_length),
             rule=winner,
             is_private_suffix=bool(winner is not None and winner.is_private),
         )
@@ -574,18 +577,9 @@ class PublicSuffixList:
         """The domain's effective TLD (public suffix)."""
         return self.resolve(domain).public_suffix
 
-    def etld_plus_one(self, domain: str) -> str | None:
-        """The domain's registrable domain (eTLD+1), or None.
-
-        None means the domain is itself a public suffix, e.g.
-        ``etld_plus_one("co.uk") is None``.
-        """
-        return self.resolve(domain).registrable_domain
-
     def is_public_suffix(self, domain: str) -> bool:
         """True when the domain is exactly a public suffix."""
-        match = self.resolve(domain)
-        return match.registrable_domain is None
+        return self.etld_plus_one(domain) is None
 
     def is_etld_plus_one(self, domain: str) -> bool:
         """True when the domain is exactly a registrable domain.

@@ -39,6 +39,7 @@ from repro.api import (
     encode_response,
     negotiate_version,
 )
+from repro.api.codec import _decode_pairs
 from repro.cluster import Router
 from repro.data import build_rws_list
 from repro.obs import MetricsRegistry
@@ -594,6 +595,56 @@ class TestWireCodecRoundTrip:
         decoded, negotiated = decode_request(wire)
         assert decoded == request
         assert negotiated == min(version, API_VERSION)
+
+
+def decode_pairs_reference(obj, where, allow_null):
+    """The ``isinstance`` loop ``_decode_pairs`` replaced: the reference
+    it must agree with on every JSON document, error text included."""
+    raw = obj.get("pairs")
+    if not isinstance(raw, list):
+        raise WireError(f"{where}: field 'pairs' must be a list")
+    pairs = []
+    for i, entry in enumerate(raw):
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not all(isinstance(h, str)
+                           or (allow_null and h is None) for h in entry)):
+            expected = ("[site_or_null, site_or_null]" if allow_null
+                        else "[host_a, host_b]")
+            raise WireError(f"{where}: pairs[{i}] must be a "
+                            f"{expected} pair")
+        pairs.append((entry[0], entry[1]))
+    return pairs
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=6)
+#: Pair entries, mostly near the valid shape so that junk lands at
+#: every position.
+PAIR_ENTRIES = (st.lists(st.none() | st.text(max_size=4), min_size=2,
+                         max_size=2)
+                | st.lists(st.none() | st.text(max_size=4), max_size=3)
+                | JSON_VALUES)
+
+
+class TestDecodePairsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(PAIR_ENTRIES, max_size=6) | JSON_VALUES,
+           allow_null=st.booleans())
+    def test_decode_pairs_matches_isinstance_reference(self, pairs,
+                                                       allow_null):
+        document = json.loads(json.dumps({"pairs": pairs}))
+        outcomes = []
+        for decode in (_decode_pairs, decode_pairs_reference):
+            try:
+                outcomes.append(decode(document, "payload[batch_query]",
+                                       allow_null))
+            except WireError as exc:
+                outcomes.append(("error", exc.error.message))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestWireCodecErrors:

@@ -206,6 +206,32 @@ class TestLifecycle:
             first.close()
             second.close()
 
+    def test_refusal_survives_a_request_pipelined_behind_the_hello(
+            self, service):
+        """A refused client that sends a request 2 ms after its hello
+        still reads the refusal: the server reads the request to the
+        client's EOF instead of closing over it, which would reset the
+        connection under the unread refusal."""
+
+        def refused_with(host, port) -> str:
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(encode_frame(hello_message()))
+                time.sleep(0.002)
+                sock.sendall(encode_frame(encode_request(StatsRequest())))
+                return json.loads(read_frame(sock, FrameDecoder())
+                                  )["error"]["code"]
+
+        with ServerThread(RwsTcpServer(service,
+                                       max_connections=1)) as harness:
+            host, port = harness.server.address
+            with TcpApiClient(host, port) as holder:
+                holder.dispatch(StatsRequest())  # holds the one slot
+                codes = [refused_with(host, port) for _ in range(200)]
+            counters = harness.server.net_snapshot()["counters"]
+        assert codes == ["RATE_LIMITED"] * 200
+        assert counters["connections_rejected"] == 200
+        assert counters["connections_opened"] == 1
+
     def test_server_thread_context_manager(self, service):
         with ServerThread(RwsTcpServer(service)) as harness:
             host, port = harness.server.address

@@ -16,10 +16,15 @@ Three concerns, matching the engine's three claims:
   and accounting-equivalent to the sequential loops they replace, at
   every layer that now batches (PSL, service resolver, browser
   engine).
+* **Site-first cache** — the serving reads resolve a host straight to
+  its site and build no :class:`~repro.psl.SuffixMatch`; ``resolve()``
+  builds one per cached host, and the counters on a pinned stream are
+  what a match-building cache counted.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 import threading
@@ -29,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.browser.engine import Browser
 from repro.browser.policy import BROWSER_POLICIES
+from repro.data.synthetic import build_synthetic_list
 from repro.psl import DomainError, PublicSuffixList, normalize_domain
 from repro.psl.lookup import _normalize_reference
 from repro.rws.model import RwsList
@@ -48,6 +54,53 @@ SNAPSHOT_TAILS = ["com", "org", "co.uk", "ck", "www.ck", "github.io",
 #: between exact, wildcard, and exception paths.
 RULE_LABEL = st.sampled_from(["aa", "bb", "cc", "top", "alt", "*"])
 DOMAIN_LABEL = st.sampled_from(["aa", "bb", "cc", "dd", "top", "alt", "www"])
+RULE_SETS = st.lists(
+    st.tuples(st.booleans(), st.lists(RULE_LABEL, min_size=1, max_size=3)),
+    min_size=1, max_size=8,
+)
+#: Raw hosts the fast normaliser accepts, reroutes or rejects.
+RAW_HOST = st.text(alphabet="abcXYZ019-._* ü", max_size=40)
+
+
+def psl_from_rules(rules) -> PublicSuffixList:
+    """An uncached PSL of ``RULE_SETS`` rules (an exception needs two
+    labels)."""
+    lines = []
+    for is_exception, labels in rules:
+        body = ".".join(labels)
+        lines.append("!" + body if is_exception and len(labels) >= 2
+                     else body)
+    return PublicSuffixList("\n".join(lines), cache_size=0)
+
+
+def site_outcome(finish, domain):
+    """``finish(domain)``, or :class:`DomainError` when it raises one."""
+    try:
+        return finish(domain)
+    except DomainError:
+        return DomainError
+
+
+@functools.lru_cache(maxsize=1)
+def dressed_batches() -> tuple[tuple[str, ...], ...]:
+    """40 batches of 512 hosts: dressed members of a 20k-domain
+    synthetic list, a hot few of them often, plus 3 junk hosts each."""
+    sites = [site for rws_set in build_synthetic_list(20_000, seed=3)
+             for site in rws_set.members()]
+    hot = sites[:40]
+    rng = random.Random(3)
+    dressings = ("{}", "{}", "www.{}", "m.{}", "WWW.{}", "{}.", "cdn.{}")
+    junk = ("bad..host", "-lead.example", " ", "x" * 64 + ".com", "co.uk")
+    batches = []
+    for _ in range(40):
+        batch = [rng.choice(dressings).format(
+                     rng.choice(hot) if rng.random() < 0.3
+                     else rng.choice(sites))
+                 for _ in range(509)]
+        for host in rng.sample(junk, 3):
+            batch.insert(rng.randrange(len(batch) + 1), host)
+        batches.append(tuple(batch))
+    return tuple(batches)
 
 
 class TestTrieEquivalence:
@@ -63,10 +116,7 @@ class TestTrieEquivalence:
         assert psl._resolve_uncached(domain) == psl._resolve_scan(domain)
 
     @settings(max_examples=200)
-    @given(rules=st.lists(
-        st.tuples(st.booleans(), st.lists(RULE_LABEL, min_size=1, max_size=3)),
-        min_size=1, max_size=8,
-    ), domains=st.lists(
+    @given(rules=RULE_SETS, domains=st.lists(
         st.lists(DOMAIN_LABEL, min_size=1, max_size=5), min_size=1,
         max_size=8,
     ))
@@ -78,12 +128,7 @@ class TestTrieEquivalence:
         is ground truth for every generated domain, including domains
         no rule matches (the implicit ``*`` rule).
         """
-        lines = []
-        for is_exception, labels in rules:
-            body = ".".join(labels)
-            lines.append("!" + body if is_exception and len(labels) >= 2
-                         else body)
-        psl = PublicSuffixList("\n".join(lines), cache_size=0)
+        psl = psl_from_rules(rules)
         for labels in domains:
             domain = ".".join(labels)
             expected = psl._resolve_scan(domain)
@@ -96,7 +141,31 @@ class TestTrieEquivalence:
         match = psl.resolve("a.city.kawasaki.jp")
         assert match == psl._resolve_scan("a.city.kawasaki.jp")
 
-    @given(raw=st.text(alphabet="abcXYZ019-._* ü", max_size=40))
+    @given(labels=st.lists(LABEL, min_size=1, max_size=4),
+           tail=st.sampled_from(SNAPSHOT_TAILS), raw=RAW_HOST)
+    def test_site_engine_matches_match_engine_on_snapshot(self, psl, labels,
+                                                          tail, raw):
+        """The serving reads' engine answers the match's
+        ``registrable_domain`` and raises :class:`DomainError` alike."""
+        for domain in (".".join(labels + [tail]), raw):
+            assert site_outcome(psl._site_uncached, domain) == site_outcome(
+                lambda d: psl._resolve_uncached(d).registrable_domain,
+                domain)
+
+    @settings(max_examples=200)
+    @given(rules=RULE_SETS, domains=st.lists(
+        st.lists(DOMAIN_LABEL, min_size=1, max_size=5).map(".".join)
+        | RAW_HOST, min_size=1, max_size=8,
+    ))
+    def test_site_engine_matches_match_engine_on_random_rule_sets(
+            self, rules, domains):
+        psl = psl_from_rules(rules)
+        for domain in domains:
+            assert site_outcome(psl._site_uncached, domain) == site_outcome(
+                lambda d: psl._resolve_uncached(d).registrable_domain,
+                domain)
+
+    @given(raw=RAW_HOST)
     def test_fast_normalizer_equivalent_to_reference(self, raw):
         try:
             fast = normalize_domain(raw)
@@ -218,6 +287,75 @@ class TestBulkApis:
                           rws_list=RwsList(), psl=psl)
         with pytest.raises(ValueError):
             browser.visit_with_embeds("co.uk", ["example.com"])
+
+
+class TestSiteFirstCache:
+    def test_serving_reads_build_no_match(self, monkeypatch):
+        """A cold bulk batch and point misses through both site reads
+        build no :class:`SuffixMatch`; ``resolve()`` afterwards counts
+        hits and builds each host's match once."""
+        psl = PublicSuffixList()
+        built: list[str] = []
+        uncached = psl._resolve_uncached
+
+        def counting(domain):
+            built.append(domain)
+            return uncached(domain)
+
+        monkeypatch.setattr(psl, "_resolve_uncached", counting)
+        batch, counted, plain = dressed_batches()[:3]
+        psl.etld_plus_one_many_counted(list(batch))
+        for host in counted:
+            psl.etld_plus_one_counted(host)
+        for host in plain:
+            try:
+                psl.etld_plus_one(host)
+            except DomainError:
+                pass
+        assert built == []
+
+        reference = PublicSuffixList(cache_size=0)
+        hosts = list(dict.fromkeys(
+            host for host in batch + counted + plain
+            if site_outcome(reference.resolve, host) is not DomainError))
+        before = psl.cache_stats()
+        for host in hosts:
+            assert psl.resolve(host) == reference.resolve(host)
+        stats = psl.cache_stats()
+        assert stats["hits"] == before["hits"] + len(hosts)
+        assert stats["misses"] == before["misses"]
+        assert sorted(built) == sorted(hosts)
+        for host in hosts:
+            psl.resolve(host)
+        assert len(built) == len(hosts)
+
+    def test_cache_stats_pinned_on_dressed_synthetic_batches(self):
+        """Bulk batches with junk, each followed by point lookups
+        through ``etld_plus_one_counted`` and ``resolve()``, through a
+        cache 80x smaller than the stream's distinct hosts.  The pinned
+        counters are those a cache that built a match on every miss
+        counted: which read inserts an entry changes no admission and
+        no eviction."""
+        psl = PublicSuffixList(cache_size=256)
+        reference = PublicSuffixList(cache_size=0)
+
+        def folded(host):
+            site = site_outcome(reference.etld_plus_one, host)
+            return None if site is DomainError else site
+
+        bulk_hits = point_hits = 0
+        for batch in dressed_batches():
+            sites, hits = psl.etld_plus_one_many_counted(list(batch))
+            assert sites == [folded(host) for host in batch]
+            bulk_hits += hits
+            for host in batch[::64]:
+                point_hits += psl.etld_plus_one_counted(host)[1]
+            for host in batch[1::64]:
+                site_outcome(psl.resolve, host)
+        assert psl.cache_stats() == {"hits": 2864, "misses": 18156,
+                                     "errors": 100, "size": 256,
+                                     "maxsize": 256}
+        assert (bulk_hits, point_hits) == (2580, 143)
 
 
 class TestConcurrency:
