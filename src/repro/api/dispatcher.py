@@ -70,6 +70,7 @@ from repro.api.envelopes import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
+from repro.serve.epochfmt import OverlappingSetsError
 from repro.serve.service import BATCH_SHAPES, RwsService
 from repro.serve.snapshot import StaleSnapshotError
 
@@ -410,7 +411,16 @@ class Dispatcher:
         return ResolveResponse(host=request.host, site=site)
 
     def _handle_publish(self, request: PublishRequest) -> Response:
-        snapshot = self.service.publish(request.rws_list)
+        try:
+            snapshot = self.service.publish(request.rws_list)
+        except OverlappingSetsError as exc:
+            primary_a, primary_b = exc.primaries
+            return ErrorResponse(op=request.op, error=ApiError(
+                code=ErrorCode.MALFORMED,
+                message=str(exc),
+                detail={"site": exc.site, "primary_a": primary_a,
+                        "primary_b": primary_b},
+            ))
         return PublishResponse(version=snapshot.version,
                                content_hash=snapshot.content_hash)
 

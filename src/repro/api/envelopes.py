@@ -39,7 +39,10 @@ class ErrorCode(enum.Enum):
     #: A poll referenced a ticket this service never issued.
     UNKNOWN_TICKET = "UNKNOWN_TICKET"
     #: The request could not be understood: bad wire JSON, unknown
-    #: operation, unsupported protocol version, or invalid field shapes.
+    #: operation, unsupported protocol version, or invalid field shapes;
+    #: or a publish carried a list that puts a site in two sets (the
+    #: detail names the ``site`` and the ``primary_a`` and
+    #: ``primary_b`` that claim it).
     MALFORMED = "MALFORMED"
     #: The token-bucket middleware shed this request.
     RATE_LIMITED = "RATE_LIMITED"

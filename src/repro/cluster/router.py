@@ -152,9 +152,11 @@ class Router(MetricsSource):
                 published_clock: int | None = None) -> ListSnapshot:
         """Publish to the primary and broadcast the hop to replicas.
 
-        Deduplicated republications broadcast nothing.  Replicas whose
-        lag has already elapsed (always true at lag 0) converge before
-        this returns.
+        Deduplicated republications broadcast nothing, and neither
+        does a refused list (one that puts a site in two sets): the
+        primary's store keeps no version of it.  Replicas whose lag has
+        already elapsed (always true at lag 0) converge before this
+        returns.
 
         Args:
             rws_list: The list to publish.
@@ -163,6 +165,10 @@ class Router(MetricsSource):
                 workload driver passes the *global* update cutoff so a
                 shard that starts past it schedules identical due
                 times.
+
+        Raises:
+            repro.serve.epochfmt.OverlappingSetsError: When the list
+                puts a site in two sets.
         """
         clock = self._clock if published_clock is None else published_clock
         before = self.primary.epoch.version

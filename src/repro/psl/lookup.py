@@ -380,8 +380,10 @@ class PublicSuffixList:
         Raises:
             DomainError: If the domain is syntactically invalid.
         """
-        if self._cache_maxsize > 0 and isinstance(domain, str):
-            entry = self._cache.get(domain)
+        if self._cache_maxsize > 0:
+            # A non-str host misses and fails, counted as an error.
+            entry = self._cache.get(domain) if isinstance(domain, str) \
+                else None
             if entry is None:
                 return self._resolve_miss(domain, True)[2]
             entry[1] = True
@@ -398,8 +400,9 @@ class PublicSuffixList:
         None means the domain is itself a public suffix, e.g.
         ``etld_plus_one("co.uk") is None``.
         """
-        if self._cache_maxsize > 0 and isinstance(domain, str):
-            entry = self._cache.get(domain)
+        if self._cache_maxsize > 0:
+            entry = self._cache.get(domain) if isinstance(domain, str) \
+                else None
             if entry is None:
                 return self._resolve_miss(domain, False)[0]
             entry[1] = True
@@ -418,8 +421,9 @@ class PublicSuffixList:
         ``hit`` is False whenever the engine ran or caching is off.
         """
         try:
-            if self._cache_maxsize > 0 and isinstance(host, str):
-                entry = self._cache.get(host)
+            if self._cache_maxsize > 0:
+                entry = self._cache.get(host) if isinstance(host, str) \
+                    else None
                 if entry is not None:
                     entry[1] = True
                     self._cache_hits += 1

@@ -225,11 +225,16 @@ class RwsList:
         return set_a is not None and set_a.contains(b)
 
     def duplicate_members(self) -> list[str]:
-        """Domains that (invalidly) appear in more than one set."""
-        seen: dict[str, int] = {}
-        for record in self.all_members():
-            seen[record.site] = seen.get(record.site, 0) + 1
-        return sorted(site for site, count in seen.items() if count > 1)
+        """Domains that (invalidly) appear in more than one set.
+
+        A domain repeated inside one set is one set's member, however
+        many of its records name it.
+        """
+        sets_of: dict[str, int] = {}
+        for rws_set in self.sets:
+            for site in {site for site, _, _ in rws_set.member_rows()}:
+                sets_of[site] = sets_of.get(site, 0) + 1
+        return sorted(site for site, count in sets_of.items() if count > 1)
 
     def composition(self) -> dict[SiteRole, int]:
         """Count of member records per role (Figure 7's quantities)."""

@@ -9,7 +9,7 @@ artefacts (the list, the bot, the browser) but only offered linear
 scans and synchronous validation; this package is the serving layer:
 
 * :mod:`repro.serve.index` — :class:`MembershipIndex`, the
-  eTLD+1 → (set, role) index with single/batch/streaming query APIs,
+  eTLD+1 → (set, role) index with point and batch query APIs,
   always a view over a binary epoch buffer (built from a list by
   encoding it and loading the result);
 * :mod:`repro.serve.snapshot` — versioned, content-hashed list
@@ -23,7 +23,9 @@ scans and synchronous validation; this package is the serving layer:
   once and swaps atomically;
 * :mod:`repro.serve.epochfmt` — the zero-copy binary epoch format
   every index serves from: :func:`encode_epoch` serializes an epoch's
-  list (the PSL stays with each reader, as in Chrome), and
+  list (the PSL stays with each reader, as in Chrome) as one row per
+  member record, refusing a list that puts a site in two sets
+  (:class:`~repro.serve.epochfmt.OverlappingSetsError`), and
   :func:`load_epoch` stands one up in O(size) behind the array-backed
   :class:`MembershipIndex` view;
 * :mod:`repro.serve.service` — :class:`RwsService`, the thin stateful
@@ -35,7 +37,7 @@ scans and synchronous validation; this package is the serving layer:
 
 from repro.serve.epoch import Epoch
 from repro.serve.epochfmt import EpochFormatError, encode_epoch, load_epoch
-from repro.serve.index import IndexEntry, MembershipIndex, QueryResult
+from repro.serve.index import MembershipIndex, QueryResult
 from repro.serve.queue import (
     QueueStats,
     Submission,
@@ -60,7 +62,6 @@ __all__ = [
     "Epoch",
     "EpochFormatError",
     "EpochShell",
-    "IndexEntry",
     "ListSnapshot",
     "MembershipIndex",
     "QueryResult",

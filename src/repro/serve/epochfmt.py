@@ -22,7 +22,7 @@ big-endian hosts rather than silently mis-read)::
         magic=b"RWSE"  format_version  flags  snap_version
         content_hash(32 raw sha256 bytes)  list_version_id  as_of_id
         n_strings  hash_cap  n_entries  n_sets  n_records  total_len
-    section table  15 x (offset u32, length u32)   (120 bytes)
+    section table  10 x (offset u32, length u32)   (80 bytes)
     sections  (each 4-byte aligned, zero-padded)
     crc32    u32 over everything before it
 
@@ -36,38 +36,37 @@ idx   name                contents
 2     str_hash            hash_cap x u32 open-addressed table,
                           slot = string_id+1 (0 = empty); probe
                           start crc32(bytes) & (hash_cap-1)
-3     str_entry           n_strings x u32 -> entry_idx+1 (0 = none)
-4     str_primary_set     n_strings x u32 -> set_idx+1 for strings
-                          that are a set primary (first set wins)
-5     entry_site          n_entries x u32 string ids
-6     entry_primary       n_entries x u32 string ids (set primary)
-7     entry_variant       n_entries x u32 string_id+1 (0 = none)
-8     entry_role          n_entries x u8 role codes
-9     entry_set           n_entries x u32 set indices
-10    set_primary         n_sets x u32 string ids
-11    set_rec_start       (n_sets+1) x u32 into the rec_* arrays
-12    rec_site            n_records x u32 string ids
-13    rec_role            n_records x u8 role codes
-14    rec_variant         n_records x u32 string_id+1 (0 = none)
+3     str_entry           n_strings x u32 -> the string's member
+                          row+1 (0 = not a member)
+4     set_primary         n_sets x u32 string ids
+5     set_rec_start       (n_sets+1) x u32 into the rec_* rows
+6     rec_site            n_records x u32 string ids
+7     rec_role            n_records x u8 role codes
+8     rec_variant         n_records x u32 string_id+1 (0 = none)
+9     rec_set             n_records x u32 set indices
 ====  ==================  =====================================
 
-Flag bits: 0x2 = the buffer carries a list snapshot (a bootstrap epoch
-carries neither entries nor snapshot).  Bit 0x1 is unused: format
-version 1 set it when a compiled PSL trie rode along, and version 2
-loaders refuse version 1 buffers outright.
+``n_entries`` counts the distinct member sites (the strings whose
+``str_entry`` is set).  Flag bits: 0x2 = the buffer carries a list
+snapshot (a bootstrap epoch carries neither rows nor snapshot).  Bit
+0x1 is unused: format version 1 set it when a compiled PSL trie rode
+along.  Version 3 loaders refuse version 1 and 2 buffers at the
+version field.
 
 Design notes:
 
 * One *unified* string table interns domains, set primaries, and the
   list version / as-of strings, so ``related`` probes reduce to u32
-  comparisons.
-* Records keep *every* member record per set — including cross-set
-  duplicates that lose the first-wins entry race — so the
-  reconstructed list reproduces :func:`~repro.serve.snapshot.membership_hash`
-  bit-for-bit.  Rationales and contacts are **not** carried: they are
-  deliberately outside membership identity (see ``membership_hash``).
+  comparisons of ``rec_set``.
+* A site belongs to at most one set, the Related Website Sets rule, and
+  the encoder refuses any other list (:class:`OverlappingSetsError`),
+  so one row family both answers probes and rebuilds the list
+  bit-for-bit under :func:`~repro.serve.snapshot.membership_hash`.  A
+  fact declared twice inside one set keeps its rows; ``str_entry``
+  points at the first.  Rationales and contacts are **not** carried:
+  they are outside membership identity (see ``membership_hash``).
 * Encoding runs on every publish, so its peak heap, the returned
-  buffer included, stays within 1.5x that buffer (1.3x on 20k- and
+  buffer included, stays within 1.5x that buffer (1.4x on 20k- and
   100k-domain lists; small lists pay a fixed overhead on top).
   Strings are interned through the ``str_hash`` table itself, sized
   from an upper bound on the string count and probed against the
@@ -98,6 +97,7 @@ __all__ = [
     "EPOCH_MAGIC",
     "EPOCH_FORMAT_VERSION",
     "EpochFormatError",
+    "OverlappingSetsError",
     "encode_epoch",
     "encode_list",
     "epoch_stat",
@@ -105,12 +105,12 @@ __all__ = [
 ]
 
 EPOCH_MAGIC = b"RWSE"
-EPOCH_FORMAT_VERSION = 2
+EPOCH_FORMAT_VERSION = 3
 
 _FLAG_SNAPSHOT = 0x2
 
 _HEADER = struct.Struct("<4sHHI32sIIIIIIII")
-_N_SECTIONS = 15
+_N_SECTIONS = 10
 _SECTION_TABLE = struct.Struct("<" + "II" * _N_SECTIONS)
 _DATA_START = _HEADER.size + _SECTION_TABLE.size
 _TRAILER = struct.Struct("<I")
@@ -120,27 +120,20 @@ _S_STR_OFFSETS = 0
 _S_STR_BLOB = 1
 _S_STR_HASH = 2
 _S_STR_ENTRY = 3
-_S_STR_SET = 4
-_S_ENTRY_SITE = 5
-_S_ENTRY_PRIMARY = 6
-_S_ENTRY_VARIANT = 7
-_S_ENTRY_ROLE = 8
-_S_ENTRY_SET = 9
-_S_SET_PRIMARY = 10
-_S_SET_REC_START = 11
-_S_REC_SITE = 12
-_S_REC_ROLE = 13
-_S_REC_VARIANT = 14
+_S_SET_PRIMARY = 4
+_S_SET_REC_START = 5
+_S_REC_SITE = 6
+_S_REC_ROLE = 7
+_S_REC_VARIANT = 8
+_S_REC_SET = 9
 
 _SECTION_NAMES = (
-    "str_offsets", "str_blob", "str_hash", "str_entry", "str_primary_set",
-    "entry_site", "entry_primary", "entry_variant", "entry_role",
-    "entry_set", "set_primary", "set_rec_start", "rec_site", "rec_role",
-    "rec_variant",
+    "str_offsets", "str_blob", "str_hash", "str_entry", "set_primary",
+    "set_rec_start", "rec_site", "rec_role", "rec_variant", "rec_set",
 )
 
 #: Sections holding u32 arrays (everything except the blob and u8 roles).
-_U8_SECTIONS = frozenset({_S_STR_BLOB, _S_ENTRY_ROLE, _S_REC_ROLE})
+_U8_SECTIONS = frozenset({_S_STR_BLOB, _S_REC_ROLE})
 
 if array("I").itemsize != 4:  # pragma: no cover - exotic platforms only
     raise ImportError("repro.serve.epochfmt requires 4-byte unsigned ints")
@@ -166,6 +159,20 @@ class EpochFormatError(ValueError):
         self.offset = offset
 
 
+class OverlappingSetsError(ValueError):
+    """A list puts a site in two sets, which the Related Website Sets
+    rules forbid: ``site`` is the first such site in list order, and
+    ``primaries`` those of the set that claims it first and of the one
+    that claims it again (equal when two sets share a primary)."""
+
+    def __init__(self, site: str, primaries: tuple[str, str]) -> None:
+        super().__init__(f"{site} is in the sets of {primaries[0]} and "
+                         f"{primaries[1]}: a site belongs to at most one "
+                         f"set")
+        self.site = site
+        self.primaries = primaries
+
+
 def _require_little_endian() -> None:
     if sys.byteorder != "little":  # pragma: no cover - x86/arm are little
         raise EpochFormatError(
@@ -187,7 +194,7 @@ def _hash_capacity(n_strings: int) -> int:
 
 
 def _list_sections(rws_list: RwsList) -> tuple[list, int, int]:
-    """The 15 wire sections of ``rws_list`` in section-index order,
+    """The 10 wire sections of ``rws_list`` in section-index order,
     with the list version's and as-of date's string ids + 1 (0 = none).
 
     Ids are dense in first-encounter order and enter ``str_hash`` in
@@ -209,7 +216,6 @@ def _list_sections(rws_list: RwsList) -> tuple[list, int, int]:
     blob = bytearray()
     str_offsets = array("I", [0])
     str_entry = array("I")
-    str_set = array("I")
 
     crc32 = zlib.crc32
 
@@ -230,7 +236,6 @@ def _list_sections(rws_list: RwsList) -> tuple[list, int, int]:
         blob.extend(raw)
         str_offsets.append(len(blob))
         str_entry.append(0)
-        str_set.append(0)
         return sid
 
     set_primary = array("I")
@@ -238,33 +243,27 @@ def _list_sections(rws_list: RwsList) -> tuple[list, int, int]:
     rec_site = array("I")
     rec_role = bytearray()
     rec_variant = array("I")
-    entry_site = array("I")
-    entry_primary = array("I")
-    entry_variant = array("I")
-    entry_role = bytearray()
-    entry_set = array("I")
+    rec_set = array("I")
 
-    # First-wins entries and primary->set slots, records in
-    # member_rows() order: the first set in list order claims a site,
-    # as RwsList.find_set_for does.
+    # Rows in member_rows() order.  A site's first row is its entry; a
+    # later row of the same set repeats a fact, and one of a later set
+    # claims the site twice.
     for set_idx, rws_set in enumerate(rws_list.sets):
         pid = add(rws_set.primary)
         set_primary.append(pid)
-        if not str_set[pid]:
-            str_set[pid] = set_idx + 1
+        start = len(rec_site)
         for site, code, variant_of in rws_set.member_rows():
             sid = add(site) if code else pid  # row 0 is the primary's
-            vid = add(variant_of) + 1 if variant_of else 0
+            row = str_entry[sid]
+            if not row:
+                str_entry[sid] = len(rec_site) + 1
+            elif row <= start:
+                first = rws_list.sets[rec_set[row - 1]].primary
+                raise OverlappingSetsError(site, (first, rws_set.primary))
             rec_site.append(sid)
             rec_role.append(code)
-            rec_variant.append(vid)
-            if not str_entry[sid]:
-                entry_site.append(sid)
-                str_entry[sid] = len(entry_site)
-                entry_primary.append(pid)
-                entry_variant.append(vid)
-                entry_role.append(code)
-                entry_set.append(set_idx)
+            rec_variant.append(add(variant_of) + 1 if variant_of else 0)
+            rec_set.append(set_idx)
         set_rec_start.append(len(rec_site))
 
     list_version_id = add(rws_list.version) + 1
@@ -280,9 +279,8 @@ def _list_sections(rws_list: RwsList) -> tuple[list, int, int]:
                 slot = (slot + 1) & mask
             str_hash[slot] = sid
     sections = [
-        str_offsets, blob, str_hash, str_entry, str_set,
-        entry_site, entry_primary, entry_variant, entry_role, entry_set,
-        set_primary, set_rec_start, rec_site, rec_role, rec_variant,
+        str_offsets, blob, str_hash, str_entry, set_primary, set_rec_start,
+        rec_site, rec_role, rec_variant, rec_set,
     ]
     return sections, list_version_id, as_of_id
 
@@ -302,9 +300,14 @@ def encode_list(rws_list: RwsList, *,
     sections stream into one ``BytesIO`` under a running CRC, each
     column dropped once written, and ``getvalue()`` hands that buffer
     out without a second copy.
+
+    Raises:
+        OverlappingSetsError: When the list puts a site in two sets.
     """
     _require_little_endian()
     sections, list_version_id, as_of_id = _list_sections(rws_list)
+    n_strings = len(sections[_S_STR_ENTRY])
+    n_entries = n_strings - sections[_S_STR_ENTRY].count(0)
     table: list[int] = []
     offset = _DATA_START
     for section in sections:
@@ -317,10 +320,9 @@ def encode_list(rws_list: RwsList, *,
         snapshot.version if snapshot is not None else 0,
         bytes.fromhex(snapshot.content_hash) if snapshot is not None
         else bytes(32),
-        list_version_id, as_of_id, len(sections[_S_STR_ENTRY]),
-        len(sections[_S_STR_HASH]), len(sections[_S_ENTRY_SITE]),
-        len(sections[_S_SET_PRIMARY]), len(sections[_S_REC_SITE]),
-        offset + _TRAILER.size)
+        list_version_id, as_of_id, n_strings, len(sections[_S_STR_HASH]),
+        n_entries, len(sections[_S_SET_PRIMARY]),
+        len(sections[_S_REC_SITE]), offset + _TRAILER.size)
     out = io.BytesIO()
     crc = 0
     for part in (header, _SECTION_TABLE.pack(*table)):
@@ -358,10 +360,9 @@ class _BufferData:
         "buf", "flags", "snap_version", "content_hash_hex", "list_version",
         "as_of", "n_strings", "hash_cap", "hash_mask", "n_entries",
         "n_sets", "n_records", "total_len",
-        "str_offsets", "str_blob", "str_hash", "str_entry", "str_set",
-        "entry_site", "entry_primary", "entry_variant", "entry_role",
-        "entry_set", "set_primary", "set_rec_start", "rec_site",
-        "rec_role", "rec_variant", "_strings",
+        "str_offsets", "str_blob", "str_hash", "str_entry", "set_primary",
+        "set_rec_start", "rec_site", "rec_role", "rec_variant", "rec_set",
+        "_strings",
     )
 
     def __init__(self, buf, *, verify: bool = True) -> None:
@@ -414,17 +415,12 @@ class _BufferData:
             _S_STR_OFFSETS: 4 * (n_strings + 1),
             _S_STR_HASH: 4 * hash_cap,
             _S_STR_ENTRY: 4 * n_strings,
-            _S_STR_SET: 4 * n_strings,
-            _S_ENTRY_SITE: 4 * n_entries,
-            _S_ENTRY_PRIMARY: 4 * n_entries,
-            _S_ENTRY_VARIANT: 4 * n_entries,
-            _S_ENTRY_ROLE: n_entries,
-            _S_ENTRY_SET: 4 * n_entries,
             _S_SET_PRIMARY: 4 * n_sets,
             _S_SET_REC_START: 4 * (n_sets + 1),
             _S_REC_SITE: 4 * n_records,
             _S_REC_ROLE: n_records,
             _S_REC_VARIANT: 4 * n_records,
+            _S_REC_SET: 4 * n_records,
         }
         views: list[memoryview] = []
         limit = size - _TRAILER.size
@@ -450,10 +446,8 @@ class _BufferData:
             views.append(part)
 
         (self.str_offsets, self.str_blob, self.str_hash, self.str_entry,
-         self.str_set, self.entry_site, self.entry_primary,
-         self.entry_variant, self.entry_role, self.entry_set,
          self.set_primary, self.set_rec_start, self.rec_site,
-         self.rec_role, self.rec_variant) = views
+         self.rec_role, self.rec_variant, self.rec_set) = views
 
         if n_strings and self.str_offsets[n_strings] != \
                 len(self.str_blob):

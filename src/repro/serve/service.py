@@ -59,6 +59,7 @@ from repro.psl import PublicSuffixList, default_psl
 from repro.rws.model import RelatedWebsiteSet, RwsList
 from repro.rws.validation import Validator
 from repro.serve.epoch import Epoch
+from repro.serve.epochfmt import OverlappingSetsError
 from repro.serve.index import MembershipIndex, QueryResult
 from repro.serve.queue import SubmissionStatus, ValidationQueue
 from repro.serve.snapshot import (
@@ -82,7 +83,7 @@ class ServiceStats:
         resolver_errors: Hosts answered with no site — invalid, or a
             bare public suffix — once per occurrence.
         publishes: Snapshots published (deduplicated republications
-            count too — the request happened).
+            count too — the request happened; refused lists do not).
         query_ns_total: Cumulative wall-clock nanoseconds in queries.
     """
 
@@ -450,26 +451,35 @@ class RwsService(EpochShell):
         no-op beyond the counter (the store deduplicates it, and the
         current epoch — index identity included — stays in place).
 
+        A list that puts a site in two sets is refused: the store drops
+        the version it minted (:meth:`_compile`), so nothing served or
+        stored changes, and publishing the same list again is refused
+        again.
+
         Thread-safe: the store append, the epoch swap, and the
         validator repoint happen under the publication lock, so
         concurrent publishers serialize and a validation worker never
         observes a half-published state.  Readers are unaffected — the
         swap is one reference store, and any epoch they already
         captured stays internally consistent.
+
+        Raises:
+            repro.serve.epochfmt.OverlappingSetsError: When the list
+                puts a site in two sets.
         """
         with self._lock:
-            self._cells.cell().publishes += 1
             previous = self.store.latest
             snapshot = self.store.publish(rws_list)
-            if previous is not None and snapshot is previous:
-                return snapshot
-            epoch = self._compile(snapshot)
-            self._epoch = epoch
-            assert self.validator is not None
-            self.validator.set_published(snapshot.rws_list,
-                                         index=epoch.index)
+            fresh = snapshot is not previous
+            if fresh:
+                epoch = self._compile(snapshot)
+                self._epoch = epoch
+                assert self.validator is not None
+                self.validator.set_published(snapshot.rws_list,
+                                             index=epoch.index)
+            self._cells.cell().publishes += 1
         tracer = self._tracer
-        if tracer.live:
+        if fresh and tracer.live:
             # Recorded only when a publish happens *inside* a traced
             # request (spans outside a request context are dropped):
             # background publishes are partition-dependent and must not
@@ -502,9 +512,22 @@ class RwsService(EpochShell):
 
     def _compile(self, snapshot: ListSnapshot) -> Epoch:
         """:meth:`Epoch.compile` under the publication lock, counted as
-        one epoch encode."""
+        one epoch encode.
+
+        A publish encodes each version it mints here first, and so do a
+        cluster's canary and failover paths, whose replicas ask
+        :meth:`encoded_epoch` for the version the cluster minted.  So
+        when the encoder refuses the list, the refused snapshot is the
+        store's latest and was never served: it is dropped before the
+        error propagates, and the store keeps only servable versions.
+        """
         started = time.perf_counter_ns()
-        epoch = Epoch.compile(snapshot, self.psl)
+        try:
+            epoch = Epoch.compile(snapshot, self.psl)
+        except OverlappingSetsError:
+            if self.store.latest is snapshot:
+                self.store.snapshots.pop()
+            raise
         self._epoch_encodes += 1
         self._epoch_encode_ns += time.perf_counter_ns() - started
         return epoch

@@ -129,7 +129,7 @@ class SiteUniverse:
             members = tuple(rws_set.members())
             for record in rws_set.member_records():
                 if record.site in seen:
-                    continue  # duplicate across sets: first wins
+                    continue  # a site repeated inside its set
                 seen.add(record.site)
                 self.member_sites.append(record.site)
                 self.set_members[record.site] = members

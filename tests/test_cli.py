@@ -389,11 +389,11 @@ class TestEpochCommand:
         assert f"-> {path}" in capsys.readouterr().out
         return path
 
-    def test_stat_reports_format_version_2(self, encoded, capsys):
+    def test_stat_reports_format_version_3(self, encoded, capsys):
         assert main(["epoch", "stat", str(encoded)]) == 0
         rows = dict(line.split(maxsplit=1)
                     for line in capsys.readouterr().out.splitlines())
-        assert rows["format_version"] == "2"
+        assert rows["format_version"] == "3"
         assert rows["bytes"] == str(encoded.stat().st_size)
         assert "has_psl" not in rows
 
@@ -406,12 +406,16 @@ class TestEpochCommand:
         raw = encoded.read_bytes()
         truncated = tmp_path / "truncated.rwse"
         truncated.write_bytes(raw[:1000])
-        # A version 1 header with a valid CRC: refused by version alone.
-        body = bytearray(raw[:-4])
-        struct.pack_into("<H", body, 4, 1)
-        old = tmp_path / "v1.rwse"
-        old.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
-        for path in (truncated, old):
+        # Version 1 and 2 headers with a valid CRC: refused by version
+        # alone.
+        olds = []
+        for version in (1, 2):
+            body = bytearray(raw[:-4])
+            struct.pack_into("<H", body, 4, version)
+            olds.append(tmp_path / f"v{version}.rwse")
+            olds[-1].write_bytes(
+                bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        for path in (truncated, *olds):
             for action in ("stat", "verify"):
                 assert main(["epoch", action, str(path)]) == 2
                 assert "invalid epoch file" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from repro.api import Dispatcher, decode_response, encode_response
 from repro.api.envelopes import (
     BatchQueryRequest,
     BatchQueryResponse,
+    ErrorCode,
+    ErrorResponse,
     PollRequest,
     PublishRequest,
     QueryRequest,
@@ -17,13 +19,16 @@ from repro.api.envelopes import (
     StatsRequest,
     SubmitRequest,
 )
+from repro.chaos import ChaosRouter, FaultPlan
 from repro.cluster import Replica, ReplicationGapError, Router
 from repro.data import build_synthetic_list
 from repro.psl import PublicSuffixList
 from repro.rws import MemberRecord, RelatedWebsiteSet, RwsList
 from repro.serve.epoch import Epoch
+from repro.serve.epochfmt import OverlappingSetsError
 from repro.serve import (
     ListSnapshot,
+    MembershipIndex,
     RwsService,
     SnapshotStore,
     StaleSnapshotError,
@@ -644,12 +649,11 @@ class TestPublishPath:
         assert published == 0
         assert 0 < len(built) <= delta_records
 
-    # x.com is listed in both sets, so the first set in list order
-    # answers for it.  A copy rebuilt from a diff appends a re-added
-    # set at the end, and the order-blind membership hash cannot tell
-    # it from the primary's list; a copy taken whole keeps the order.
+    # A copy rebuilt from a diff appends a re-added set at the end,
+    # and the order-blind membership hash cannot tell it from the
+    # primary's list; a copy taken whole keeps the primary's order.
     SET_A = RelatedWebsiteSet(primary="a.com", associated=["x.com"])
-    SET_B = RelatedWebsiteSet(primary="b.com", associated=["x.com"])
+    SET_B = RelatedWebsiteSet(primary="b.com", associated=["y.com"])
     RE_ADDED = ([SET_A, SET_B], [SET_B], [SET_A, SET_B])
 
     @pytest.mark.parametrize("lag", [0, [0, 2]], ids=["lag-0", "lag-0-2"])
@@ -662,6 +666,7 @@ class TestPublishPath:
         assert service.query("a.com", "x.com").related
         for replica in router.replicas:
             assert replica.version == 3
+            assert replica.epoch.rws_list.primaries() == ["a.com", "b.com"]
             assert replica.query("a.com", "x.com").related
             assert not replica.query("b.com", "x.com").related
             # The primary's own buffer, in an epoch of the replica's.
@@ -679,6 +684,7 @@ class TestPublishPath:
         fetched, _version = decode_response(encode_response(response))
         assert type(fetched) is SnapshotResponse
         assert fetched.version == 3
+        assert fetched.rws_list.primaries() == ["a.com", "b.com"]
         assert membership_hash(fetched.rws_list) == fetched.content_hash
         epoch = Epoch.compile(ListSnapshot(fetched.version,
                                            fetched.content_hash,
@@ -703,6 +709,7 @@ class TestPublishPath:
             primary="c.com", associated=["c-news.com"])]),
             published_clock=10)
         assert (service.epoch.version, replica.version) == (4, 3)
+        assert replica.epoch.rws_list.primaries() == ["a.com", "b.com"]
         assert replica.query("a.com", "x.com").related
         assert not replica.query("b.com", "x.com").related
         assert replica.epoch.snapshot is service.store.get(3)
@@ -710,3 +717,90 @@ class TestPublishPath:
         assert replica.version == 4
         assert replica.query("a.com", "x.com").related
         assert replica.epoch.buffer is service.epoch.buffer
+
+
+def overlapping_list() -> RwsList:
+    """:func:`small_list` plus a set that claims other-shop.com again."""
+    rws_list = small_list()
+    rws_list.sets.append(RelatedWebsiteSet(primary="rival.com",
+                                           associated=["other-shop.com"]))
+    return rws_list
+
+
+#: Every publish path that keeps a store, each serving small_list().
+CANARY = FaultPlan(name="t", seed=41, canary_fraction=0.5,
+                   canary_probe_pairs=64, canary_max_divergence=0.5)
+PUBLISH_PATHS = {
+    "service": lambda service: service,
+    "router": lambda service: Router(service, replicas=2, lag=[0, 2]),
+    "chaos": lambda service: ChaosRouter(service, 3,
+                                         plan=FaultPlan(name="t")),
+    "chaos-canary": lambda service: ChaosRouter(service, 4, plan=CANARY),
+    "chaos-primary-down": lambda service: ChaosRouter(
+        service, 3, plan=FaultPlan(name="t", primary_failure=(1, -1))),
+}
+
+
+class TestRefusedPublish:
+    """A list that puts a site in two sets is refused on every publish
+    path, and the refusal changes nothing served or stored."""
+
+    @pytest.fixture()
+    def service(self):
+        service = RwsService(psl=PublicSuffixList(), workers=1)
+        yield service
+        service.queue.shutdown()
+
+    @staticmethod
+    def serving(name: str, service: RwsService):
+        backend = PUBLISH_PATHS[name](service)
+        backend.publish(small_list())
+        if backend is not service:
+            backend.advance(1)  # past the planned primary failure
+        return backend
+
+    @staticmethod
+    def state(backend, service: RwsService) -> tuple:
+        """What a refusal must leave as it was: the stored versions,
+        the served epoch, each replica's epoch and every metric."""
+        registry = backend.stats_registry()
+        return (service.store.versions(), backend.epoch,
+                [replica.epoch for replica in
+                 getattr(backend, "replicas", ())],
+                registry.counters, registry.gauges)
+
+    @pytest.mark.parametrize("name", sorted(PUBLISH_PATHS))
+    def test_refused_publish_changes_nothing(self, service, name):
+        backend = self.serving(name, service)
+        if name == "chaos-primary-down":
+            assert backend.acting_primary_id >= 0
+        before = self.state(backend, service)
+        for _ in range(2):  # the same list again: refused again
+            with pytest.raises(OverlappingSetsError) as excinfo:
+                backend.publish(overlapping_list())
+            assert excinfo.value.site == "other-shop.com"
+            assert excinfo.value.primaries == ("other.com", "rival.com")
+            assert self.state(backend, service) == before
+        assert backend.publish(grown_list()).version == 2
+
+    @pytest.mark.parametrize("name", ["service", "router"])
+    def test_publish_op_answers_malformed(self, service, name):
+        backend = self.serving(name, service)
+        dispatcher = Dispatcher(backend)
+        before = self.state(backend, service)
+        for _ in range(2):
+            response = dispatcher.dispatch(
+                PublishRequest(rws_list=overlapping_list()))
+            answer, _version = decode_response(encode_response(response))
+            assert type(answer) is ErrorResponse
+            assert answer.op == "publish"
+            assert answer.error.code is ErrorCode.MALFORMED
+            assert answer.error.detail == {"site": "other-shop.com",
+                                           "primary_a": "other.com",
+                                           "primary_b": "rival.com"}
+            assert "other-shop.com" in answer.error.message
+            assert self.state(backend, service) == before
+
+    def test_an_index_refuses_the_list_too(self):
+        with pytest.raises(OverlappingSetsError):
+            MembershipIndex.from_list(overlapping_list())

@@ -180,6 +180,37 @@ class TestResolutionCache:
                 psl.resolve("bad..domain")
         assert psl.cache_stats()["size"] == 0
 
+    @pytest.mark.parametrize("host", [5, None, b"a.com", "bad..host"],
+                             ids=["int", "none", "bytes", "junk-str"])
+    def test_a_failing_host_counts_one_error_on_every_read(self, host):
+        # Whatever the read, a host that cannot resolve counts one
+        # error with the cache on and none with it off; the folding
+        # reads answer None and the others raise, as before.
+        folding = {
+            "etld_plus_one_many": lambda psl: psl.etld_plus_one_many(
+                [host]) == [None],
+            "etld_plus_one_many_counted": lambda psl:
+                psl.etld_plus_one_many_counted([host]) == ([None], 0),
+            "etld_plus_one_counted": lambda psl:
+                psl.etld_plus_one_counted(host) == (None, False),
+        }
+        raising = {
+            "etld_plus_one": lambda psl: psl.etld_plus_one(host),
+            "resolve": lambda psl: psl.resolve(host),
+        }
+        for name, read in {**folding, **raising}.items():
+            for cache_size, errors in ((4096, 1), (0, 0)):
+                psl = PublicSuffixList(cache_size=cache_size)
+                if name in raising:
+                    with pytest.raises(DomainError):
+                        read(psl)
+                else:
+                    assert read(psl), name
+                stats = psl.cache_stats()
+                assert (stats["errors"], stats["misses"], stats["hits"],
+                        stats["size"]) == (errors, 0, 0, 0), \
+                    (name, cache_size)
+
     def test_cache_clear_resets_counters(self):
         psl = PublicSuffixList()
         psl.resolve("example.com")

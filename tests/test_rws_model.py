@@ -91,6 +91,21 @@ class TestListQueries:
         bad_list = RwsList(sets=[times_set, conflicting])
         assert bad_list.duplicate_members() == ["indiatimes.com"]
 
+    def test_a_site_repeated_inside_one_set_is_no_duplicate(self):
+        # Sets are counted, not records: one set naming a site twice,
+        # in one subset or across two, declares one membership.
+        for one_set in (
+                RelatedWebsiteSet("a.com", associated=["b.com", "b.com"]),
+                RelatedWebsiteSet("a.com", associated=["b.com"],
+                                  service=["b.com"])):
+            assert RwsList(sets=[one_set]).duplicate_members() == []
+
+    def test_a_primary_shared_by_two_sets_is_a_duplicate(self):
+        twice = RwsList(sets=[
+            RelatedWebsiteSet("a.com", associated=["b.com", "b.com"]),
+            RelatedWebsiteSet("a.com", service=["c.com"])])
+        assert twice.duplicate_members() == ["a.com"]
+
     def test_members_with_role(self, small_list):
         associated = small_list.members_with_role(SiteRole.ASSOCIATED)
         assert {record.site for record in associated} == {

@@ -54,36 +54,37 @@ class TestMembershipIndex:
         assert "missing.net" not in self.index
 
     def test_unknown_domain(self):
-        assert self.index.lookup("missing.net") is None
-        assert self.index.role_of("missing.net") is None
+        result = self.index.query("missing.net", "example.com")
+        assert result.role_a is None and result.set_primary is None
         assert self.index.set_for("missing.net") is None
-        assert self.index.primary_of("missing.net") is None
         assert not self.index.related("missing.net", "example.com")
         assert not self.index.related("example.com", "missing.net")
         # An unknown domain is still trivially related to itself.
         assert self.index.related("missing.net", "missing.net")
 
     def test_domain_equal_to_primary(self):
-        entry = self.index.lookup("example.com")
-        assert entry is not None
-        assert entry.role is SiteRole.PRIMARY
-        assert entry.set_primary == "example.com"
+        result = self.index.query("example.com", "example.com")
+        assert result.role_a is SiteRole.PRIMARY
+        assert result.set_primary == "example.com"
         assert self.index.related("example.com", "example-news.com")
         assert self.index.related("example.com", "example.com")
         assert self.index.set_for("example.com") is self.rws_list.sets[0]
 
     def test_cctld_variant_member(self):
-        entry = self.index.lookup("example.co.uk")
-        assert entry is not None
-        assert entry.role is SiteRole.CCTLD
-        assert entry.variant_of == "example.com"
+        result = self.index.query("example.co.uk", "example.com")
+        assert result.role_a is SiteRole.CCTLD
+        assert result.set_primary == "example.com"
+        assert self.index.set_for("example.co.uk").cctlds == {
+            "example.com": ["example.co.uk"]}
         assert self.index.related("example.co.uk", "example.com")
         assert self.index.related("example.co.uk", "example-cdn.com")
         assert not self.index.related("example.co.uk", "other.com")
 
     def test_case_insensitive(self):
         assert self.index.related("Example.COM", "EXAMPLE-NEWS.com")
-        assert self.index.role_of("OTHER.com") is SiteRole.PRIMARY
+        assert self.index.query("OTHER.com", "x.com").role_a \
+            is SiteRole.PRIMARY
+        assert "OTHER.com" in self.index
 
     def test_batch_and_query_agree_with_single(self):
         pairs = [
@@ -101,17 +102,17 @@ class TestMembershipIndex:
         assert queried[1].set_primary is None
 
     def test_members_of(self):
-        assert self.index.members_of("example.com") == [
+        assert self.index.set_for("example-cdn.com").members() == [
             "example.com", "example-news.com", "example-cdn.com",
             "example.co.uk",
         ]
-        assert self.index.members_of("missing.net") is None
 
     def test_interned_domains_are_shared(self):
-        variant = self.index.lookup("example.co.uk")
-        primary = self.index.lookup("example.com")
-        assert variant is not None and primary is not None
-        assert variant.set_primary is primary.site
+        # Every answer naming a primary names one interned string.
+        variant = self.index.query("example.co.uk", "example-cdn.com")
+        primary = self.index.query("example.com", "example-news.com")
+        assert variant.set_primary == "example.com"
+        assert variant.set_primary is primary.set_primary
 
 
 class TestBufferIndexEquivalence:
