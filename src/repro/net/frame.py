@@ -106,8 +106,11 @@ class FrameDecoder:
         self._frames: deque[bytes] = deque()
         self._error: FrameError | None = None
 
-    def feed(self, data: bytes) -> int:
+    def feed(self, data: bytes | bytearray | memoryview) -> int:
         """Absorb one chunk; returns how many frames completed.
+
+        ``data`` is any bytes-like chunk.  The decoder copies what it
+        keeps, so the caller may reuse the chunk's memory on return.
 
         Raises:
             FrameError: When any contained prefix is out of range —

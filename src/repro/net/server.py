@@ -9,12 +9,14 @@ takes them) is unchanged behind the socket.
 
 Every request is served inline on one :mod:`selectors` loop over
 non-blocking sockets.  When a connection is readable the loop reads
-up to :data:`READ_BYTES` from it, then decodes, dispatches and
-encodes the complete frames of that read, in arrival order, into the
-connection's outbox, which one ``send()`` writes before the loop
-selects again; a request costs that one read and creates no thread,
-task or timer.  The loop needs neither :mod:`asyncio` nor OpenSSL, so
-a server process maps neither (``tests/test_import_closure.py``).
+up to :data:`READ_BYTES` from it into the buffer every connection
+shares (the frame decoder copies what it keeps), then decodes,
+dispatches and encodes the complete frames of that read, in arrival
+order, into the connection's outbox, which one ``send()`` writes
+before the loop selects again; a request costs that one read and
+creates no thread, task or timer.  The loop needs neither
+:mod:`asyncio` nor OpenSSL, so a server process maps neither
+(``tests/test_import_closure.py``).
 Dispatch is pure Python under the GIL, so threads would buy no
 parallelism; serial dispatch instead gives the two wire guarantees by
 construction.
@@ -116,8 +118,9 @@ DEFAULT_IDLE_TIMEOUT = 30.0
 #: Default concurrent-connection cap.
 DEFAULT_MAX_CONNECTIONS = 64
 
-#: Bytes one read takes from a socket: the frames it completes are the
-#: ones the ``window`` counts.
+#: Bytes one read takes from a socket, into the one buffer all of a
+#: server's connections share (the decoder copies what it keeps): the
+#: frames it completes are the ones the ``window`` counts.
 READ_BYTES = 256 * 1024
 
 #: Unsent bytes above which a connection is no longer read, and at or
@@ -209,6 +212,8 @@ class RwsTcpServer:
         #: first.
         self._lingering: dict[_Connection, None] = {}
         self._request_seq = 0
+        #: Every connection reads into this; only the loop thread does.
+        self._read_view = memoryview(bytearray(READ_BYTES))
         # Touched only on the loop thread.
         self._counters: dict[str, int] = {
             "connections_opened": 0, "connections_closed": 0,
@@ -474,22 +479,23 @@ class _Connection:
 
     def _read(self) -> None:
         """Answer the frames one socket read completed, in order."""
+        server = self.server
+        view = server._read_view
         try:
-            data = self.sock.recv(READ_BYTES)
+            size = self.sock.recv_into(view)
         except BlockingIOError:
             return
         except OSError:  # reset by the peer
             self.drop()
             return
-        if not data:  # the peer closed its end
+        if not size:  # the peer closed its end
             self.close()
             return
-        server = self.server
         self.deadline = time.monotonic() + server.idle_timeout
         counters = server._counters
         framing_error = None
         try:
-            self.decoder.feed(data)
+            self.decoder.feed(view[:size])
         except FrameError as exc:
             framing_error = exc
         frames = self.decoder.frames()
@@ -582,7 +588,7 @@ class _Connection:
         if self not in self.server._lingering:
             return  # dropped earlier in this select batch
         try:
-            if self.sock.recv(READ_BYTES):
+            if self.sock.recv_into(self.server._read_view):
                 return
         except BlockingIOError:
             return

@@ -30,14 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
 from repro import sha256
 from repro.rws.diff import ListDiff, diff_lists, membership_keys
 from repro.rws.model import RwsList
-
-if TYPE_CHECKING:
-    from repro.rws.history import RwsHistory
 
 
 class StaleSnapshotError(ValueError):
@@ -191,17 +187,3 @@ class SnapshotStore:
             to_hash=target.content_hash,
             diff=diff_lists(base.rws_list, target.rws_list),
         )
-
-    def to_history(self, dates: dict[int, str]) -> RwsHistory:
-        """Project the store onto an :class:`RwsHistory` for analysis.
-
-        Args:
-            dates: Mapping from version number to its ISO snapshot date.
-        """
-        from repro.rws.history import RwsHistory
-
-        history = RwsHistory()
-        for snapshot in self.snapshots:
-            if snapshot.version in dates:
-                history.add(dates[snapshot.version], snapshot.rws_list)
-        return history

@@ -5,14 +5,16 @@ connection cap), pipelining with ordered responses, both sides of the
 backpressure window, malformed traffic (including a response over the
 frame limit), retry semantics, drain-on-publish (the torn-response
 storm, extending the ``tests/test_serve.py`` epoch-storm pattern onto
-real sockets), the serial event-loop dispatch model, and
-transport-equivalence of workload digests.
+real sockets), the serial event-loop dispatch model, the one read
+buffer every connection shares, and transport-equivalence of workload
+digests.
 """
 
 import json
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -29,7 +31,9 @@ from repro.api import (
     QueryResponse,
     StatsRequest,
     StatsResponse,
+    decode_response,
     encode_request,
+    encode_response,
 )
 from repro.net import (
     NetClientError,
@@ -40,6 +44,7 @@ from repro.net import (
     hello_message,
 )
 from repro.net.frame import FrameDecoder
+from repro.net.server import READ_BYTES
 from repro.rws import RelatedWebsiteSet, RwsList
 from repro.serve import RwsService
 
@@ -730,6 +735,121 @@ class TestSerialDispatch:
             snapshot = harness.server.net_snapshot()
             assert snapshot["counters"]["backpressure_stalls"] == 0
             assert snapshot["gauges"]["pipeline_depth_peak"] <= 2
+
+
+class TestSharedReadBuffer:
+    """Every connection of a server reads into the server's one buffer;
+    the frame decoder copies what it keeps, so one connection's read
+    never corrupts another's partial frame."""
+
+    @staticmethod
+    def _connect(host, port) -> tuple[socket.socket, FrameDecoder]:
+        """A raw client past its hello, with Nagle off, so each
+        ``sendall`` leaves at once."""
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        decoder = FrameDecoder()
+        sock.sendall(encode_frame(hello_message()))
+        assert json.loads(read_frame(sock, decoder))["ok"] is True
+        return sock, decoder
+
+    def test_interleaved_connections_answer_their_own_requests(
+            self, service):
+        """A's partial frame survives B's read over the same buffer,
+        and a frame larger than one read survives B's frames answered
+        between its reads: every answer is its own request's."""
+
+        def frame(request) -> bytes:
+            return encode_frame(encode_request(request))
+
+        def expected(request) -> dict:
+            return json.loads(encode_response(
+                Dispatcher(service).dispatch(request)))
+
+        point_a = QueryRequest(host_a="alpha-news.com", host_b="alpha.com")
+        split_a = QueryRequest(host_a="www.alpha.com", host_b="beta.com")
+        batch_b = BatchQueryRequest(
+            pairs=[("alpha.com", "alpha-news.com"),
+                   ("alpha.com", "beta-shop.com")] * 8, detail=True)
+        big_a = BatchQueryRequest(pairs=[
+            (f"shop{index}.alpha.com",
+             f"cdn{index}.beta-shop.com" if index % 3 else "alpha-news.com")
+            for index in range(6000)], detail=False)
+        points_b = [QueryRequest(host_a=f"m{index}.alpha-news.com",
+                                 host_b="alpha.com" if index % 2
+                                 else "beta.com") for index in range(3)]
+        first, second, big = frame(point_a), frame(split_a), frame(big_a)
+        half = len(second) // 2
+        assert len(frame(batch_b)) > len(first) + half
+        assert len(big) > READ_BYTES
+        cuts = [0, len(big) // 4, len(big) // 2, 3 * len(big) // 4, len(big)]
+
+        with ServerThread(RwsTcpServer(service)) as harness:
+            host, port = harness.server.address
+            a, a_decoder = self._connect(host, port)
+            b, b_decoder = self._connect(host, port)
+            with a, b:
+                answers_a, answers_b = [], []
+                # A's tail waits in its decoder while B's longer frame
+                # is read over the same buffer.
+                a.sendall(first + second[:half])
+                answers_a.append(read_frame(a, a_decoder))
+                b.sendall(frame(batch_b))
+                answers_b.append(read_frame(b, b_decoder))
+                a.sendall(second[half:])
+                answers_a.append(read_frame(a, a_decoder))
+                # A frame over READ_BYTES takes several reads; B's
+                # point frames are answered between them.
+                for start, end, point in zip(cuts, cuts[1:],
+                                             points_b + [None]):
+                    a.sendall(big[start:end])
+                    if point is not None:
+                        b.sendall(frame(point))
+                        answers_b.append(read_frame(b, b_decoder))
+                answers_a.append(read_frame(a, a_decoder))
+        assert [json.loads(answer) for answer in answers_a] == [
+            expected(request) for request in (point_a, split_a, big_a)]
+        assert [json.loads(answer) for answer in answers_b] == [
+            expected(request) for request in [batch_b, *points_b]]
+
+    def test_a_served_read_allocates_only_what_arrived(self, harness):
+        """Fifty served point queries raise the traced allocation peak
+        by less than ``READ_BYTES // 8``: no read allocates a
+        ``READ_BYTES`` object.  Counts bytes, not time.  The client
+        reads 4 KiB at a time into a buffer of its own, so its reads
+        stay out of the figure."""
+        host, port = harness.server.address
+        query = encode_frame(encode_request(QueryRequest(
+            host_a="alpha-news.com", host_b="alpha.com")))
+        chunk = memoryview(bytearray(4096))
+        decoder = FrameDecoder()
+        with socket.create_connection((host, port), timeout=10) as sock:
+
+            def answer(frame: bytes) -> bytes:
+                sock.sendall(frame)
+                while (payload := decoder.next_frame()) is None:
+                    size = sock.recv_into(chunk)
+                    assert size, "server closed the connection"
+                    decoder.feed(chunk[:size])
+                return payload
+
+            assert json.loads(answer(encode_frame(hello_message())))["ok"]
+            for _ in range(5):
+                answer(query)
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before, _peak = tracemalloc.get_traced_memory()
+                answers = [answer(query) for _ in range(50)]
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+        assert all(decode_response(payload)[0].verdict.related
+                   for payload in answers)
+        assert peak - before < READ_BYTES // 8
 
 
 class TestObservability:

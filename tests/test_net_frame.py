@@ -67,6 +67,27 @@ class TestRoundTrip:
         assert out == payloads
         assert decoder.idle
 
+    @settings(max_examples=50)
+    @given(payloads=payloads, cuts=st.lists(st.integers(min_value=0,
+                                                        max_value=10_000),
+                                            max_size=12))
+    def test_reused_chunk_buffer(self, payloads, cuts):
+        """Chunks fed as views of one reused buffer, overwritten with
+        junk after every feed, still yield the same payloads: the
+        decoder copies what it keeps (as the server's reads rely on)."""
+        blob = b"".join(encode_frame(p) for p in payloads)
+        buffer = bytearray(len(blob))
+        view = memoryview(buffer)
+        decoder = FrameDecoder()
+        out = []
+        for piece in chunked(blob, cuts):
+            view[:len(piece)] = piece
+            decoder.feed(view[:len(piece)])
+            buffer[:] = b"\xff" * len(buffer)
+            out.extend(decoder.frames())
+        assert out == payloads
+        assert decoder.idle
+
     @settings(max_examples=25)
     @given(payloads=payloads)
     def test_one_byte_dribble(self, payloads):
