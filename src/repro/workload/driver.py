@@ -20,8 +20,9 @@ layer's protocol boundary (a per-shard
   dispatch per buffer — no per-decision round-trip, no verdict
   objects, one latency sample per flush — then merges shard registries.
   Shards run in worker processes (real parallelism on multi-core
-  hosts) or threads; on a single core the fast path still wins because
-  each decision does strictly less work.
+  hosts: each worker is pinned to its own CPU) or threads; on a single
+  core the fast path still wins because each decision does strictly
+  less work.
 
 Both paths produce **identical decision outcomes**: the run digest —
 an order- and partition-independent fold of every per-user outcome
@@ -801,6 +802,27 @@ def run_serial(scenario: Scenario | str, users: int, *,
                   time.perf_counter() - started, transport)
 
 
+def _pin_worker(claimed) -> None:
+    """Pool initializer: bind this worker process to a CPU of its own.
+
+    Forked workers start on the parent's CPU, and a scheduler may leave
+    them sharing it for longer than a shard runs (seen on a 2-vCPU
+    Linux VM: two forked workers took turns on one CPU for ~1 s while
+    the other sat idle), so the shards would run one core's worth at a
+    time.  Each worker claims the next CPU of the parent's affinity
+    set.  Pinning is best effort: a refused ``sched_setaffinity``
+    leaves placement to the scheduler.
+    """
+    with claimed.get_lock():
+        index = claimed.value
+        claimed.value += 1
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    except OSError:
+        pass
+
+
 def run_sharded(scenario: Scenario | str, users: int, shards: int, *,
                 seed: int = 0, executor: str = "auto",
                 trace: bool = False,
@@ -861,8 +883,12 @@ def run_sharded(scenario: Scenario | str, users: int, shards: int, *,
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
+        initializer, initargs = None, ()
+        if hasattr(os, "sched_setaffinity"):
+            initializer, initargs = _pin_worker, (context.Value("i", 0),)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                 initializer=initializer,
+                                 initargs=initargs) as pool:
             outcomes = list(pool.map(run_shard, tasks))
     return _merge(scenario, users, shards, mode, seed, outcomes,
                   time.perf_counter() - started, transport)

@@ -19,8 +19,10 @@ from repro.workload import (
     run_sharded,
     run_workload,
 )
-from repro.workload.driver import _partition
+from repro.workload.driver import _partition, _pin_worker
 
+import multiprocessing
+import os
 import random
 
 
@@ -279,7 +281,36 @@ class TestMetrics:
         assert len(digests) == 1
 
 
+def _pin_and_report(claimed, results):
+    _pin_worker(claimed)
+    results.put(sorted(os.sched_getaffinity(0)))
+
+
 class TestDriver:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="CPU affinity is Linux-only")
+    def test_pool_workers_claim_cpus_in_turn(self):
+        # Two workers sharing the driver's counter pin themselves to
+        # the first two CPUs of the affinity set (one CPU: both on it).
+        cpus = sorted(os.sched_getaffinity(0))
+        context = multiprocessing.get_context("fork")
+        claimed = context.Value("i", 0)
+        results = context.Queue()
+        workers = [context.Process(target=_pin_and_report,
+                                   args=(claimed, results))
+                   for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        pinned = [results.get(timeout=30) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=30)
+        results.close()
+        results.join_thread()
+        assert all(len(affinity) == 1 for affinity in pinned)
+        assert sorted(affinity[0] for affinity in pinned) \
+            == sorted(cpus[i % len(cpus)] for i in range(2))
+        assert claimed.value == 2
+
     def test_partition_covers_all_users_contiguously(self):
         for users, shards in [(10, 3), (3, 5), (0, 4), (100, 1)]:
             bounds = _partition(users, shards)
